@@ -241,6 +241,21 @@ def unimodular_inverse(m):
     return out
 
 
+def finite_order_inverse(m, max_order=1000):
+    """Inverse of an integer matrix of finite order k, as m^(k-1), over Z.
+
+    Raises ValueError when no power up to max_order is the identity.
+    """
+    n = len(m)
+    ident = identity(n)
+    prev, power = ident, [list(row) for row in m]
+    for _ in range(max_order):
+        if power == ident:
+            return freeze(prev)
+        prev, power = power, mat_mul(m, power)
+    raise ValueError(f"matrix has no finite order up to {max_order}")
+
+
 def charpoly(m):
     """Coefficients [c_0, ..., c_n] of det(tI - m) = sum c_i t^i, exact.
 

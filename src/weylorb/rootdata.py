@@ -20,7 +20,13 @@ from math import factorial
 
 import numpy as np
 
-from .intlinalg import freeze, invariant_factors, mat_mul
+from .intlinalg import (
+    charpoly,
+    finite_order_inverse,
+    freeze,
+    invariant_factors,
+    mat_mul,
+)
 
 
 class GroupOrderCapError(ValueError):
@@ -332,6 +338,7 @@ class WeylGroup:
         """List of (representative, class_size, centralizer_elements)."""
         if self._classes is not None:
             return self._classes
+        pairs = [(s, finite_order_inverse(s)) for s in self.generators]
         assigned = set()
         classes = []
         for rep in self.elements:
@@ -342,7 +349,7 @@ class WeylGroup:
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for s, s_inv in self._gen_inv_pairs():
+                    for s, s_inv in pairs:
                         y = freeze(mat_mul(mat_mul(s, x), s_inv))
                         if y not in orbit:
                             orbit.add(y)
@@ -358,29 +365,15 @@ class WeylGroup:
         self._classes = classes
         return classes
 
-    def _gen_inv_pairs(self):
-        pairs = []
-        for s in self.generators:
-            inv = _integer_inverse(s)
-            pairs.append((s, inv))
-        return pairs
-
-
-def _integer_inverse(m):
-    arr = np.array(m, dtype=np.int64)
-    n = len(m)
-    inv = np.rint(np.linalg.inv(arr.astype(float))).astype(np.int64)
-    if not np.array_equal(arr @ inv, np.eye(n, dtype=np.int64)):
-        raise ValueError("matrix is not unimodular")
-    return freeze(inv.tolist())
-
 
 def enumerate_group(source, order_cap=10**7):
     """Breadth-first closure of the generators into a WeylGroup.
 
     source may be a RootDatum or an iterable of integer matrices.  Refuses
     with GroupOrderCapError when the expected (or running) order exceeds the
-    cap; W(E_8) is refused at the default cap.
+    cap; W(E_8) is refused at the default cap.  A generator whose exact
+    determinant is not +-1 has no inverse over Z, so it cannot lie in a
+    finite group; it is refused with ValueError before any int64 product.
     """
     if isinstance(source, RootDatum):
         expected = source.expected_order()
@@ -392,6 +385,12 @@ def enumerate_group(source, order_cap=10**7):
         gens = [np.array(g, dtype=np.int64) for g in source.weyl_generators]
     else:
         gens = [np.array(g, dtype=np.int64) for g in source]
+    for g in gens:
+        det = (-1) ** len(g) * charpoly(g.tolist())[0]
+        if abs(det) != 1:
+            raise ValueError(
+                f"generator {g.tolist()} has determinant {det}, not +-1"
+            )
     r = gens[0].shape[0]
     seen = {}
     ident = np.eye(r, dtype=np.int64)

@@ -5,6 +5,19 @@ tuples of (Q/Z)^4 entries with a common denominator.  Stabilizers come from
 orbit-stabilizer with Schreier generators, so the full group never needs to
 be materialized; when the group order is known the stabilizer order is read
 off from the orbit size.
+
+The orbit walk is batched: a breadth-first level is an (m, rank, 4) int64
+array of points modulo the denominator, every generator acts on all of it in
+one product, and new images are found by exact integer keys and numbered in
+(point, generator) order.  The walk records a Schreier tree (the parent of
+each point and the generator that first reached it) and the edge table
+edges[x, s] = number of s.x; it builds no per-point object.  The coset
+witnesses u_x and their inverses are filled in from the tree level by level,
+only as far as the Schreier pass asks, with generator inverses computed
+exactly.  The Schreier pass forms u_y^-1 s u_x for chunks of points that
+double in size, skips tree edges (always the identity), and stops as soon as
+the generated subgroup reaches |W| / |orbit|.  Every int64 product is
+preceded by an entry-bound check that raises EntryBoundError.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .intlinalg import (
+    finite_order_inverse,
     freeze,
     identity,
     mat_mul,
@@ -172,61 +186,198 @@ def _closure(generators, cap):
     return seen
 
 
-def _small_generating_set(schreier, rank, cap):
-    gens = []
-    have = {freeze(identity(rank))}
-    for s in schreier:
-        if s not in have:
-            gens.append(s)
-            have = _closure(gens, cap)
-    return gens, have
+class EntryBoundError(ValueError):
+    """Raised before an int64 product whose entries could overflow."""
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _check_product(k, a_bound, b_bound):
+    """Refuse a product of k-term sums of entries bounded by a_bound, b_bound."""
+    if k * a_bound * b_bound > _INT64_MAX:
+        raise EntryBoundError(
+            f"int64 product of {k}-term sums with entries up to {a_bound} and "
+            f"{b_bound} could overflow"
+        )
+
+
+def _max_abs(a):
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _point_keys(flat, den):
+    """Exact sort keys for the rows of an (n, k) array of residues mod den.
+
+    Entries are packed base den into int64 words; a row that needs more than
+    one word is keyed by the bytes of its words.
+    """
+    n, k = flat.shape
+    per_word = 1
+    while per_word < k and den ** (per_word + 1) <= _INT64_MAX:
+        per_word += 1
+    words = -(-k // per_word)
+    padded = np.zeros((n, words * per_word), dtype=np.int64)
+    padded[:, :k] = flat
+    radix = den ** np.arange(per_word, dtype=np.int64)
+    packed = padded.reshape(n, words, per_word) @ radix
+    if words == 1:
+        return packed[:, 0]
+    return np.ascontiguousarray(packed).view(f"V{8 * words}").ravel()
+
+
+def _orbit_tree(gens, point, orbit_cap):
+    """Breadth-first orbit of a point as a Schreier tree.
+
+    Points are numbered in discovery order, the start point being 0: a level
+    of the walk applies every generator to every frontier point in one
+    batched product, and the new images are numbered in (point, generator)
+    order.  Returns (parent, via, edges, levels): point y was first reached
+    as gens[via[y]] applied to parent[y], edges[x, s] is the number of
+    gens[s] applied to x, levels[i] is the first number of level i, and
+    levels[-1] is the orbit size.
+    """
+    den = point.den
+    n_gens, rank = len(gens), gens.shape[1]
+    _check_product(rank, _max_abs(gens), den - 1)
+    frontier = np.array(point.coords, dtype=np.int64).reshape(1, rank, 4)
+    seen = _point_keys(frontier.reshape(1, -1), den)
+    seen_ids = np.zeros(1, dtype=np.int64)
+    parents = [np.zeros(1, dtype=np.int64)]
+    vias = [np.zeros(1, dtype=np.int64)]
+    edges = []
+    levels = [0]
+    size = 1
+    while len(frontier):
+        start = levels[-1]
+        images = (gens @ frontier[:, None] % den).reshape(-1, rank, 4)
+        keys = _point_keys(images.reshape(len(images), -1), den)
+        at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        hit = seen[at] == keys
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[hit] = seen_ids[at[hit]]
+        miss = np.flatnonzero(~hit)
+        new_keys, first, inverse = np.unique(
+            keys[miss], return_index=True, return_inverse=True
+        )
+        # number new points by their first (point, generator) occurrence
+        order = np.argsort(first)
+        new_ids = np.empty(len(new_keys), dtype=np.int64)
+        new_ids[order] = size + np.arange(len(new_keys))
+        ids[miss] = new_ids[inverse]
+        edges.append(ids.reshape(-1, n_gens))
+        origin = miss[first[order]]
+        parents.append(start + origin // n_gens)
+        vias.append(origin % n_gens)
+        frontier = images[origin]
+        at = np.searchsorted(seen, new_keys)
+        seen = np.insert(seen, at, new_keys)
+        seen_ids = np.insert(seen_ids, at, new_ids)
+        levels.append(size)
+        size += len(new_keys)
+        if size > orbit_cap:
+            raise ValueError(f"orbit exceeded cap {orbit_cap}")
+    return (
+        np.concatenate(parents),
+        np.concatenate(vias),
+        np.concatenate(edges),
+        levels,
+    )
+
+
+class _Witnesses:
+    """Coset witnesses u_x (x = u_x p) and their inverses, level by level.
+
+    u_y = s u_x along the tree edge x -> y labelled s, so u_y^-1 = u_x^-1
+    s^-1; a level is filled only when a caller first needs one of its points.
+    """
+
+    def __init__(self, gens, parent, via, levels):
+        rank = gens.shape[1]
+        self.gens = gens
+        self.gens_inv = np.array(
+            [finite_order_inverse(g.tolist()) for g in gens], dtype=np.int64
+        )
+        self.gens_max = _max_abs(gens)
+        self.gens_inv_max = _max_abs(self.gens_inv)
+        self.parent, self.via = parent, via
+        self.ends = levels[1:]
+        self.u = np.empty((len(parent), rank, rank), dtype=np.int64)
+        self.u_inv = np.empty_like(self.u)
+        self.u[0] = self.u_inv[0] = np.eye(rank, dtype=np.int64)
+        self.done = 1
+        self.u_max = self.u_inv_max = 1
+
+    def through(self, x):
+        """Make u and u_inv valid for every point numbered up to x."""
+        rank = self.gens.shape[1]
+        while self.done <= x:
+            lo = self.done
+            hi = next(b for b in self.ends if b > lo)
+            par, via = self.parent[lo:hi], self.via[lo:hi]
+            _check_product(rank, self.gens_max, self.u_max)
+            _check_product(rank, self.u_inv_max, self.gens_inv_max)
+            self.u[lo:hi] = self.gens[via] @ self.u[par]
+            self.u_inv[lo:hi] = self.u_inv[par] @ self.gens_inv[via]
+            self.u_max = max(self.u_max, _max_abs(self.u[lo:hi]))
+            self.u_inv_max = max(self.u_inv_max, _max_abs(self.u_inv[lo:hi]))
+            self.done = hi
+
+
+# points per chunk of the Schreier pass: the first chunk, and a cap that
+# keeps one chunk's (points * generators, rank, rank) products a few MB
+_FIRST_CHUNK = 16
+_CHUNK_PAIRS = 1 << 13
 
 
 def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     """Exact W-stabilizer of a torsion point by orbit-stabilizer.
 
-    Builds the orbit with coset witnesses, extracts Schreier generators for
-    the stabilizer, and classifies the subgroup.
+    Builds the orbit as a Schreier tree, extracts Schreier generators for
+    the stabilizer in (point, generator) order, and classifies the subgroup.
     """
     generators, order, _ = _group_parts(action)
     rank = len(generators[0])
     ident = freeze(identity(rank))
     point = point.reduced()
-    witness = {point: ident}
-    frontier = [point]
-    gen_list = [freeze(g) for g in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            ux = witness[x]
-            for s in gen_list:
-                y = x.apply(s)
-                if y not in witness:
-                    witness[y] = freeze(mat_mul(s, ux))
-                    nxt.append(y)
-        frontier = nxt
-        if len(witness) > orbit_cap:
-            raise ValueError(f"orbit exceeded cap {orbit_cap}")
-    orbit_size = len(witness)
+    gens = np.array(generators, dtype=np.int64)
+    n_gens = len(gens)
+    parent, via, edges, levels = _orbit_tree(gens, point, orbit_cap)
+    orbit_size = len(parent)
     expected = None
     if order is not None:
         if order % orbit_size != 0:
             raise AssertionError("orbit size does not divide the group order")
         expected = order // orbit_size
     # second pass over the closed edges: collect Schreier generators
-    # u_y^-1 s u_x, stopping once the closure reaches the expected order
-    gens = []
+    # u_y^-1 s u_x, stopping once the closure reaches the expected order;
+    # a tree edge always gives the identity, so it is skipped
+    witnesses = _Witnesses(gens, parent, via, levels)
+    tree = np.zeros(edges.shape, dtype=bool)
+    tree[parent[1:], via[1:]] = True
+    eye = np.eye(rank, dtype=np.int64)
+    found = []
     elements = {ident}
-    for x, ux in witness.items():
-        for s in gen_list:
-            y = x.apply(s)
-            uy_inv = _matrix_inverse(witness[y])
-            w = freeze(mat_mul(uy_inv, mat_mul(s, ux)))
-            if w not in elements:
-                gens.append(w)
-                elements = _closure(gens, element_cap)
-        if expected is not None and len(elements) == expected:
-            break
+    start, chunk = 0, _FIRST_CHUNK
+    while start < orbit_size and len(elements) != expected:
+        stop = min(orbit_size, start + chunk)
+        xs, ss = np.nonzero(~tree[start:stop])
+        xs += start
+        ys = edges[xs, ss]
+        witnesses.through(max(stop - 1, int(ys.max(initial=0))))
+        su_max = rank * witnesses.gens_max * witnesses.u_max
+        _check_product(rank, witnesses.gens_max, witnesses.u_max)
+        _check_product(rank, witnesses.u_inv_max, su_max)
+        w = witnesses.u_inv[ys] @ (gens[ss] @ witnesses.u[xs])
+        for k in np.flatnonzero((w != eye).any(axis=(1, 2))):
+            m = freeze(w[k].tolist())
+            if m not in elements:
+                found.append(m)
+                elements = _closure(found, element_cap)
+                if len(elements) == expected:
+                    break
+        start = stop
+        chunk = min(2 * chunk, max(1, _CHUNK_PAIRS // n_gens))
     stab_order = len(elements)
     if expected is not None and stab_order != expected:
         raise AssertionError("orbit-stabilizer count mismatch")
@@ -244,7 +395,7 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
         cls = "other"
         label = f"subgroup of order {stab_order}"
     return StabilizerReport(
-        generators=tuple(gens),
+        generators=tuple(found),
         order=stab_order,
         orbit_size=orbit_size,
         action_classification=cls,
@@ -252,12 +403,6 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
         elements=tuple(sorted(elements)),
         crepant=crepant,
     )
-
-
-def _matrix_inverse(m):
-    from .rootdata import _integer_inverse
-
-    return _integer_inverse(m)
 
 
 def two_torsion_points(rank):
@@ -273,33 +418,40 @@ def _two_torsion_orbit_reps(generators, rank):
     A point is encoded as a 4*rank-bit integer whose j-th nibble is the mod-2
     coordinate 4-vector over the j-th simple coroot; a generator acts by
     XORing nibbles, which applies to every point at once as array shifts.
-    Yields (representative_code, orbit_size).
+    Each code starts labelled by itself; labels are pulled along every
+    generator and its inverse, then pointer-jumped (label <- label[label]),
+    until they stop changing, at which point each orbit carries its least
+    code.  Returns [(least_code, orbit_size)] in ascending code order.
     """
     n = 1 << (4 * rank)
-    idx = np.arange(n, dtype=np.int64)
+    # the narrowest unsigned type holding every code keeps the arrays small
+    idx = np.arange(n, dtype=np.min_scalar_type(n - 1))
     nibbles = [(idx >> (4 * j)) & 15 for j in range(rank)]
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    moves = []
     for g in generators:
-        image = np.zeros(n, dtype=np.int64)
+        image = np.zeros_like(idx)
         for k in range(rank):
-            ynib = np.zeros(n, dtype=np.int64)
+            ynib = np.zeros_like(idx)
             for j in range(rank):
                 if g[k][j] % 2:
                     ynib ^= nibbles[j]
             image |= ynib << (4 * k)
-        for a, b in zip(idx, image):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    roots = np.array([find(a) for a in idx])
-    reps, counts = np.unique(roots, return_counts=True)
+        back = np.zeros_like(idx)
+        back[image] = idx
+        if not np.array_equal(image[back], idx):
+            raise ValueError("generator is not invertible modulo 2")
+        moves += [image, back]
+    label = idx
+    while True:
+        before = label
+        for move in moves:
+            label = np.minimum(label, label[move])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, before):
+            break
+    reps, counts = np.unique(label, return_counts=True)
     return list(zip(reps.tolist(), counts.tolist()))
 
 
@@ -319,7 +471,8 @@ def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
     When -1 lies in W it stabilizes every 2-torsion point, so any orbit of
     size |W|/2 automatically has stabilizer exactly {+-1}; the scan therefore
     only needs orbit sizes, never per-point stabilizer chains.
-    Returns a list of TorsionPoint orbit representatives.
+    Returns a list of TorsionPoint orbit representatives, each the orbit
+    member with the least bit code, in ascending code order.
     """
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")

@@ -9,6 +9,7 @@ from weylorb.intlinalg import (
     charpoly,
     clear_denominators,
     det_i_plus_t,
+    finite_order_inverse,
     freeze,
     identity,
     invariant_factors,
@@ -152,6 +153,17 @@ class TestRankNullspaceSolve:
         m = [[2, 1], [1, 1]]
         inv = unimodular_inverse(m)
         assert mat_mul(m, inv) == identity(2)
+
+    def test_finite_order_inverse(self):
+        # the rotation of order 6 in G_2-like coordinates, and a reflection
+        for m in ([[1, -1], [1, 0]], [[-1, 0], [1, 1]]):
+            inv = finite_order_inverse(m)
+            assert mat_mul(m, inv) == identity(2)
+            assert inv == freeze(unimodular_inverse(m))
+
+    def test_finite_order_inverse_refuses_infinite_order(self):
+        with pytest.raises(ValueError, match="no finite order"):
+            finite_order_inverse([[1, 1], [0, 1]], max_order=50)
 
 
 class TestCharpoly:

@@ -45,6 +45,12 @@ class TestLatticeAction:
         with pytest.raises(TypeError):
             LatticeAction([[1]])
 
+    def test_rejects_non_unimodular_generator(self):
+        # int64 products of diag(2, 1) once wrapped to 0 and closed up into
+        # a "group" of order 65
+        with pytest.raises(ValueError, match="determinant 2"):
+            LatticeAction.from_generators([[[2, 0], [0, 1]]])
+
 
 class TestFixedLocus:
     def test_identity_element(self):

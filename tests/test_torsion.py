@@ -1,13 +1,20 @@
 """Torsion points, stabilizers, minus-one scans, and propagation."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from weylorb.intlinalg import freeze, identity, mat_mul
+from weylorb.intlinalg import finite_order_inverse, freeze, identity, mat_mul
 from weylorb.rootdata import build_root_datum, embed_diagram, enumerate_group
 from weylorb.torsion import (
+    EntryBoundError,
+    StabilizerReport,
     TorsionPoint,
+    _closure,
+    _group_parts,
+    _two_torsion_orbit_reps,
     find_minus_one_points,
     point_from_ambient,
     propagate,
@@ -18,6 +25,81 @@ from weylorb.torsion import (
 
 def minus_identity(rank):
     return freeze([[-1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+
+
+def _stabilizer_reference(action, point, element_cap=10**5):
+    """Per-point orbit-stabilizer walk: one TorsionPoint.apply per edge.
+
+    The literal form of stabilizer(), kept as its oracle: a witness dict in
+    discovery order, then Schreier generators u_y^-1 s u_x collected in
+    (point, generator) order until the closure reaches |W| / |orbit|.
+    """
+    generators, order, _ = _group_parts(action)
+    rank = len(generators[0])
+    ident = freeze(identity(rank))
+    point = point.reduced()
+    witness = {point: ident}
+    frontier = [point]
+    gen_list = [freeze(g) for g in generators]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gen_list:
+                y = x.apply(s)
+                if y not in witness:
+                    witness[y] = freeze(mat_mul(s, witness[x]))
+                    nxt.append(y)
+        frontier = nxt
+    expected = None if order is None else order // len(witness)
+    gens = []
+    elements = {ident}
+    for x, ux in witness.items():
+        for s in gen_list:
+            uy_inv = finite_order_inverse(witness[x.apply(s)])
+            w = freeze(mat_mul(uy_inv, mat_mul(s, ux)))
+            if w not in elements:
+                gens.append(w)
+                elements = _closure(gens, element_cap)
+        if len(elements) == expected:
+            break
+    minus = minus_identity(rank)
+    if len(elements) == 1:
+        cls, label, crepant = "trivial", "smooth point", None
+    elif len(elements) == 2 and minus in elements:
+        cls, label = "minus_one_local_model", f"C^{2 * rank}/+-1"
+        crepant = "resolvable" if rank == 1 else "no_crepant_resolution"
+    else:
+        cls, label, crepant = "other", f"subgroup of order {len(elements)}", None
+    return StabilizerReport(
+        generators=tuple(gens),
+        order=len(elements),
+        orbit_size=len(witness),
+        action_classification=cls,
+        local_model_label=label,
+        elements=tuple(sorted(elements)),
+        crepant=crepant,
+    )
+
+
+def _points_of_denominator(group, den, count, seed):
+    """Seeded points mod den, zero outside a random set of coroot rows,
+    then moved by a seeded group element.
+
+    Zero rows put many points on reflection hyperplanes, so the sample has
+    stabilizers of several orders, not only the trivial one; moving them
+    makes the Schreier generators depend on the order of the orbit walk.
+    """
+    rng = random.Random(seed)
+    rank = len(group.generators[0])
+    points = []
+    for _ in range(count):
+        rows = set(rng.sample(range(rank), rng.randrange(1, rank + 1)))
+        p = TorsionPoint(den, tuple(
+            tuple(rng.randrange(den) for _ in range(4)) if j in rows else (0,) * 4
+            for j in range(rank)
+        ))
+        points.append(p.apply(rng.choice(group.elements)))
+    return points
 
 
 class TestTorsionPoint:
@@ -98,10 +180,8 @@ class TestStabilizer:
         rp = stabilizer(group, p)
         rq = stabilizer(group, q)
         assert rp.order == rq.order
-        from weylorb.torsion import _matrix_inverse
-
         conj = {
-            freeze(mat_mul(s, mat_mul(g, _matrix_inverse(s))))
+            freeze(mat_mul(s, mat_mul(g, finite_order_inverse(s))))
             for g in rp.elements
         }
         assert conj == set(rq.elements)
@@ -114,6 +194,96 @@ class TestStabilizer:
         assert d["classification"] == "minus_one_local_model"
         assert d["local_model"] == "C^4/+-1"
         assert d["crepant"] == "no_crepant_resolution"
+
+
+class TestBatchedStabilizer:
+    """stabilizer() against the per-point reference walk, field for field."""
+
+    @staticmethod
+    def assert_same(group, point):
+        fast = stabilizer(group, point)
+        assert fast == _stabilizer_reference(group, point)
+        assert fast.order * fast.orbit_size == group.order
+        return fast
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
+    def test_every_minus_one_point(self, letter, rank):
+        group = enumerate_group(build_root_datum(letter, rank))
+        for p in find_minus_one_points(group):
+            assert self.assert_same(group, p).order == 2
+
+    def test_seeded_d4_sample(self):
+        group = enumerate_group(build_root_datum("D", 4))
+        points = find_minus_one_points(group)
+        for p in random.Random(4).sample(points, 20):
+            self.assert_same(group, p)
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3), ("F", 4)])
+    @pytest.mark.parametrize("den", [2, 3, 6])
+    def test_seeded_points(self, letter, rank, den):
+        group = enumerate_group(build_root_datum(letter, rank))
+        orders = {
+            self.assert_same(group, p).order
+            for p in _points_of_denominator(group, den, 12, seed=den * rank)
+        }
+        assert len(orders) >= 2
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3), ("F", 4)])
+    def test_zero_point_is_whole_group(self, letter, rank):
+        group = enumerate_group(build_root_datum(letter, rank))
+        report = self.assert_same(group, TorsionPoint.zero(rank))
+        assert set(report.elements) == set(group.elements)
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
+    def test_elements_by_brute_force(self, letter, rank):
+        group = enumerate_group(build_root_datum(letter, rank))
+        points = _points_of_denominator(group, 2, 6, seed=rank)
+        points += _points_of_denominator(group, 6, 6, seed=rank)
+        for p in points + find_minus_one_points(group)[:5]:
+            brute = sorted(g for g in group if p.apply(g) == p)
+            assert list(stabilizer(group, p).elements) == brute
+
+    @pytest.mark.parametrize("letter,rank,den", [("G", 2, 301), ("B", 3, 2**31 + 11)])
+    def test_keys_wider_than_one_word(self, letter, rank, den):
+        # den ** (4 * rank) > 2 ** 63, so a point's key spans two int64 words
+        group = enumerate_group(build_root_datum(letter, rank))
+        for p in _points_of_denominator(group, den, 6, seed=den):
+            self.assert_same(group, p)
+
+    def test_entry_bound_is_checked(self):
+        p = TorsionPoint(2**62 + 1, ((1, 0, 0, 0), (0, 0, 0, 0)))
+        with pytest.raises(EntryBoundError):
+            stabilizer(build_root_datum("G", 2), p)
+
+    def test_orbit_cap_raises(self):
+        datum = build_root_datum("B", 3)
+        p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
+        assert stabilizer(datum, p).orbit_size > 10
+        with pytest.raises(ValueError, match="orbit exceeded cap"):
+            stabilizer(datum, p, orbit_cap=10)
+
+
+class TestTwoTorsionOrbits:
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
+    def test_partition_matches_brute_force(self, letter, rank):
+        group = enumerate_group(build_root_datum(letter, rank))
+        n = 1 << (4 * rank)
+        codes = np.arange(n)
+        # bit 4j + t of a code is coordinate t of row j: bits[x, j, t]
+        shifts = 4 * np.arange(rank)[:, None] + np.arange(4)
+        bits = (codes[:, None, None] >> shifts) & 1
+        weights = 1 << shifts
+        least = codes.copy()
+        for g in group:
+            image = ((np.array(g) @ bits) % 2 * weights).sum(axis=(1, 2))
+            least = np.minimum(least, image)
+        reps, sizes = np.unique(least, return_counts=True)
+        expected = list(zip(reps.tolist(), sizes.tolist()))
+        assert _two_torsion_orbit_reps(group.generators, rank) == expected
+
+    def test_rejects_generator_singular_mod_two(self):
+        with pytest.raises(ValueError):
+            _two_torsion_orbit_reps([((2, 1), (0, 1))], 2)
 
 
 class TestMinusOneScan:
