@@ -241,19 +241,22 @@ def unimodular_inverse(m):
     return out
 
 
-def finite_order_inverse(m, max_order=1000):
+_MAX_FINITE_ORDER = 1000
+
+
+def finite_order_inverse(m):
     """Inverse of an integer matrix of finite order k, as m^(k-1), over Z.
 
-    Raises ValueError when no power up to max_order is the identity.
+    Raises ValueError when no power up to _MAX_FINITE_ORDER is the identity.
     """
     n = len(m)
     ident = identity(n)
     prev, power = ident, [list(row) for row in m]
-    for _ in range(max_order):
+    for _ in range(_MAX_FINITE_ORDER):
         if power == ident:
             return freeze(prev)
         prev, power = power, mat_mul(m, power)
-    raise ValueError(f"matrix has no finite order up to {max_order}")
+    raise ValueError(f"matrix has no finite order up to {_MAX_FINITE_ORDER}")
 
 
 def charpoly(m):
