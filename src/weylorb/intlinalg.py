@@ -1,13 +1,36 @@
 """Exact linear algebra over Z and Q.
 
-Everything here works on plain lists/tuples of ints or Fractions; no floating
-point.  The Smith normal form keeps track of both transforms because the
-callers need solution coordinates, not just invariant factors.
+Everything here works on plain lists/tuples of ints or Fractions, or on numpy
+int64 stacks whose products are bound-checked first; no floating point.  The
+Smith normal form keeps track of both transforms because the callers need
+solution coordinates, not just invariant factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+INT64_MAX = 2**63 - 1
+
+
+class EntryBoundError(ValueError):
+    """Raised before an int64 product whose entries could overflow."""
+
+
+def check_product(k, a_bound, b_bound):
+    """Refuse a product of k-term sums of entries bounded by a_bound, b_bound."""
+    if k * a_bound * b_bound > INT64_MAX:
+        raise EntryBoundError(
+            f"int64 product of {k}-term sums with entries up to {a_bound} and "
+            f"{b_bound} could overflow"
+        )
+
+
+def max_abs(a):
+    """Largest absolute entry of an int64 array; 0 when it is empty."""
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def identity(n):
@@ -234,11 +257,15 @@ def solve_exact(a, b):
 
 
 def unimodular_inverse(m):
-    """Inverse of an integer matrix with det +-1, returned over Z."""
-    n = len(m)
-    inv_cols = solve_exact(m, identity(n))
-    out = [[int(x) for x in row] for row in inv_cols]
-    return out
+    """Inverse of an integer matrix with det +-1, returned over Z.
+
+    The last Faddeev-LeVerrier matrix M_n satisfies m M_n = -c_0 I, and
+    c_0 = (-1)^n det m is +-1, so the inverse is -c_0 M_n.
+    """
+    coeffs, last = _faddeev_leverrier(m)
+    if abs(coeffs[0]) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[-coeffs[0] * x for x in row] for row in last]
 
 
 _MAX_FINITE_ORDER = 1000
@@ -259,48 +286,53 @@ def finite_order_inverse(m):
     raise ValueError(f"matrix has no finite order up to {_MAX_FINITE_ORDER}")
 
 
+def det(m):
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def charpoly(m):
     """Coefficients [c_0, ..., c_n] of det(tI - m) = sum c_i t^i, exact.
 
     Faddeev-LeVerrier; every intermediate value is an integer for integer
     input (the division by k is exact), so the whole run stays in machine
-    ints instead of Fractions.
+    ints instead of Fractions.  Rational input whose characteristic
+    polynomial is not integral raises ValueError.
+    """
+    return _faddeev_leverrier(m)[0]
+
+
+def _faddeev_leverrier(m):
+    """Charpoly coefficients and the last matrix M_n of the recursion.
+
+    M_1 = I and M_(k+1) = m M_k + c_(n-k) I, so that m M_n = -c_0 I.
     """
     n = len(m)
-    if any(not isinstance(x, int) for row in m for x in row):
-        return _charpoly_fraction(m)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = identity(n)
+    mk = last = identity(n)
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
+        last, mk = mk, mat_mul(m, mk)
         trace = sum(mk[i][i] for i in range(n))
-        assert trace % k == 0
+        if trace % k != 0:
+            raise ValueError(f"trace {trace} at step {k} is not divisible by {k}")
         c = -(trace // k)
         coeffs[n - k] = c
         for i in range(n):
             mk[i][i] += c
-    return coeffs
-
-
-def _charpoly_fraction(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        mk = mat_mul(a, mk)
-        trace = sum(mk[i][i] for i in range(n))
-        c = -trace / k
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    return coeffs, last
 
 
 def det_i_plus_t(m):
@@ -310,3 +342,27 @@ def det_i_plus_t(m):
     c = charpoly(neg)  # det(tI + m) = sum c_i t^i
     # det(I + t m) = t^n det((1/t) I + m) = sum c_i t^(n-i)
     return [c[n - k] for k in range(n + 1)]
+
+
+def det_i_plus_t_stack(stack):
+    """det(I + t m) for every m of an (n, k, k) int64 stack, as (n, k+1) int64.
+
+    Batched Faddeev-LeVerrier: step j gives the coefficient c of t^(k-j) in
+    det(tI - m), and (-1)^j c is the coefficient of t^j in det(I + t m).
+    Each division by j is checked exact and each product bound.
+    """
+    k = stack.shape[1]
+    coeffs = np.ones((len(stack), k + 1), dtype=np.int64)
+    stack_max = max_abs(stack)
+    mk = np.broadcast_to(np.eye(k, dtype=np.int64), stack.shape).copy()
+    diag = np.arange(k)
+    for j in range(1, k + 1):
+        check_product(k, stack_max, max_abs(mk))
+        mk = stack @ mk
+        trace = np.trace(mk, axis1=1, axis2=2)
+        if np.any(trace % j):
+            raise ValueError(f"a trace at step {j} is not divisible by {j}")
+        c = -(trace // j)
+        coeffs[:, j] = (-1) ** j * c
+        mk[:, diag, diag] += c[:, None]
+    return coeffs

@@ -21,11 +21,12 @@ from math import factorial
 import numpy as np
 
 from .intlinalg import (
-    charpoly,
+    check_product,
+    det,
     finite_order_inverse,
     freeze,
     invariant_factors,
-    mat_mul,
+    max_abs,
 )
 
 
@@ -304,8 +305,9 @@ def highest_coroot_coefficients(datum):
 class WeylGroup:
     """A materialized finite group of integer matrices.
 
-    Conjugacy classes and centralizers are computed lazily; both use the full
-    element list, so they are only available for enumerated groups.
+    Conjugacy classes and centralizers are computed lazily on the stacked
+    int64 element array; both need the full element list, so they are only
+    available for enumerated groups.
     """
 
     def __init__(self, elements, generators):
@@ -335,35 +337,67 @@ class WeylGroup:
         return [self.elements[i] for i in np.nonzero(mask)[0]]
 
     def conjugacy_classes(self):
-        """List of (representative, class_size, centralizer_elements)."""
+        """List of (representative, class_size, centralizer_elements).
+
+        Conjugation by each generator is one batched product s E s^-1 over
+        the element stack E, whose matrices are looked up exactly, by the
+        bytes of their int64 entries, to give an index map of the elements.
+        Classes are the orbits of these maps, each labelled by its least
+        index, so a representative is the first element of its class in the
+        element list and classes come in that order.
+        """
         if self._classes is not None:
             return self._classes
-        pairs = [(s, finite_order_inverse(s)) for s in self.generators]
-        assigned = set()
+        arr = self._elements_np()
+        n, r = arr.shape[:2]
+        width = f"V{8 * r * r}"
+        rows = arr.reshape(n, -1).view(width).ravel().tolist()
+        index = {key: i for i, key in enumerate(rows)}
+        moves = []
+        for s in self.generators:
+            s_np = np.array(s, dtype=np.int64)
+            s_inv = np.array(finite_order_inverse(s), dtype=np.int64)
+            check_product(r, max_abs(s_np), max_abs(arr))
+            left = s_np @ arr
+            check_product(r, max_abs(left), max_abs(s_inv))
+            conj = (left @ s_inv).reshape(n, -1).view(width).ravel().tolist()
+            try:
+                moves.append(np.array([index[key] for key in conj]))
+            except KeyError:
+                raise AssertionError("a conjugate lies outside the group") from None
+        labels = least_orbit_labels(moves, np.arange(n))
+        reps = np.flatnonzero(labels == np.arange(n))
+        sizes = np.bincount(labels)[reps]
         classes = []
-        for rep in self.elements:
-            if rep in assigned:
-                continue
-            orbit = {rep}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s, s_inv in pairs:
-                        y = freeze(mat_mul(mat_mul(s, x), s_inv))
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            assigned |= orbit
+        for i, size in zip(reps.tolist(), sizes.tolist()):
+            rep = self.elements[i]
             cent = self.centralizer(rep)
-            if len(cent) * len(orbit) != self.order:
+            if len(cent) * size != self.order:
                 raise AssertionError("orbit-stabilizer mismatch in classes")
-            classes.append((rep, len(orbit), cent))
+            classes.append((rep, size, cent))
         if sum(size for _, size, _ in classes) != self.order:
             raise AssertionError("conjugacy classes do not partition the group")
         self._classes = classes
         return classes
+
+
+def least_orbit_labels(moves, labels):
+    """Label every point by the least point of its orbit.
+
+    moves are index maps (image[x] is the image of x) generating a finite
+    group, so forward moves reach every orbit.  Labels, starting as the
+    points, are pulled along every move, then pointer-jumped (label <-
+    label[label]), until they stop changing.
+    """
+    while True:
+        before = labels
+        for move in moves:
+            labels = np.minimum(labels, labels[move])
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def enumerate_group(source, order_cap=10**7):
@@ -374,6 +408,8 @@ def enumerate_group(source, order_cap=10**7):
     cap; W(E_8) is refused at the default cap.  A generator whose exact
     determinant is not +-1 has no inverse over Z, so it cannot lie in a
     finite group; it is refused with ValueError before any int64 product.
+    Each level's products are bound-checked first and raise EntryBoundError
+    when their entries could overflow.
     """
     if isinstance(source, RootDatum):
         expected = source.expected_order()
@@ -386,18 +422,18 @@ def enumerate_group(source, order_cap=10**7):
     else:
         gens = [np.array(g, dtype=np.int64) for g in source]
     for g in gens:
-        det = (-1) ** len(g) * charpoly(g.tolist())[0]
-        if abs(det) != 1:
-            raise ValueError(
-                f"generator {g.tolist()} has determinant {det}, not +-1"
-            )
+        d = det(g.tolist())
+        if abs(d) != 1:
+            raise ValueError(f"generator {g.tolist()} has determinant {d}, not +-1")
     r = gens[0].shape[0]
+    gens_max = max(max_abs(g) for g in gens)
     seen = {}
     ident = np.eye(r, dtype=np.int64)
     seen[ident.tobytes()] = ident
     frontier = [ident]
     while frontier:
         block = np.stack(frontier)
+        check_product(r, max_abs(block), gens_max)
         new = []
         for g in gens:
             prods = block @ g

@@ -15,9 +15,10 @@ edges[x, s] = number of s.x; it builds no per-point object.  The coset
 witnesses u_x and their inverses are filled in from the tree level by level,
 only as far as the Schreier pass asks, with generator inverses computed
 exactly.  The Schreier pass forms u_y^-1 s u_x for chunks of points that
-double in size, skips tree edges (always the identity), and stops as soon as
-the generated subgroup reaches |W| / |orbit|.  Every int64 product is
-preceded by an entry-bound check that raises EntryBoundError.
+double in size, skips tree edges (always the identity), closes the Schreier
+generators found so far with rootdata.enumerate_group, and stops as soon as
+that subgroup reaches |W| / |orbit|.  Every int64 product is preceded by an
+entry-bound check that raises intlinalg.EntryBoundError.
 """
 
 from __future__ import annotations
@@ -31,15 +32,18 @@ from math import gcd, lcm
 import numpy as np
 
 from .intlinalg import (
+    INT64_MAX,
+    check_product,
     finite_order_inverse,
     freeze,
     identity,
     mat_mul,
+    max_abs,
     rational_nullspace,
     clear_denominators,
     transpose,
 )
-from .rootdata import DiagramEmbedding, WeylGroup
+from .rootdata import DiagramEmbedding, WeylGroup, enumerate_group, least_orbit_labels
 
 
 @dataclass(frozen=True)
@@ -167,45 +171,6 @@ class StabilizerReport:
         }
 
 
-def _closure(generators, cap):
-    seen = {freeze(identity(len(generators[0])))} if generators else set()
-    if not generators:
-        return seen
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in generators:
-                y = freeze(mat_mul(s, x))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if len(seen) > cap:
-            raise ValueError(f"stabilizer closure exceeded cap {cap}")
-    return seen
-
-
-class EntryBoundError(ValueError):
-    """Raised before an int64 product whose entries could overflow."""
-
-
-_INT64_MAX = 2**63 - 1
-
-
-def _check_product(k, a_bound, b_bound):
-    """Refuse a product of k-term sums of entries bounded by a_bound, b_bound."""
-    if k * a_bound * b_bound > _INT64_MAX:
-        raise EntryBoundError(
-            f"int64 product of {k}-term sums with entries up to {a_bound} and "
-            f"{b_bound} could overflow"
-        )
-
-
-def _max_abs(a):
-    return int(np.abs(a).max()) if a.size else 0
-
-
 def _point_keys(flat, den):
     """Exact sort keys for the rows of an (n, k) array of residues mod den.
 
@@ -214,7 +179,7 @@ def _point_keys(flat, den):
     """
     n, k = flat.shape
     per_word = 1
-    while per_word < k and den ** (per_word + 1) <= _INT64_MAX:
+    while per_word < k and den ** (per_word + 1) <= INT64_MAX:
         per_word += 1
     words = -(-k // per_word)
     padded = np.zeros((n, words * per_word), dtype=np.int64)
@@ -239,7 +204,7 @@ def _orbit_tree(gens, point, orbit_cap):
     """
     den = point.den
     n_gens, rank = len(gens), gens.shape[1]
-    _check_product(rank, _max_abs(gens), den - 1)
+    check_product(rank, max_abs(gens), den - 1)
     frontier = np.array(point.coords, dtype=np.int64).reshape(1, rank, 4)
     seen = _point_keys(frontier.reshape(1, -1), den)
     seen_ids = np.zeros(1, dtype=np.int64)
@@ -298,8 +263,8 @@ class _Witnesses:
         self.gens_inv = np.array(
             [finite_order_inverse(g.tolist()) for g in gens], dtype=np.int64
         )
-        self.gens_max = _max_abs(gens)
-        self.gens_inv_max = _max_abs(self.gens_inv)
+        self.gens_max = max_abs(gens)
+        self.gens_inv_max = max_abs(self.gens_inv)
         self.parent, self.via = parent, via
         self.ends = levels[1:]
         self.u = np.empty((len(parent), rank, rank), dtype=np.int64)
@@ -315,12 +280,12 @@ class _Witnesses:
             lo = self.done
             hi = next(b for b in self.ends if b > lo)
             par, via = self.parent[lo:hi], self.via[lo:hi]
-            _check_product(rank, self.gens_max, self.u_max)
-            _check_product(rank, self.u_inv_max, self.gens_inv_max)
+            check_product(rank, self.gens_max, self.u_max)
+            check_product(rank, self.u_inv_max, self.gens_inv_max)
             self.u[lo:hi] = self.gens[via] @ self.u[par]
             self.u_inv[lo:hi] = self.u_inv[par] @ self.gens_inv[via]
-            self.u_max = max(self.u_max, _max_abs(self.u[lo:hi]))
-            self.u_inv_max = max(self.u_inv_max, _max_abs(self.u_inv[lo:hi]))
+            self.u_max = max(self.u_max, max_abs(self.u[lo:hi]))
+            self.u_inv_max = max(self.u_inv_max, max_abs(self.u_inv[lo:hi]))
             self.done = hi
 
 
@@ -357,28 +322,28 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     tree[parent[1:], via[1:]] = True
     eye = np.eye(rank, dtype=np.int64)
     found = []
-    elements = {ident}
+    group = WeylGroup([ident], [])
     start, chunk = 0, _FIRST_CHUNK
-    while start < orbit_size and len(elements) != expected:
+    while start < orbit_size and group.order != expected:
         stop = min(orbit_size, start + chunk)
         xs, ss = np.nonzero(~tree[start:stop])
         xs += start
         ys = edges[xs, ss]
         witnesses.through(max(stop - 1, int(ys.max(initial=0))))
         su_max = rank * witnesses.gens_max * witnesses.u_max
-        _check_product(rank, witnesses.gens_max, witnesses.u_max)
-        _check_product(rank, witnesses.u_inv_max, su_max)
+        check_product(rank, witnesses.gens_max, witnesses.u_max)
+        check_product(rank, witnesses.u_inv_max, su_max)
         w = witnesses.u_inv[ys] @ (gens[ss] @ witnesses.u[xs])
         for k in np.flatnonzero((w != eye).any(axis=(1, 2))):
             m = freeze(w[k].tolist())
-            if m not in elements:
+            if m not in group:
                 found.append(m)
-                elements = _closure(found, element_cap)
-                if len(elements) == expected:
+                group = enumerate_group(found, order_cap=element_cap)
+                if group.order == expected:
                     break
         start = stop
         chunk = min(2 * chunk, max(1, _CHUNK_PAIRS // n_gens))
-    stab_order = len(elements)
+    stab_order = group.order
     if expected is not None and stab_order != expected:
         raise AssertionError("orbit-stabilizer count mismatch")
     minus = freeze([[-x for x in row] for row in identity(rank)])
@@ -386,7 +351,7 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and minus in elements:
+    elif stab_order == 2 and minus in group:
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
         # the +-1 quotient is resolvable only in one surface factor
@@ -400,7 +365,7 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
         orbit_size=orbit_size,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(elements)),
+        elements=tuple(sorted(group.elements)),
         crepant=crepant,
     )
 
@@ -441,17 +406,7 @@ def _two_torsion_orbit_reps(generators, rank):
         if not np.array_equal(image[back], idx):
             raise ValueError("generator is not invertible modulo 2")
         moves += [image, back]
-    label = idx
-    while True:
-        before = label
-        for move in moves:
-            label = np.minimum(label, label[move])
-        jumped = label[label]
-        while not np.array_equal(jumped, label):
-            label, jumped = jumped, jumped[jumped]
-        if np.array_equal(label, before):
-            break
-    reps, counts = np.unique(label, return_counts=True)
+    reps, counts = np.unique(least_orbit_labels(moves, idx), return_counts=True)
     return list(zip(reps.tolist(), counts.tolist()))
 
 

@@ -71,6 +71,15 @@ class TestVerifiers:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("n,engine", [(4, True), (5, True), (6, False)])
+    def test_verify_sp_runs_engine_up_to_n5(self, capsys, n, engine):
+        code, out, _ = run(capsys, "verify-sp", "--n", str(n), "--format", "json")
+        assert code == 0
+        polys = json.loads(out)["polynomials"]
+        assert ("engine" in polys) == engine
+        if engine:
+            assert polys["engine"] == polys["closed_form"]
+
     def test_verify_su(self, capsys):
         code, out, _ = run(capsys, "verify-su", "--n", "2", "--format", "json")
         assert code == 0

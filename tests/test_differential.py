@@ -1,0 +1,113 @@
+"""Differential property tests on random finite lattice actions.
+
+Each example is the subgroup generated by one to three random elements of a
+small Weyl group, seen in a seeded unimodular basis, so neither the group
+nor the basis is one of the fixed root-datum cases.  The stringy engine is
+run against its independent routes, and the conjugacy classes against a
+literal breadth-first reference.  The explicit orbit reference is only
+affordable up to rank 3; rank-4 examples, whose sectors can have mixed
+component groups such as Z/2 + Z/4, are checked against the commuting-pairs
+Euler number alone.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylorb.intlinalg import finite_order_inverse, freeze, identity, mat_mul
+from weylorb.rootdata import build_root_datum, enumerate_group
+from weylorb.stringy import (
+    LatticeAction,
+    stringy_euler_commuting_pairs,
+    stringy_hodge,
+    stringy_hodge_by_orbits,
+)
+
+WEYL_TYPES = (("G", 2), ("A", 3), ("B", 3), ("C", 3))
+RANK4_TYPES = (("B", 4), ("D", 4))
+_WEYL = {}
+
+
+def _weyl(letter, rank):
+    if (letter, rank) not in _WEYL:
+        _WEYL[letter, rank] = enumerate_group(build_root_datum(letter, rank))
+    return _WEYL[letter, rank]
+
+
+def _unimodular_pair(rng, rank):
+    """A seeded product U of 2 * rank transvections I +- e_ij, and U^-1."""
+    u, u_inv = identity(rank), identity(rank)
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-1, 1))
+        # U <- (I + c e_ij) U  and  U^-1 <- U^-1 (I - c e_ij)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    return u, u_inv
+
+
+@st.composite
+def subgroup_actions(draw, types=WEYL_TYPES):
+    letter, rank = draw(st.sampled_from(types))
+    group = _weyl(letter, rank)
+    picks = draw(
+        st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3)
+    )
+    u, u_inv = _unimodular_pair(random.Random(draw(st.integers(0, 2**32))), rank)
+    gens = [mat_mul(mat_mul(u, group.elements[i]), u_inv) for i in picks]
+    return LatticeAction.from_generators(gens)
+
+
+def _classes_reference(group):
+    """Conjugacy classes by a literal breadth-first walk over s x s^-1.
+
+    Classes come in the order of their first element in the element list,
+    which is also the representative.
+    """
+    pairs = [(s, finite_order_inverse(s)) for s in group.generators]
+    assigned = set()
+    classes = []
+    for rep in group.elements:
+        if rep in assigned:
+            continue
+        orbit = {rep}
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, s_inv in pairs:
+                    y = freeze(mat_mul(mat_mul(s, x), s_inv))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        assigned |= orbit
+        cent = [h for h in group.elements if mat_mul(h, rep) == mat_mul(rep, h)]
+        classes.append((rep, len(orbit), cent))
+    return classes
+
+
+@settings(max_examples=40, deadline=None)
+@given(subgroup_actions())
+def test_conjugacy_classes_match_literal_walk(action):
+    assert action.group.conjugacy_classes() == _classes_reference(action.group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(subgroup_actions())
+def test_engine_matches_orbits_and_commuting_pairs(action):
+    h = stringy_hodge(action)
+    assert h == stringy_hodge_by_orbits(action)
+    assert h.specialize(-1, -1) == stringy_euler_commuting_pairs(action)
+    assert h.has_integer_coeffs()
+    assert h.is_hodge_symmetric()
+    assert h.is_centrally_symmetric(action.rank)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subgroup_actions(RANK4_TYPES))
+def test_rank4_engine_matches_commuting_pairs(action):
+    h = stringy_hodge(action)
+    assert h.specialize(-1, -1) == stringy_euler_commuting_pairs(action)

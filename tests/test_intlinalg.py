@@ -3,12 +3,16 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylorb.intlinalg import (
+    EntryBoundError,
     charpoly,
     clear_denominators,
+    det,
     det_i_plus_t,
+    det_i_plus_t_stack,
     finite_order_inverse,
     freeze,
     identity,
@@ -154,6 +158,22 @@ class TestRankNullspaceSolve:
         inv = unimodular_inverse(m)
         assert mat_mul(m, inv) == identity(2)
 
+    def test_unimodular_inverse_of_seeded_products(self):
+        # products of transvections I + c e_ij are unimodular with large entries
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            m = identity(n)
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            assert mat_mul(m, unimodular_inverse(m)) == identity(n)
+
+    def test_unimodular_inverse_refuses_det_2(self):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse([[2, 0], [0, 1]])
+
     def test_finite_order_inverse(self):
         # the rotation of order 6 in G_2-like coordinates, and a reflection
         for m in ([[1, -1], [1, 0]], [[-1, 0], [1, 1]]):
@@ -188,6 +208,33 @@ class TestCharpoly:
                     ]
                 )
                 assert lhs == sum(c * t**k for k, c in enumerate(coeffs))
+
+    def test_det_matches_gaussian_elimination(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(0, 5)
+            m = random_matrix(rng, n, n, rng.choice((1, 4, 30)))
+            assert det(m) == det_int(m)
+            assert det(m) == (-1) ** n * charpoly(m)[0]
+
+    def test_rational_input_needs_an_integral_polynomial(self):
+        half = Fraction(1, 2)
+        # trace 1 and determinant 1/4 - 9/4 = -2
+        assert charpoly([[half, 3 * half], [3 * half, half]]) == [-2, -1, 1]
+        with pytest.raises(ValueError):
+            charpoly([[Fraction(1, 2)]])
+
+    def test_det_i_plus_t_stack_matches_one_at_a_time(self):
+        rng = random.Random(5)
+        for k in range(6):
+            stack = [random_matrix(rng, k, k, 3) for _ in range(12)]
+            got = det_i_plus_t_stack(np.array(stack, dtype=np.int64).reshape(12, k, k))
+            assert got.tolist() == [det_i_plus_t(m) for m in stack]
+
+    def test_det_i_plus_t_stack_checks_entry_bound(self):
+        stack = np.array([[[2**31, 0], [0, 1]]], dtype=np.int64)
+        with pytest.raises(EntryBoundError):
+            det_i_plus_t_stack(stack)
 
     def test_cayley_hamilton(self):
         rng = random.Random(6)

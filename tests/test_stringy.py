@@ -9,7 +9,7 @@ from weylorb.hodgepoly import (
     kummer_k3,
     kummer_singular,
 )
-from weylorb.intlinalg import identity
+from weylorb.intlinalg import EntryBoundError, identity
 from weylorb.rootdata import GroupOrderCapError, build_root_datum
 from weylorb.stringy import (
     LatticeAction,
@@ -50,6 +50,12 @@ class TestLatticeAction:
         # a "group" of order 65
         with pytest.raises(ValueError, match="determinant 2"):
             LatticeAction.from_generators([[[2, 0], [0, 1]]])
+
+    def test_infinite_order_generator_hits_the_entry_bound(self):
+        # a unipotent generator has infinite order; its powers must be
+        # refused before an int64 product wraps, not walked toward the cap
+        with pytest.raises(EntryBoundError):
+            LatticeAction.from_generators([[[1, 2**40], [0, 1]]])
 
 
 class TestFixedLocus:

@@ -6,13 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weylorb.intlinalg import finite_order_inverse, freeze, identity, mat_mul
+from weylorb.intlinalg import (
+    EntryBoundError,
+    finite_order_inverse,
+    freeze,
+    identity,
+    mat_mul,
+)
 from weylorb.rootdata import build_root_datum, embed_diagram, enumerate_group
 from weylorb.torsion import (
-    EntryBoundError,
     StabilizerReport,
     TorsionPoint,
-    _closure,
     _group_parts,
     _two_torsion_orbit_reps,
     find_minus_one_points,
@@ -25,6 +29,24 @@ from weylorb.torsion import (
 
 def minus_identity(rank):
     return freeze([[-1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+
+
+def _closure(generators, cap):
+    """Every product of the generators, by a literal breadth-first walk."""
+    seen = {freeze(identity(len(generators[0])))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in generators:
+                y = freeze(mat_mul(s, x))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+        if len(seen) > cap:
+            raise ValueError(f"stabilizer closure exceeded cap {cap}")
+    return seen
 
 
 def _stabilizer_reference(action, point, element_cap=10**5):
@@ -254,6 +276,11 @@ class TestBatchedStabilizer:
         p = TorsionPoint(2**62 + 1, ((1, 0, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(EntryBoundError):
             stabilizer(build_root_datum("G", 2), p)
+
+    def test_element_cap_raises(self):
+        # the zero point's stabilizer is all of W(B_3), of order 48
+        with pytest.raises(ValueError, match="cap 10"):
+            stabilizer(build_root_datum("B", 3), TorsionPoint.zero(3), element_cap=10)
 
     def test_orbit_cap_raises(self):
         datum = build_root_datum("B", 3)
