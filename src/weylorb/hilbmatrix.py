@@ -4,6 +4,13 @@ A module over C[x,y] supported at the origin is a pair of commuting nilpotent
 matrices; structure sheaves of subschemes are the cyclic ones.  This module
 constructs pairs from ideals, decides cyclicity, duality, isomorphism, and
 whether the module carries a compatible symplectic structure.
+
+An ideal is parsed once; its quotient data at truncations N and N + 1 come
+from one `intlinalg.rref` each.  Isomorphism and symplectic structure are
+linear systems (solved by the same rref) followed by one question: does a
+span of matrices contain an invertible one?  That is decided by the
+determinant of the generic element, taken exactly in a polynomial ring over
+ZZ; the witness is drawn from a seeded stream, so it is fixed by the seed.
 """
 
 from __future__ import annotations
@@ -12,10 +19,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
-from .intlinalg import mat_mul, rational_rank, rational_nullspace, transpose
+from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, transpose
 
 
 @dataclass(frozen=True)
@@ -25,6 +36,11 @@ class MatrixPair:
     my: tuple
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, not {self.dim!r}")
+        for name, m in (("mx", self.mx), ("my", self.my)):
+            if len(m) != self.dim or any(len(r) != self.dim for r in m):
+                raise ValueError(f"{name} is not a {self.dim}x{self.dim} matrix")
         a = [list(r) for r in self.mx]
         b = [list(r) for r in self.my]
         if mat_mul(a, b) != mat_mul(b, a):
@@ -32,8 +48,7 @@ class MatrixPair:
 
     def is_nilpotent(self):
         for m in (self.mx, self.my):
-            p = [list(r) for r in m]
-            base = [list(r) for r in m]
+            p = base = [list(r) for r in m]
             for _ in range(self.dim - 1):
                 p = mat_mul(p, base)
             if any(x != 0 for row in p for x in row):
@@ -49,10 +64,16 @@ class MatrixPair:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Read {"dim": n, "mx": rows, "my": rows}; ValueError if malformed."""
+        if not isinstance(d, dict) or not {"dim", "mx", "my"} <= d.keys():
+            raise ValueError('a pair must be an object with "dim", "mx" and "my"')
         conv = lambda rows: tuple(
             tuple(_as_number(Fraction(s)) for s in r) for r in rows
         )
-        return cls(dim=d["dim"], mx=conv(d["mx"]), my=conv(d["my"]))
+        try:
+            return cls(dim=d["dim"], mx=conv(d["mx"]), my=conv(d["my"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed pair: {exc}") from None
 
 
 def _as_number(f):
@@ -68,113 +89,78 @@ def make_pair(mx, my):
 
 def _monomials(n):
     """Monomials (a, b) with a + b < n, ordered by degree then x-power."""
-    out = []
-    for d in range(n):
-        for a in range(d, -1, -1):
-            out.append((a, d - a))
-    return out
+    return [(a, d - a) for d in range(n) for a in range(d, -1, -1)]
 
 
-def _poly_to_vector(poly, monomials, index):
-    vec = [Fraction(0)] * len(monomials)
-    for (a, b), coeff in poly.terms():
-        key = (a, b)
-        if key in index:
-            vec[index[key]] += Fraction(coeff.p, coeff.q)
-        # degree >= truncation: the term dies in the truncated ring
-    return vec
-
-
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _quotient_data(generators, truncation):
+def _generator_terms(generator):
+    """The terms (a, b, coefficient) of one generator, parsed with sympy once."""
     x, y = sympy.symbols("x y")
-    polys = [
-        sympy.Poly(sympy.sympify(g, locals={"x": x, "y": y}), x, y, domain="QQ")
-        for g in generators
-    ]
+    poly = sympy.Poly(
+        sympy.sympify(generator, locals={"x": x, "y": y}), x, y, domain="QQ"
+    )
+    return [(a, b, Fraction(c.p, c.q)) for (a, b), c in poly.terms()]
+
+
+def _quotient_data(terms, truncation):
+    """RREF of the ideal inside the ring truncated at degree N.
+
+    Each generator is multiplied by each monomial of degree < N by shifting
+    its terms; terms of degree >= N die in the truncated ring.  Returns the
+    monomials and the RREF (rows, pivot columns) of the multiples.
+    """
     monomials = _monomials(truncation)
     index = {m: i for i, m in enumerate(monomials)}
     rows = []
-    for g in polys:
-        for (a, b) in monomials:
-            prod = g * sympy.Poly(x**a * y**b, x, y, domain="QQ")
-            vec = _poly_to_vector(prod, monomials, index)
-            if any(vec):
-                rows.append(vec)
-    rref, pivots = _rref(rows)
-    basis = [m for i, m in enumerate(monomials) if i not in pivots]
-    return monomials, index, rref, pivots, basis
-
-
-def _reduce(vec, rref, pivots, basis_index):
-    v = list(vec)
-    for row, p in zip(rref, pivots):
-        if v[p] != 0:
-            c = v[p]
-            v = [a - c * b for a, b in zip(v, row)]
-    out = [Fraction(0)] * len(basis_index)
-    for i, val in enumerate(v):
-        if val != 0:
-            out[basis_index[i]] = val
-    return out
+    for gen in terms:
+        for a, b in monomials:
+            row = [0] * len(monomials)
+            for i, j, c in gen:
+                k = index.get((a + i, b + j))
+                if k is not None:
+                    row[k] = c
+            if any(row):
+                rows.append(row)
+    return (monomials, *rref(rows))
 
 
 def pair_from_ideal(generators, truncation):
     """Multiplication matrices on C[x,y]/I, via the degree-truncated ring.
 
     The caller supplies a truncation N with (x,y)^N contained in I; this is
-    checked by requiring the colength to be the same at N and N + 1.
+    checked by requiring the colength to be the same at N and N + 1.  The
+    monomials off the pivot columns of the RREF at N are the basis of the
+    quotient, and a pivot monomial reduces to minus the rest of its row.
     """
     if truncation < 1:
         raise ValueError("truncation must be positive")
-    _, _, _, _, basis = _quotient_data(generators, truncation)
-    _, _, _, _, basis_next = _quotient_data(generators, truncation + 1)
-    if len(basis) != len(basis_next):
+    terms = [_generator_terms(g) for g in generators]
+    monomials, rows, pivots = _quotient_data(terms, truncation)
+    monomials_next, _, pivots_next = _quotient_data(terms, truncation + 1)
+    colength = len(monomials) - len(pivots)
+    colength_next = len(monomials_next) - len(pivots_next)
+    if colength != colength_next:
         raise ValueError(
-            f"colength not stabilized: {len(basis)} at degree {truncation} "
-            f"but {len(basis_next)} at degree {truncation + 1}; "
+            f"colength not stabilized: {colength} at degree {truncation} "
+            f"but {colength_next} at degree {truncation + 1}; "
             "increase the truncation or check that the ideal has finite "
             "colength"
         )
-    monomials, index, rref, pivots, basis = _quotient_data(
-        generators, truncation
-    )
-    basis_index = {}
-    for i, m in enumerate(monomials):
-        if i not in pivots:
-            basis_index[i] = len(basis_index)
+    index = {m: i for i, m in enumerate(monomials)}
+    pivot_rows = dict(zip(pivots, rows))
+    basis = [i for i in range(len(monomials)) if i not in pivot_rows]
     mats = []
-    for shift in ((1, 0), (0, 1)):
+    for dx, dy in ((1, 0), (0, 1)):
         cols = []
-        for (a, b) in basis:
-            target = (a + shift[0], b + shift[1])
-            vec = [Fraction(0)] * len(monomials)
-            if target in index:
-                vec[index[target]] = Fraction(1)
-            cols.append(_reduce(vec, rref, pivots, basis_index))
-        m = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-        mats.append(m)
+        for i in basis:
+            a, b = monomials[i]
+            target = index.get((a + dx, b + dy))
+            if target is None:
+                cols.append([0] * len(basis))
+            elif target in pivot_rows:
+                cols.append([-pivot_rows[target][k] for k in basis])
+            else:
+                cols.append([int(k == target) for k in basis])
+        mats.append(transpose(cols))
     return make_pair(*mats)
 
 
@@ -213,11 +199,11 @@ def _sylvester_solution_space(a, b):
         for i in range(m):
             for j in range(m):
                 # coefficient of P[k][l] in (P ax - bx P)[i][j]
-                row = [Fraction(0)] * (m * m)
+                row = [0] * (m * m)
                 for l in range(m):
-                    row[i * m + l] += Fraction(ax[l][j])
+                    row[i * m + l] += ax[l][j]
                 for k in range(m):
-                    row[k * m + j] -= Fraction(bx[i][k])
+                    row[k * m + j] -= bx[i][k]
                 rows.append(row)
     basis = rational_nullspace(rows)
     return [
@@ -228,37 +214,38 @@ def _sylvester_solution_space(a, b):
 def _subspace_contains_invertible(basis, dim, seed=0):
     """Decide whether a span of matrices contains an invertible one.
 
-    The determinant of the generic element is an exact polynomial in the
-    basis parameters; over an infinite field it vanishes identically iff the
-    subspace has no invertible element.  A witness is produced by seeded
-    sampling when the determinant is nonzero.
+    The determinant of the generic element sum t_k B_k is an exact
+    polynomial in the parameters; over an infinite field it vanishes
+    identically iff the subspace has no invertible element.  It is taken
+    fraction-free in the polynomial ring ZZ[t_0..t_k] (sympy's DomainMatrix),
+    after scaling the basis by a common denominator L.  When it is nonzero,
+    a witness is the first seeded integer draw of coefficients, with growing
+    bounds, whose combination has a nonzero (integer, L-scaled) determinant.
     """
     if not basis:
         return False, None
-    ts = sympy.symbols(f"t0:{len(basis)}")
-    generic = sympy.zeros(dim, dim)
-    for t, b in zip(ts, basis):
-        generic += t * sympy.Matrix(
-            [[sympy.Rational(x) for x in row] for row in b]
-        )
-    det = generic.det(method="berkowitz")
-    det = sympy.expand(det)
-    if det == 0:
+    den = lcm(*(Fraction(x).denominator for b in basis for row in b for x in row))
+    scaled = [[[int(x * den) for x in row] for row in b] for b in basis]
+    poly_ring, *ts = ring([f"t{k}" for k in range(len(basis))], ZZ)
+    generic = [
+        [
+            sum((t * b[i][j] for t, b in zip(ts, scaled) if b[i][j]), poly_ring.zero)
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    if not DomainMatrix(generic, (dim, dim), poly_ring.to_domain()).det():
         return False, None
     rng = random.Random(seed)
     for bound in (1, 2, 3, 5, 9):
         for _ in range(200):
             coeffs = [rng.randint(-bound, bound) for _ in basis]
-            val = det.subs(dict(zip(ts, coeffs)))
-            if val != 0:
-                witness = [
-                    [
-                        sum(Fraction(c) * Fraction(b[i][j]) for c, b in zip(coeffs, basis))
-                        for j in range(dim)
-                    ]
-                    for i in range(dim)
-                ]
-                return True, witness
+            combination = [
+                [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
+                for i in range(dim)
+            ]
+            if det(combination):
+                return True, [[Fraction(x, den) for x in row] for row in combination]
     raise AssertionError("nonzero determinant but no witness found")
 
 
@@ -291,19 +278,19 @@ def symplectic_exists(pair, seed=0):
         mt = transpose(mat)
         for i in range(m):
             for j in range(m):
-                row = [Fraction(0)] * n_params
+                row = [0] * n_params
                 for idx, (k, l) in enumerate(positions):
                     # Phi[k][l] = t_idx, Phi[l][k] = -t_idx
                     # (Phi mat)[i][j] = sum_s Phi[i][s] mat[s][j]
                     if i == k:
-                        row[idx] += Fraction(mat[l][j])
+                        row[idx] += mat[l][j]
                     if i == l:
-                        row[idx] -= Fraction(mat[k][j])
+                        row[idx] -= mat[k][j]
                     # (mat^T Phi)[i][j] = sum_s mt[i][s] Phi[s][j]
                     if j == l:
-                        row[idx] += Fraction(mt[i][k])
+                        row[idx] += mt[i][k]
                     if j == k:
-                        row[idx] -= Fraction(mt[i][l])
+                        row[idx] -= mt[i][l]
                 rows.append(row)
     sols = rational_nullspace(rows) if rows else []
     basis = []
@@ -328,9 +315,8 @@ def skew_standard_form(phi):
     """
     m = len(phi)
     a = [[Fraction(x) for x in row] for row in phi]
-    p = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     # build a symplectic basis pair by pair
-    basis = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    pool = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
 
     def form(u, v):
         return sum(
@@ -338,7 +324,6 @@ def skew_standard_form(phi):
         )
 
     chosen = []
-    pool = list(basis)
     while pool:
         u = pool.pop(0)
         v = next((w for w in pool if form(u, w) != 0), None)
@@ -356,5 +341,4 @@ def skew_standard_form(phi):
             rest.append(w2)
         pool = rest
         chosen.extend([u, v])
-    pmat = transpose(chosen)
-    return pmat
+    return transpose(chosen)

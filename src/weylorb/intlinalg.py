@@ -3,12 +3,16 @@
 Everything here works on plain lists/tuples of ints or Fractions, or on numpy
 int64 stacks whose products are bound-checked first; no floating point.  The
 Smith normal form keeps track of both transforms because the callers need
-solution coordinates, not just invariant factors.
+solution coordinates, not just invariant factors.  Over Q there is one
+elimination, `rref`: fraction-free Gauss-Jordan on primitive integer rows,
+with Fractions made only when the pivot rows are normalised at the end.
+`rational_rank`, `rational_nullspace` and `solve_exact` are read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -151,105 +155,110 @@ def invariant_factors(m):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
-def rational_rank(m):
-    rows = [[Fraction(x) for x in r] for r in m]
-    rank = 0
+def clear_denominators(vec):
+    """Scale a rational vector to a primitive integer vector."""
+    row = [x if isinstance(x, int) else Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _echelon(m):
+    """Fraction-free Gauss-Jordan: (primitive integer pivot rows, pivots).
+
+    Each row is cleared of denominators and divided by its gcd, then every
+    pivot clears its column in all other rows by an integer combination,
+    and the result is made primitive again, so entries stay small without a
+    single Fraction.  Row i is a nonzero multiple of row i of the RREF.
+    """
+    rows = [r for r in map(clear_denominators, m) if any(r)]
     ncols = len(m[0]) if m else 0
-    col = 0
+    pivots = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        prow = rows[rank]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != rank:
+                g = gcd(p, c)
+                a, b = p // g, c // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rref(m):
+    """Reduced row echelon form of a rational matrix: (nonzero rows, pivots).
+
+    The rows are lists of Fractions with 1 in each pivot column.  The RREF is
+    unique, so this is the same whatever the pivot order; the elimination
+    itself runs on Python ints (see _echelon) and only the final division by
+    the pivots makes Fractions.
+    """
+    rows, pivots = _echelon(m)
+    zero = Fraction(0)  # Fractions are immutable; most entries share this one
+    return [
+        [Fraction(x, row[p]) if x else zero for x in row]
+        for row, p in zip(rows, pivots)
+    ], pivots
+
+
+def rational_rank(m):
+    return len(_echelon(m)[1])
 
 
 def rational_nullspace(m):
-    """Basis of {x : m @ x = 0} over Q, as lists of Fractions."""
+    """Basis of {x : m @ x = 0} over Q, as lists of Fractions.
+
+    One vector per free column f, with 1 at f and 0 at the other free
+    columns.
+    """
     if not m:
         return []
-    nrows, ncols = len(m), len(m[0])
-    rows = [[Fraction(x) for x in r] for r in m]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    ncols = len(m[0])
+    rows, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][f]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f]
         basis.append(vec)
     return basis
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    from math import gcd, lcm
-
-    den = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
 
 
 def solve_exact(a, b):
     """Solve a @ x = b over Q; returns None if inconsistent.
 
     b may be a vector or a matrix (list of columns is NOT assumed; b is a
-    list of rows like everything else).
+    list of rows like everything else).  All right-hand sides are reduced
+    in one RREF of [a | b]: the system is consistent exactly when no pivot
+    falls in the b columns.
     """
     vec = not isinstance(b[0], list)
     bcols = [b] if vec else transpose(b)
-    nrows, ncols = len(a), len(a[0])
+    ncols = len(a[0])
+    rows, pivots = rref(
+        [list(r) + [bc[i] for bc in bcols] for i, r in enumerate(a)]
+    )
+    if pivots and pivots[-1] >= ncols:
+        return None
     sols = []
-    for bc in bcols:
-        rows = [[Fraction(x) for x in r] + [Fraction(bc[i])] for i, r in enumerate(a)]
-        pivots = []
-        rank = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            p = rows[rank][col]
-            rows[rank] = [x / p for x in rows[rank]]
-            for i in range(nrows):
-                if i != rank and rows[i][col] != 0:
-                    c = rows[i][col]
-                    rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        for i in range(rank, nrows):
-            if rows[i][ncols] != 0:
-                return None
+    for j in range(ncols, ncols + len(bcols)):
         x = [Fraction(0)] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][ncols]
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[j]
         sols.append(x)
     if vec:
         return sols[0]

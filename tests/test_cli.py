@@ -181,6 +181,24 @@ class TestMatrixLab:
         assert code == 0
         assert json.loads(out)["pair"]["dim"] == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"dim": 2, "mx": [[0, 1], [0, 0]]},  # no "my"
+            {"dim": 2, "mx": [[0, 1], [0]], "my": [[0, 0], [0, 0]]},  # ragged
+            [[[0, 1], [0, 0]], [[0, 0], [0, 0]]],  # not an object
+            {"dim": 2, "mx": [[0, 1], [0, 0]], "my": [[0, 0], [1, 0]]},  # xy != yx
+        ],
+        ids=["missing-my", "ragged-row", "top-level-list", "non-commuting"],
+    )
+    def test_malformed_pair_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "matrix", "--pair-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestOtherCommands:
     def test_spin8(self, capsys):

@@ -1,12 +1,17 @@
 """Commuting-matrix models: cyclicity, duality, isomorphism, skew forms."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorb.hilbmatrix import (
     MatrixPair,
+    _subspace_contains_invertible,
     dual,
     is_cyclic,
     make_pair,
@@ -61,6 +66,117 @@ def brute_is_cyclic(pair):
     return False
 
 
+def invertible_in_span_oracle(basis, dim, seed=0):
+    """The sympy Expr route: Berkowitz determinant of the generic element.
+
+    The determinant of sum t_k B_k is expanded as an Expr and compared with
+    0; a witness is the first seeded integer draw where it is nonzero.
+    """
+    if not basis:
+        return False, None
+    ts = sympy.symbols(f"t0:{len(basis)}")
+    generic = sympy.zeros(dim, dim)
+    for t, b in zip(ts, basis):
+        generic += t * sympy.Matrix(
+            [[sympy.Rational(x) for x in row] for row in b]
+        )
+    det = sympy.expand(generic.det(method="berkowitz"))
+    if det == 0:
+        return False, None
+    rng = random.Random(seed)
+    for bound in (1, 2, 3, 5, 9):
+        for _ in range(200):
+            coeffs = [rng.randint(-bound, bound) for _ in basis]
+            if det.subs(dict(zip(ts, coeffs))) != 0:
+                witness = [
+                    [
+                        sum(Fraction(c) * Fraction(b[i][j]) for c, b in zip(coeffs, basis))
+                        for j in range(dim)
+                    ]
+                    for i in range(dim)
+                ]
+                return True, witness
+    raise AssertionError("nonzero determinant but no witness found")
+
+
+_SMALL = st.one_of(
+    st.just(0),
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+def _matrix(draw, dim):
+    return [[draw(_SMALL) for _ in range(dim)] for _ in range(dim)]
+
+
+@st.composite
+def matrix_spans(draw):
+    """(family, dim, basis): a span of small rational matrices.
+
+    "generic" and "singular-sum" spans (whose basis sums to a strictly
+    upper-triangular matrix) may hold invertible elements; the rest are
+    singular: strictly upper-triangular spans, spans whose matrices all kill
+    one vector, and skew spans of odd size.
+    """
+    family = draw(
+        st.sampled_from(["generic", "singular-sum", "upper", "kernel", "odd-skew"])
+    )
+    k = draw(st.integers(1, 4))
+    if family == "odd-skew":
+        dim = draw(st.sampled_from([1, 3, 5]))
+    else:
+        dim = draw(st.integers(1, 4))
+    basis = []
+    for _ in range(k):
+        m = _matrix(draw, dim)
+        if family == "upper":
+            m = [[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(m)]
+        elif family == "odd-skew":
+            m = [[m[i][j] - m[j][i] for j in range(dim)] for i in range(dim)]
+        basis.append(m)
+    if family == "singular-sum":
+        upper = _matrix(draw, dim)
+        basis.append([
+            [(upper[i][j] if j > i else 0) - sum(b[i][j] for b in basis)
+             for j in range(dim)]
+            for i in range(dim)
+        ])
+    if family == "kernel":
+        v = [draw(_SMALL) for _ in range(dim)]
+        c = draw(st.integers(0, dim - 1))
+        v[c] = draw(st.sampled_from([1, -1, Fraction(1, 2), 2]))
+        for m in basis:
+            for row in m:
+                # fix column c so that the row kills v
+                rest = sum(x * y for j, (x, y) in enumerate(zip(row, v)) if j != c)
+                row[c] = -rest / Fraction(v[c])
+    return family, dim, basis
+
+
+class TestInvertibleInSpan:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_spans())
+    def test_matches_expr_berkowitz_oracle(self, span):
+        family, dim, basis = span
+        for seed in (0, 1):
+            got = _subspace_contains_invertible(basis, dim, seed)
+            assert got == invertible_in_span_oracle(basis, dim, seed)
+        if family not in ("generic", "singular-sum"):
+            assert got == (False, None)
+
+    def test_empty_span(self):
+        assert _subspace_contains_invertible([], 3) == (False, None)
+
+    def test_witness_is_the_first_nonzero_draw(self):
+        # span of e_11 and e_22: draws with a zero coefficient are skipped
+        basis = [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(1, 2)]]]
+        for seed in range(5):
+            ok, witness = _subspace_contains_invertible(basis, 2, seed)
+            assert ok and witness[0][0] != 0 and witness[1][1] != 0
+            assert (ok, witness) == invertible_in_span_oracle(basis, 2, seed)
+
+
 class TestMatrixPair:
     def test_commutation_enforced(self):
         with pytest.raises(ValueError):
@@ -113,9 +229,15 @@ class TestIdealConstruction:
         assert is_cyclic(p)
 
     def test_curvilinear(self):
-        p = pair_from_ideal(["y - x**2", "x**3"], 4)
-        assert p.dim == 3
-        assert is_cyclic(p)
+        for c in (1, 2, -3):
+            p = pair_from_ideal([f"{c}*y - x**2", "x**3"], 4)
+            assert p.dim == 3
+            assert is_cyclic(p)
+            # c y = x^2 in the quotient, so y acts as x twice, divided by c
+            mx = [list(r) for r in p.mx]
+            assert p == make_pair(
+                mx, [[Fraction(v, c) for v in r] for r in mat_mul(mx, mx)]
+            )
 
     def test_square_ideal(self):
         p = pair_from_ideal(["x**2", "y**2"], 4)
@@ -131,6 +253,63 @@ class TestIdealConstruction:
         # its module is isomorphic to the pair as printed, not to its dual
         p = pair_from_ideal(["x**2 - x*y", "y**2 - x*y", "x*y*y", "x*x*y"], 4)
         assert p.dim == 4
+
+
+def partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def monomial(a, b):
+    return f"x**{a}*y**{b}"
+
+
+def monomial_ideal(lam):
+    """Minimal generators of I_lambda, whose diagram holds x^a y^b with
+    b < lam[a], and the truncation N = len(lam) + lam[0] - 1."""
+    gens = [monomial(len(lam), 0), monomial(0, lam[0])]
+    gens += [monomial(i, lam[i]) for i in range(1, len(lam)) if lam[i] < lam[i - 1]]
+    return gens, len(lam) + lam[0] - 1
+
+
+def redundant_presentation(lam):
+    """The same ideal with extra members and one more degree of truncation:
+    a binomial combination of two generators and a monomial outside the
+    diagram."""
+    gens, truncation = monomial_ideal(lam)
+    gens = gens + [f"2*({gens[0]}) - x*y*({gens[-1]})", monomial(len(lam), lam[0])]
+    return gens[::-1], truncation + 1
+
+
+ALL_SMALL_PARTITIONS = [lam for n in range(1, 6) for lam in partitions(n)]
+
+
+class TestMonomialIdeals:
+    """C[x,y]/I_lambda for every |lambda| <= 5, in two presentations."""
+
+    @pytest.mark.parametrize("present", [monomial_ideal, redundant_presentation])
+    @pytest.mark.parametrize("lam", ALL_SMALL_PARTITIONS, ids=str)
+    def test_colength_cyclicity_and_gorenstein(self, lam, present):
+        pair = pair_from_ideal(*present(lam))
+        assert pair.dim == sum(lam)
+        assert is_cyclic(pair)
+        d = dual(pair)
+        # in two variables Gorenstein means complete intersection: the dual
+        # is cyclic, and the module self-dual, exactly for rectangles
+        rectangle = len(set(lam)) == 1
+        assert is_cyclic(d) == module_isomorphic(pair, d)[0] == rectangle
+
+    def test_presentations_give_the_same_pair(self):
+        for lam in ALL_SMALL_PARTITIONS:
+            assert pair_from_ideal(*monomial_ideal(lam)) == pair_from_ideal(
+                *redundant_presentation(lam)
+            )
 
 
 class TestDuality:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorb.intlinalg import (
     EntryBoundError,
@@ -22,6 +24,7 @@ from weylorb.intlinalg import (
     mat_vec,
     rational_nullspace,
     rational_rank,
+    rref,
     smith_normal_form,
     solve_exact,
     transpose,
@@ -59,6 +62,116 @@ def det_int(m):
             if c:
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     return det
+
+
+def gauss_jordan(m):
+    """Literal Gauss-Jordan over Fractions: (nonzero RREF rows, pivots)."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        rows[rank] = [x / p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def reference_nullspace(m):
+    rows, pivots = gauss_jordan(m)
+    basis = []
+    for f in range(len(m[0])):
+        if f not in pivots:
+            vec = [Fraction(0)] * len(m[0])
+            vec[f] = Fraction(1)
+            for row, pc in zip(rows, pivots):
+                vec[pc] = -row[f]
+            basis.append(vec)
+    return basis
+
+
+def reference_solve(a, bcol):
+    """Solution of a x = bcol from the RREF of [a | bcol], or None."""
+    ncols = len(a[0])
+    rows, pivots = gauss_jordan([list(r) + [bcol[i]] for i, r in enumerate(a)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=0):
+    """Small rational matrices with zero rows, zero columns and dependencies."""
+    nrows = draw(st.integers(min_rows, 6))
+    ncols = draw(st.integers(1, 6))
+    m = [draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    m = [[0 if j in zero_cols else x for j, x in enumerate(r)] for r in m]
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = draw(_ENTRIES), draw(_ENTRIES)
+        m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+    if draw(st.booleans()):
+        m.insert(draw(st.integers(0, len(m))), [0] * ncols)
+    return m
+
+
+class TestOneRref:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices())
+    def test_rref_rank_nullspace_match_gauss_jordan(self, m):
+        rows, pivots = rref(m)
+        assert (rows, pivots) == gauss_jordan(m)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert rational_rank(m) == len(pivots)
+        if m:
+            assert rational_nullspace(m) == reference_nullspace(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices(min_rows=1), st.data())
+    def test_solve_exact_matches_gauss_jordan(self, a, data):
+        ncols = len(a[0])
+        x = data.draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols))
+        consistent = mat_vec(a, x)
+        # a random right-hand side is inconsistent whenever a is not onto
+        other = data.draw(st.lists(_ENTRIES, min_size=len(a), max_size=len(a)))
+        for bcol in (consistent, other):
+            assert solve_exact(a, bcol) == reference_solve(a, bcol)
+        both = [[u, v] for u, v in zip(consistent, other)]
+        expected = [reference_solve(a, consistent), reference_solve(a, other)]
+        got = solve_exact(a, both)
+        if None in expected:
+            assert got is None
+        else:
+            assert got == transpose(expected)
+            assert mat_vec(a, [r[0] for r in got]) == consistent
+
+    def test_empty_and_zero_matrices(self):
+        assert rref([]) == ([], [])
+        assert rref([[0, 0], [0, 0]]) == ([], [])
+        assert rational_rank([[0, 0, 0]]) == 0
+        assert rational_nullspace([[0, 0]]) == [
+            [Fraction(1), Fraction(0)],
+            [Fraction(0), Fraction(1)],
+        ]
+        assert solve_exact([[0, 0]], [1]) is None
 
 
 class TestSmithNormalForm:
