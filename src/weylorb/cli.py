@@ -252,8 +252,12 @@ def cmd_matrix(args, config, out):
         pair = hilbmatrix.make_pair(*BUILTIN_PAIRS[args.example])
         source = f"example:{args.example}"
     elif args.pair_file:
-        with open(args.pair_file) as fh:
-            pair = hilbmatrix.MatrixPair.from_json_dict(json.load(fh))
+        try:
+            with open(args.pair_file) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read pair file: {exc}") from None
+        pair = hilbmatrix.MatrixPair.from_json_dict(data)
         source = args.pair_file
     elif args.ideal:
         pair = hilbmatrix.pair_from_ideal(args.ideal, args.truncation)
@@ -402,6 +406,9 @@ def main(argv=None):
     except (GroupOrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ linear systems (solved by the same rref) followed by one question: does a
 span of matrices contain an invertible one?  That is decided by the
 determinant of the generic element, taken exactly in a polynomial ring over
 ZZ; the witness is drawn from a seeded stream, so it is fixed by the seed.
+sympy is imported inside the two functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import sympy
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.rings import ring
 
 from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, transpose
 
@@ -47,10 +44,11 @@ class MatrixPair:
             raise ValueError("matrices do not commute")
 
     def is_nilpotent(self):
+        """Whether m^dim = 0 for both matrices, by repeated squaring."""
         for m in (self.mx, self.my):
-            p = base = [list(r) for r in m]
-            for _ in range(self.dim - 1):
-                p = mat_mul(p, base)
+            p, exponent = [list(r) for r in m], 1
+            while exponent < self.dim:
+                p, exponent = mat_mul(p, p), 2 * exponent
             if any(x != 0 for row in p for x in row):
                 return False
         return True
@@ -94,6 +92,8 @@ def _monomials(n):
 
 def _generator_terms(generator):
     """The terms (a, b, coefficient) of one generator, parsed with sympy once."""
+    import sympy
+
     x, y = sympy.symbols("x y")
     poly = sympy.Poly(
         sympy.sympify(generator, locals={"x": x, "y": y}), x, y, domain="QQ"
@@ -224,6 +224,10 @@ def _subspace_contains_invertible(basis, dim, seed=0):
     """
     if not basis:
         return False, None
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
+
     den = lcm(*(Fraction(x).denominator for b in basis for row in b for x in row))
     scaled = [[[int(x * den) for x in row] for row in b] for b in basis]
     poly_ring, *ts = ring([f"t{k}" for k in range(len(basis))], ZZ)

@@ -7,6 +7,8 @@ solution coordinates, not just invariant factors.  Over Q there is one
 elimination, `rref`: fraction-free Gauss-Jordan on primitive integer rows,
 with Fractions made only when the pivot rows are normalised at the end.
 `rational_rank`, `rational_nullspace` and `solve_exact` are read off it.
+Over Z, `echelon_pivots_stack` reduces a whole int64 stack of matrices at
+once when only the index of each row lattice is needed.
 """
 
 from __future__ import annotations
@@ -148,6 +150,46 @@ def smith_normal_form(m):
         if d[t][t] < 0:
             negate_row(t)
     return d, u, v
+
+
+def echelon_pivots_stack(stack):
+    """Row-echelon pivots of every matrix of an (n, m, r) int64 stack, as (n, r).
+
+    Integer row operations reduce each matrix column by column: Euclid on
+    the column brings its smallest nonzero entry up as pivot and takes
+    floor-division multiples of it off the rows below, until they are all
+    zero there.  Every step is one vectorized update of the whole stack (a
+    matrix whose column is done gets zero multiples), with the product bound
+    checked first.  The row lattice is
+    unchanged, so for a matrix of rank r the product of the |pivots| is its
+    index in Z^r, the product of the invariant factors.  A matrix whose
+    column has no pivot has rank < r: its pivot there is 0, it is dropped,
+    and its later pivots stay 0.
+    """
+    n, m, r = stack.shape
+    pivots = np.zeros((n, r), dtype=np.int64)
+    alive = np.arange(n)
+    a = np.array(stack, dtype=np.int64)
+    for c in range(min(m, r)):
+        # a is the trailing block of the live matrices; reduce its column 0
+        each = np.arange(len(a))
+        while True:
+            col = a[:, :, 0]
+            best = np.where(col != 0, np.abs(col), INT64_MAX).argmin(axis=1)
+            top = a[each, best]
+            a[each, best] = a[:, 0]
+            a[:, 0] = top
+            p = top[:, 0]
+            # a nonzero entry below the smallest pivot has a nonzero multiple
+            q = a[:, 1:, 0] // np.where(p == 0, 1, p)[:, None]
+            if not q.any():
+                break
+            check_product(2, max_abs(q), max_abs(a))
+            a[:, 1:] -= q[:, :, None] * top[:, None, :]
+        pivots[alive, c] = a[:, 0, 0]
+        keep = a[:, 0, 0] != 0
+        a, alive = a[keep, 1:, 1:], alive[keep]
+    return pivots
 
 
 def invariant_factors(m):

@@ -16,7 +16,10 @@ and an exactness check on every division.  Equal rows are grouped and summed
 in Python ints, and the division by |C(g)| must come out exact per sector.
 
 Two independent shortcuts, the hyperoctahedral closed form and the
-commuting-pairs Euler number, serve as oracles for the engine.
+commuting-pairs Euler number, serve as oracles for the engine.  The Euler
+oracle shares nothing with the sector code: per class {g} it stacks
+(g - 1; h - 1) over C(g) and reads each pair's fixed-point count off a
+batched integer row echelon form, as the index of its row lattice.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .hodgepoly import (
 from .intlinalg import (
     check_product,
     det_i_plus_t_stack,
+    echelon_pivots_stack,
     freeze,
     identity,
     mat_sub,
@@ -51,6 +55,11 @@ from .intlinalg import (
 from .rootdata import GroupOrderCapError, WeylGroup, enumerate_group
 
 DEFAULT_ENGINE_CAP = 10**5
+# commuting pairs echelonized per batch.  The identity sector of E_6 alone is
+# 51,840 pairs, one 51,840 x 12 x 6 int64 stack; the echelon keeps about three
+# copies of its batch, and at 256 pairs those stay below the arrays of the
+# conjugacy-class step for W(A_5) and W(B_4)
+_PAIR_CHUNK = 256
 
 
 class LatticeAction:
@@ -328,25 +337,36 @@ def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
 def stringy_euler_commuting_pairs(action):
     """Stringy Euler number as the normalized sum over commuting pairs.
 
-    The pairwise fixed locus contributes its point count (to the fourth
-    power) when it is zero-dimensional and zero otherwise.  One Smith form
-    of the stacked (g - 1; h - 1) gives both: the locus is zero-dimensional
-    when all r diagonal entries are nonzero, and then has their product as
-    point count.  Summing class size times the sum over C(g) gives |W|
-    times the answer.
+    A commuting pair (g, h) contributes the point count of the common fixed
+    locus of g and h on A tensor Lambda when that locus is finite, and zero
+    otherwise.  On (R/Z)^r the locus is the kernel of the 2r x r integer
+    matrix M_h = (g - 1; h - 1): it is finite exactly when M_h has rank r,
+    and then has [Z^r : row lattice of M_h] points, the product of the
+    |pivots| of a row-echelon form; the four real copies raise that to the
+    fourth power.  Per conjugacy class {g} the M_h of all h in C(g) are
+    stacked and echelonized together, _PAIR_CHUNK at a time.  Summing class
+    size times the sum over C(g) gives |W| times the answer.
     """
     r = action.rank
+    eye = np.eye(r, dtype=np.int64)
     total = 0
     for rep, size, centralizer in action.group.conjugacy_classes():
-        gm1 = mat_sub([list(row) for row in rep], identity(r))
+        gm1 = np.array(rep, dtype=np.int64) - eye
         sub = 0
-        for h in centralizer:
-            d, _, _ = smith_normal_form(
-                gm1 + mat_sub([list(row) for row in h], identity(r))
+        for start in range(0, len(centralizer), _PAIR_CHUNK):
+            chunk = centralizer[start:start + _PAIR_CHUNK]
+            stack = np.empty((len(chunk), 2 * r, r), dtype=np.int64)
+            stack[:, :r] = gm1
+            stack[:, r:] = chunk
+            stack[:, r:] -= eye
+            pivots = np.abs(echelon_pivots_stack(stack))
+            # a zero pivot means an infinite fixed locus, which contributes 0
+            pivots, counts = np.unique(
+                pivots[np.all(pivots, axis=1)], axis=0, return_counts=True
             )
-            diag = [d[i][i] for i in range(r)]
-            if all(diag):
-                sub += prod(diag) ** 4
+            sub += sum(
+                prod(row) ** 4 * k for row, k in zip(pivots.tolist(), counts.tolist())
+            )
         total += size * sub
     if total % action.group.order:
         raise AssertionError("commuting-pairs Euler number is not integral")

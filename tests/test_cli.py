@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weylorb
 from weylorb.cli import main
+from weylorb.hodgepoly import BigradedPoly
 
 
 def run(capsys, *argv):
@@ -199,6 +204,13 @@ class TestMatrixLab:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_pair_file_is_usage_error(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "matrix", "--pair-file", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read pair file") and len(err.splitlines()) == 1
+
 
 class TestOtherCommands:
     def test_spin8(self, capsys):
@@ -218,6 +230,28 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    def test_failed_internal_check_exits_1_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(BigradedPoly, "is_hodge_symmetric", lambda self: False)
+        code, out, err = run(capsys, "stringy", "--type", "G", "--rank", "2")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: internal check failed: "
+            "stringy Hodge output is not (p,q)-symmetric\n"
+        )
+
+    def test_import_leaves_sympy_unloaded(self):
+        # only the matrix subcommand needs sympy; the others skip its import
+        src = os.path.dirname(os.path.dirname(weylorb.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import weylorb, weylorb.cli; "
+            "print('sympy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminismAndOutput:

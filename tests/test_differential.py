@@ -7,15 +7,25 @@ run against its independent routes, and the conjugacy classes against a
 literal breadth-first reference.  The explicit orbit reference is only
 affordable up to rank 3; rank-4 examples, whose sectors can have mixed
 component groups such as Z/2 + Z/4, are checked against the commuting-pairs
-Euler number alone.
+Euler number alone.  That oracle is itself checked against a literal loop
+with one Smith form per commuting pair.
 """
 
 import random
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylorb.intlinalg import finite_order_inverse, freeze, identity, mat_mul
+import weylorb.stringy
+from weylorb.intlinalg import (
+    finite_order_inverse,
+    freeze,
+    identity,
+    mat_mul,
+    mat_sub,
+    smith_normal_form,
+)
 from weylorb.rootdata import build_root_datum, enumerate_group
 from weylorb.stringy import (
     LatticeAction,
@@ -111,3 +121,48 @@ def test_engine_matches_orbits_and_commuting_pairs(action):
 def test_rank4_engine_matches_commuting_pairs(action):
     h = stringy_hodge(action)
     assert h.specialize(-1, -1) == stringy_euler_commuting_pairs(action)
+
+
+def _euler_commuting_pairs_reference(action):
+    """The commuting-pairs Euler number with one Smith form per pair.
+
+    The Smith diagonal of (g - 1; h - 1) has r nonzero entries exactly when
+    the common fixed locus is finite, and their product is its point count.
+    """
+    r = action.rank
+    total = 0
+    for rep, size, centralizer in action.group.conjugacy_classes():
+        gm1 = mat_sub([list(row) for row in rep], identity(r))
+        sub = 0
+        for h in centralizer:
+            d, _, _ = smith_normal_form(
+                gm1 + mat_sub([list(row) for row in h], identity(r))
+            )
+            diag = [d[i][i] for i in range(r)]
+            if all(diag):
+                sub += prod(diag) ** 4
+        total += size * sub
+    assert total % action.group.order == 0
+    return total // action.group.order
+
+
+@settings(max_examples=20, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES))
+def test_commuting_pairs_match_one_smith_form_per_pair(action):
+    assert stringy_euler_commuting_pairs(action) == _euler_commuting_pairs_reference(
+        action
+    )
+
+
+def test_commuting_pairs_match_on_whole_rank4_groups(monkeypatch):
+    # the whole groups, whose sectors include mixed ones such as Z/2 + Z/4,
+    # in batches of 7 pairs, so that most centralizers end in a partial batch
+    monkeypatch.setattr(weylorb.stringy, "_PAIR_CHUNK", 7)
+    rng = random.Random(4)
+    for letter, rank in RANK4_TYPES:
+        u, u_inv = _unimodular_pair(rng, rank)
+        gens = [mat_mul(mat_mul(u, s), u_inv) for s in _weyl(letter, rank).generators]
+        action = LatticeAction.from_generators(gens)
+        assert stringy_euler_commuting_pairs(
+            action
+        ) == _euler_commuting_pairs_reference(action)

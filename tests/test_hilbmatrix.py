@@ -186,6 +186,49 @@ class TestMatrixPair:
         assert make_pair(*FOOTNOTE).is_nilpotent()
         assert not make_pair([[1, 0], [0, 1]], [[0, 0], [0, 0]]).is_nilpotent()
 
+    def test_nilpotency_matches_literal_power(self):
+        def literal(pair):
+            for m in (pair.mx, pair.my):
+                power = [list(r) for r in m]
+                for _ in range(pair.dim - 1):
+                    power = mat_mul(power, m)
+                if any(x != 0 for row in power for x in row):
+                    return False
+            return True
+
+        rng = random.Random(12)
+        verdicts = set()
+        for dim in range(1, 8):
+            for _ in range(10):
+                m = [
+                    [rng.randint(-3, 3) if j > i else 0 for j in range(dim)]
+                    for i in range(dim)
+                ]
+                if rng.random() < 0.4:
+                    i = rng.randrange(dim)
+                    m[i][i] = rng.choice((1, -2, Fraction(1, 2)))
+                # hide the triangular shape: conjugate by I + c e_ij
+                for _ in range(2 * (dim - 1)):
+                    i, j = rng.sample(range(dim), 2)
+                    c = rng.choice((-1, 1))
+                    m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+                    for row in m:
+                        row[j] -= c * row[i]
+                pair = make_pair(m, mat_mul(m, m))
+                verdicts.add(pair.is_nilpotent())
+                assert pair.is_nilpotent() == literal(pair)
+        assert verdicts == {True, False}
+
+    def test_nilpotency_of_jordan_blocks(self):
+        for dim in range(1, 10):
+            jordan = [[int(j == i + 1) for j in range(dim)] for i in range(dim)]
+            zero = [[0] * dim for _ in range(dim)]
+            assert make_pair(jordan, zero).is_nilpotent()
+            # the same block with one corner entry is a cyclic permutation
+            jordan[dim - 1][0] = 1
+            assert not make_pair(zero, jordan).is_nilpotent()
+        assert not make_pair([[Fraction(1, 3)]], [[0]]).is_nilpotent()
+
     def test_json_roundtrip(self):
         p = make_pair(*REMARK)
         q = MatrixPair.from_json_dict(p.to_json_dict())

@@ -15,6 +15,7 @@ from weylorb.intlinalg import (
     det,
     det_i_plus_t,
     det_i_plus_t_stack,
+    echelon_pivots_stack,
     finite_order_inverse,
     freeze,
     identity,
@@ -232,6 +233,74 @@ class TestSmithNormalForm:
         d, u, v = smith_normal_form([[0, 0], [0, 0]])
         assert d == [[0, 0], [0, 0]]
         assert invariant_factors([[0]]) == []
+
+
+def _lattice_index(m, cols):
+    """Product of the invariant factors of m, or 0 when its rank is < cols."""
+    facs = invariant_factors(m)
+    if len(facs) < cols:
+        return 0
+    index = 1
+    for f in facs:
+        index *= f
+    return index
+
+
+class TestEchelonPivotsStack:
+    def _random_stack(self, rng, n, rows, cols):
+        stack = []
+        for _ in range(n):
+            m = random_matrix(rng, rows, cols, rng.choice((1, 3, 9)))
+            for i in range(rows):
+                kind = rng.random()
+                if kind < 0.15:
+                    m[i] = [0] * cols
+                elif kind < 0.3 and i:
+                    # an integer combination of two earlier rows
+                    a, b = rng.randrange(i), rng.randrange(i)
+                    c = rng.randint(-2, 2)
+                    m[i] = [x + c * y for x, y in zip(m[a], m[b])]
+            stack.append(m)
+        return stack
+
+    def test_pivot_product_is_lattice_index(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            cols = rng.randint(1, 5)
+            rows = rng.randint(1, 2 * cols + 1)
+            stack = self._random_stack(rng, 6, rows, cols)
+            pivots = echelon_pivots_stack(
+                np.array(stack, dtype=np.int64).reshape(6, rows, cols)
+            )
+            assert pivots.shape == (6, cols)
+            for m, piv in zip(stack, pivots.tolist()):
+                index = 1
+                for p in piv:
+                    index *= abs(p)
+                assert index == _lattice_index(m, cols)
+
+    def test_single_column(self):
+        stack = np.array(
+            [[[6], [-4], [10]], [[0], [0], [0]], [[0], [-7], [0]]], dtype=np.int64
+        )
+        assert echelon_pivots_stack(stack).tolist() == [[-2], [0], [-7]]
+
+    def test_fewer_rows_than_columns_is_rank_deficient(self):
+        stack = np.array([[[1, 2, 3]], [[0, 0, 5]]], dtype=np.int64)
+        pivots = echelon_pivots_stack(stack)
+        assert pivots.shape == (2, 3)
+        assert all(0 in row for row in pivots.tolist())
+
+    def test_input_is_not_modified(self):
+        stack = np.array([[[2, 1], [4, 3]]], dtype=np.int64)
+        echelon_pivots_stack(stack)
+        assert stack.tolist() == [[[2, 1], [4, 3]]]
+
+    def test_checks_entry_bound(self):
+        # the multiple 2^62 // 3 of the pivot row would overflow int64
+        stack = np.array([[[3, 2**40], [2**62, 1]]], dtype=np.int64)
+        with pytest.raises(EntryBoundError):
+            echelon_pivots_stack(stack)
 
 
 class TestRankNullspaceSolve:
