@@ -14,7 +14,6 @@ from .hodgepoly import (
     goettsche,
     kummer_k3,
     kummer_singular,
-    specialize,
     sym_power,
     two_torsion,
 )
@@ -41,6 +40,7 @@ from .stringy import (
     verify_su_case,
 )
 from .torsion import (
+    PerturbationNotFoundError,
     PropagationResult,
     StabilizerReport,
     TorsionPoint,
@@ -56,7 +56,6 @@ from .hilbmatrix import (
     is_cyclic,
     make_pair,
     module_isomorphic,
-    negate,
     pair_from_ideal,
     symplectic_exists,
 )

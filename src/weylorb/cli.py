@@ -263,8 +263,7 @@ def cmd_matrix(args, config, out):
         pair = hilbmatrix.pair_from_ideal(args.ideal, args.truncation)
         source = "ideal:" + ",".join(args.ideal)
     else:
-        print("matrix needs --example, --pair-file, or --ideal", file=sys.stderr)
-        return 2
+        raise ValueError("matrix needs --example, --pair-file, or --ideal")
     skew = hilbmatrix.symplectic_exists(pair, seed=config.seed)
     payload = {
         "source": source,
@@ -399,10 +398,15 @@ def main(argv=None):
         return 2
     handler = HANDLERS[args.command]
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                return handler(args, config, fh)
-        return handler(args, config, sys.stdout)
+        if not args.out:
+            return handler(args, config, sys.stdout)
+        # the report file is written only once the handler has returned, so
+        # a run that fails leaves an existing file as it was
+        buf = io.StringIO()
+        code = handler(args, config, buf)
+        with open(args.out, "w") as fh:
+            fh.write(buf.getvalue())
+        return code
     except (GroupOrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

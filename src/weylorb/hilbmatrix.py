@@ -183,14 +183,6 @@ def dual(pair):
     return make_pair(transpose(pair.mx), transpose(pair.my))
 
 
-def negate(pair):
-    """Pullback along the inversion of the surface: the negated pair."""
-    return make_pair(
-        [[-x for x in r] for r in pair.mx],
-        [[-x for x in r] for r in pair.my],
-    )
-
-
 def _sylvester_solution_space(a, b):
     """Basis of {P : P a_x = b_x P and P a_y = b_y P}."""
     m = a.dim

@@ -260,10 +260,6 @@ def goettsche(surface_hodge, n):
     return total
 
 
-def specialize(h, x0, y0):
-    return h.specialize(x0, y0)
-
-
 SPECIALIZATIONS = {
     "euler": (-1, -1),
     "signature": (-1, 1),

@@ -2,9 +2,11 @@
 
 Each simple type is realized by explicit simple-coroot vectors in an ambient
 Z^m (classical types, G_2, F_4) or abstractly through its Cartan matrix
-(E types).  All Weyl elements are stored as integer matrices acting on the
-basis of simple coroots, so every module downstream sees one uniform
-integer-matrix representation.
+(E types).  All Weyl elements are integer matrices acting on the basis of
+simple coroots.  An enumerated group stores them once, as one int64 stack
+with one exact index from the bytes of each matrix to its position, and
+every module downstream works on that stack: classes, centralizers,
+twisted sectors, the commuting-pairs oracle and stabilizer membership.
 
 Conventions.  cartan[i][j] = <alpha_i, alpha_j^vee> = 2(c_i, c_j)/(c_i, c_i)
 where c_i are the simple coroot vectors; the simple reflection s_i then acts
@@ -303,56 +305,69 @@ def highest_coroot_coefficients(datum):
 
 
 class WeylGroup:
-    """A materialized finite group of integer matrices.
+    """A materialized finite group of integer matrices, stored once.
 
-    Conjugacy classes and centralizers are computed lazily on the stacked
-    int64 element array; both need the full element list, so they are only
-    available for enumerated groups.
+    stack is the one store of the elements: an (order, r, r) int64 array in
+    breadth-first order, the identity first.  index, the only element
+    index, maps m.tobytes() of each matrix m of the stack to its position;
+    membership and the conjugation maps of the classes go through it, and
+    centralizers are sub-stacks.  elements is a tuple view built on first
+    use, for callers outside the batched paths.
     """
 
-    def __init__(self, elements, generators):
-        self.elements = list(elements)
+    def __init__(self, stack, generators, index):
+        self.stack = stack
         self.generators = list(generators)
-        self.order = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.order = len(stack)
+        self.index = index
+        self._elements = None
         self._classes = None
-        self._np = None
+
+    @property
+    def elements(self):
+        """The elements as nested tuples, in stack order, built on first use."""
+        if self._elements is None:
+            self._elements = [freeze(m) for m in self.stack.tolist()]
+        return self._elements
 
     def __contains__(self, m):
-        return freeze(m) in self.index
+        """Whether m is an element; False for any other input.
+
+        A wrong shape, a non-integer entry or one that does not fit in int64
+        cannot be an element, so each answers False rather than raising.
+        """
+        try:
+            m = np.asarray(m)
+        except ValueError:
+            return False
+        if m.dtype.kind != "i" or m.shape != self.stack.shape[1:]:
+            return False
+        return m.astype(np.int64).tobytes() in self.index
 
     def __iter__(self):
         return iter(self.elements)
 
-    def _elements_np(self):
-        if self._np is None:
-            self._np = np.array(self.elements, dtype=np.int64)
-        return self._np
-
     def centralizer(self, g):
-        """All elements commuting with g, as frozen matrices."""
-        arr = self._elements_np()
-        gm = np.array(g, dtype=np.int64)
-        mask = np.all(arr @ gm == gm @ arr, axis=(1, 2))
-        return [self.elements[i] for i in np.nonzero(mask)[0]]
+        """All elements commuting with g, as an int64 sub-stack."""
+        arr = self.stack
+        gm = np.asarray(g, dtype=np.int64)
+        check_product(len(gm), max_abs(arr), max_abs(gm))
+        return arr[np.all(arr @ gm == gm @ arr, axis=(1, 2))]
 
     def conjugacy_classes(self):
-        """List of (representative, class_size, centralizer_elements).
+        """List of (representative, class_size, centralizer) on the stack.
 
         Conjugation by each generator is one batched product s E s^-1 over
-        the element stack E, whose matrices are looked up exactly, by the
-        bytes of their int64 entries, to give an index map of the elements.
-        Classes are the orbits of these maps, each labelled by its least
-        index, so a representative is the first element of its class in the
-        element list and classes come in that order.
+        the element stack E, whose matrices are looked up in the group's
+        index to give an index map of the elements.  Classes are the orbits
+        of these maps, each labelled by its least index, so a representative
+        (a row of the stack) is the first element of its class and classes
+        come in that order.  Centralizers are int64 sub-stacks.
         """
         if self._classes is not None:
             return self._classes
-        arr = self._elements_np()
+        arr = self.stack
         n, r = arr.shape[:2]
-        width = f"V{8 * r * r}"
-        rows = arr.reshape(n, -1).view(width).ravel().tolist()
-        index = {key: i for i, key in enumerate(rows)}
         moves = []
         for s in self.generators:
             s_np = np.array(s, dtype=np.int64)
@@ -360,9 +375,10 @@ class WeylGroup:
             check_product(r, max_abs(s_np), max_abs(arr))
             left = s_np @ arr
             check_product(r, max_abs(left), max_abs(s_inv))
-            conj = (left @ s_inv).reshape(n, -1).view(width).ravel().tolist()
             try:
-                moves.append(np.array([index[key] for key in conj]))
+                moves.append(
+                    np.array([self.index[key] for key in _keys(left @ s_inv)])
+                )
             except KeyError:
                 raise AssertionError("a conjugate lies outside the group") from None
         labels = least_orbit_labels(moves, np.arange(n))
@@ -370,7 +386,7 @@ class WeylGroup:
         sizes = np.bincount(labels)[reps]
         classes = []
         for i, size in zip(reps.tolist(), sizes.tolist()):
-            rep = self.elements[i]
+            rep = arr[i]
             cent = self.centralizer(rep)
             if len(cent) * size != self.order:
                 raise AssertionError("orbit-stabilizer mismatch in classes")
@@ -379,6 +395,13 @@ class WeylGroup:
             raise AssertionError("conjugacy classes do not partition the group")
         self._classes = classes
         return classes
+
+
+def _keys(stack):
+    """m.tobytes() of each matrix m of an (n, r, r) int64 stack, as a list."""
+    n = len(stack)
+    flat = np.ascontiguousarray(stack).reshape(n, -1)
+    return flat.view(f"V{8 * flat.shape[1]}").ravel().tolist()
 
 
 def least_orbit_labels(moves, labels):
@@ -409,7 +432,8 @@ def enumerate_group(source, order_cap=10**7):
     determinant is not +-1 has no inverse over Z, so it cannot lie in a
     finite group; it is refused with ValueError before any int64 product.
     Each level's products are bound-checked first and raise EntryBoundError
-    when their entries could overflow.
+    when their entries could overflow.  The stack and its index are built
+    level by level, in breadth-first order, with no per-element copy.
     """
     if isinstance(source, RootDatum):
         expected = source.expected_order()
@@ -427,29 +451,28 @@ def enumerate_group(source, order_cap=10**7):
             raise ValueError(f"generator {g.tolist()} has determinant {d}, not +-1")
     r = gens[0].shape[0]
     gens_max = max(max_abs(g) for g in gens)
-    seen = {}
-    ident = np.eye(r, dtype=np.int64)
-    seen[ident.tobytes()] = ident
-    frontier = [ident]
-    while frontier:
-        block = np.stack(frontier)
-        check_product(r, max_abs(block), gens_max)
+    ident = np.eye(r, dtype=np.int64)[None]
+    index = {ident.tobytes(): 0}
+    levels = [ident]
+    frontier = ident
+    while len(frontier):
+        check_product(r, max_abs(frontier), gens_max)
+        # products in (generator, frontier element) order, so elements are
+        # numbered by first occurrence exactly as a per-product loop would
+        prods = np.concatenate([frontier @ g for g in gens])
         new = []
-        for g in gens:
-            prods = block @ g
-            for p in prods:
-                key = p.tobytes()
-                if key not in seen:
-                    seen[key] = p
-                    new.append(p)
-        if len(seen) > order_cap:
+        for i, key in enumerate(_keys(prods)):
+            if key not in index:
+                index[key] = len(index)
+                new.append(i)
+        if len(index) > order_cap:
             raise GroupOrderCapError(
                 f"group closure exceeded the cap {order_cap}"
             )
-        frontier = new
-    elements = [freeze(m.tolist()) for m in seen.values()]
+        frontier = prods[new]
+        levels.append(frontier)
     generators = [freeze(g.tolist()) for g in gens]
-    return WeylGroup(elements, generators)
+    return WeylGroup(np.concatenate(levels), generators, index)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -69,7 +68,7 @@ class LatticeAction:
         if not isinstance(group, WeylGroup):
             raise TypeError("group must be a WeylGroup (use from_* builders)")
         self.group = group
-        self.rank = len(group.elements[0])
+        self.rank = group.stack.shape[1]
 
     @classmethod
     def from_generators(cls, generators, order_cap=DEFAULT_ENGINE_CAP):
@@ -79,7 +78,7 @@ class LatticeAction:
     def from_matrices(cls, matrices, order_cap=DEFAULT_ENGINE_CAP):
         """Accepts a full element list; verifies closure by re-enumeration."""
         group = enumerate_group(matrices, order_cap=order_cap)
-        if group.order != len({freeze(m) for m in matrices}):
+        if group.order != len(np.unique(np.array(matrices, dtype=np.int64), axis=0)):
             raise ValueError("matrix set is not closed under products")
         return cls(group)
 
@@ -160,6 +159,7 @@ def fixed_locus(action, g):
 def _sector(g, centralizer):
     """Integer data of the twisted sector {g}, batched over C(g).
 
+    g is an (r, r) int64 matrix and centralizer its (n, r, r) int64 stack.
     From one Smith form u (g - 1) v = D and W = v^-1 h v for all h in C(g)
     at once, returns (shift, tors, blocks, rho).  tors are the d_i > 1, so
     the component labels form T = prod Z/d_i; blocks[h] is the torsion block
@@ -168,13 +168,12 @@ def _sector(g, centralizer):
     lattice, K being the kernel columns of v and L the same rows of v^-1.
     """
     r = len(g)
-    d, _, v = smith_normal_form(mat_sub([list(row) for row in g], identity(r)))
+    d, _, v = smith_normal_form((g - np.eye(r, dtype=np.int64)).tolist())
     diag = [d[i][i] for i in range(r)]
     v_inv = np.array(unimodular_inverse(v), dtype=np.int64)
     v = np.array(v, dtype=np.int64)
-    w = np.array(centralizer, dtype=np.int64)
-    check_product(r, max_abs(v_inv), max_abs(w))
-    w = v_inv @ w
+    check_product(r, max_abs(v_inv), max_abs(centralizer))
+    w = v_inv @ centralizer
     check_product(r, max_abs(w), max_abs(v))
     w = w @ v
     kern = [i for i, x in enumerate(diag) if x == 0]
@@ -264,7 +263,7 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
                 _add_outer(sector, row[t * t:].tolist(), mult * fixed[block] ** 4)
         for (p, q), c in sector.items():
             if c % n:
-                raise AssertionError(f"sector of {rep} is not integral")
+                raise AssertionError(f"sector of {rep.tolist()} is not integral")
             key = (p + shift, q + shift)
             total[key] = total.get(key, 0) + c // n
     total = BigradedPoly(total)
@@ -273,65 +272,6 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     if not total.is_centrally_symmetric(action.rank):
         raise AssertionError("stringy Hodge output is not centrally symmetric")
     return total
-
-
-def _molien(rho):
-    """Average of det(I + t rho)^2 det(I + u rho)^2 over an (n, k, k) stack.
-
-    Returns a BigradedPoly with Fraction coefficients; the caller checks
-    integrality.
-    """
-    acc = {}
-    for sq in _det_squares(rho).tolist():
-        _add_outer(acc, sq, 1)
-    return BigradedPoly({k: Fraction(v, len(rho)) for k, v in acc.items()})
-
-
-def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
-    """Reference implementation enumerating component orbits explicitly.
-
-    Slower than stringy_hodge but follows the definition verbatim: orbits of
-    components under the centralizer, each contributing the invariants of its
-    stabilizer.  Used as a cross-check.
-    """
-    _check_cap(action, order_cap)
-    total = BigradedPoly.zero()
-    xy = BigradedPoly.monomial(1, 1)
-    for rep, _size, centralizer in action.group.conjugacy_classes():
-        shift, tors, blocks, rho = _sector(rep, centralizer)
-        labels = _labels(tors)
-        keys = [tuple(x) for x in labels.tolist()]
-        maps = [
-            dict(zip(keys, map(tuple, _label_images(labels, tors, c).tolist())))
-            for c in blocks
-        ]
-        unseen = set(itertools.product(keys, repeat=4))
-        sector = BigradedPoly.zero()
-        molien_cache = {}
-        while unseen:
-            start = next(iter(unseen))
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for lab in frontier:
-                    for hmap in maps:
-                        img = tuple(hmap[t] for t in lab)
-                        if img not in orbit:
-                            orbit.add(img)
-                            nxt.append(img)
-                frontier = nxt
-            unseen -= orbit
-            stab = tuple(
-                i
-                for i, hmap in enumerate(maps)
-                if all(hmap[t] == t for t in start)
-            )
-            if stab not in molien_cache:
-                molien_cache[stab] = _molien(rho[list(stab)])
-            sector = sector + molien_cache[stab]
-        total = total + xy**shift * sector
-    return total.to_int()
 
 
 def stringy_euler_commuting_pairs(action):
@@ -351,7 +291,7 @@ def stringy_euler_commuting_pairs(action):
     eye = np.eye(r, dtype=np.int64)
     total = 0
     for rep, size, centralizer in action.group.conjugacy_classes():
-        gm1 = np.array(rep, dtype=np.int64) - eye
+        gm1 = rep - eye
         sub = 0
         for start in range(0, len(centralizer), _PAIR_CHUNK):
             chunk = centralizer[start:start + _PAIR_CHUNK]

@@ -23,7 +23,6 @@ entry-bound check that raises intlinalg.EntryBoundError.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +43,10 @@ from .intlinalg import (
     transpose,
 )
 from .rootdata import DiagramEmbedding, WeylGroup, enumerate_group, least_orbit_labels
+
+
+class PerturbationNotFoundError(ValueError):
+    """Raised when propagate draws no perturbation that keeps the stabilizer."""
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,11 @@ class TorsionPoint:
 def _group_parts(action):
     """Accept a WeylGroup, a LatticeAction, or a RootDatum-like source.
 
-    Returns (generators, order_or_None, elements_or_None).
+    Returns (generators, order_or_None, enumerated_group_or_None).
     """
     group = getattr(action, "group", action)
     if isinstance(group, WeylGroup):
-        return group.generators, group.order, group.elements
+        return group.generators, group.order, group
     if hasattr(group, "weyl_generators"):
         return list(group.weyl_generators), group.expected_order(), None
     return list(group), None, None
@@ -303,7 +306,6 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     """
     generators, order, _ = _group_parts(action)
     rank = len(generators[0])
-    ident = freeze(identity(rank))
     point = point.reduced()
     gens = np.array(generators, dtype=np.int64)
     n_gens = len(gens)
@@ -322,7 +324,7 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     tree[parent[1:], via[1:]] = True
     eye = np.eye(rank, dtype=np.int64)
     found = []
-    group = WeylGroup([ident], [])
+    group = WeylGroup(eye[None], [], {eye.tobytes(): 0})
     start, chunk = 0, _FIRST_CHUNK
     while start < orbit_size and group.order != expected:
         stop = min(orbit_size, start + chunk)
@@ -335,9 +337,8 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
         check_product(rank, witnesses.u_inv_max, su_max)
         w = witnesses.u_inv[ys] @ (gens[ss] @ witnesses.u[xs])
         for k in np.flatnonzero((w != eye).any(axis=(1, 2))):
-            m = freeze(w[k].tolist())
-            if m not in group:
-                found.append(m)
+            if w[k] not in group:
+                found.append(freeze(w[k].tolist()))
                 group = enumerate_group(found, order_cap=element_cap)
                 if group.order == expected:
                     break
@@ -346,12 +347,11 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     stab_order = group.order
     if expected is not None and stab_order != expected:
         raise AssertionError("orbit-stabilizer count mismatch")
-    minus = freeze([[-x for x in row] for row in identity(rank)])
     crepant = None
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and minus in group:
+    elif stab_order == 2 and -eye in group:
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
         # the +-1 quotient is resolvable only in one surface factor
@@ -368,13 +368,6 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
         elements=tuple(sorted(group.elements)),
         crepant=crepant,
     )
-
-
-def two_torsion_points(rank):
-    """All points of A tensor Lambda killed by 2, in coroot coordinates."""
-    entries = list(itertools.product((0, 1), repeat=4))
-    for combo in itertools.product(entries, repeat=rank):
-        yield TorsionPoint(2, combo).reduced()
 
 
 def _two_torsion_orbit_reps(generators, rank):
@@ -431,7 +424,7 @@ def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
     """
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
-    generators, order, elements = _group_parts(action)
+    generators, order, group = _group_parts(action)
     rank = len(generators[0])
     if (1 << (4 * rank)) > orbit_cap:
         raise ValueError(f"2-torsion candidate set exceeds cap {orbit_cap}")
@@ -442,8 +435,8 @@ def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
     ]
     if order is not None:
         minus = freeze([[-x for x in row] for row in identity(rank)])
-        if elements is not None:
-            has_minus = minus in elements
+        if group is not None:
+            has_minus = minus in group
         elif candidates:
             # one stabilizer chain settles whether -1 is in the group
             first = _decode_two_torsion(candidates[0][0], rank)
@@ -520,7 +513,7 @@ def propagate(
     complement N of the sub-lattice (with respect to the invariant form);
     genericity of q is replaced by a verification loop: draw q from a seeded
     generator and retry until the ambient stabilizer order matches the
-    stabilizer of p.
+    stabilizer of p; PerturbationNotFoundError when max_attempts draws fail.
     """
     sub, amb = embedding.sub, embedding.ambient
     if gcd(fine_denominator, p.den) != 1:
@@ -567,6 +560,6 @@ def propagate(
                 seed=seed,
                 local_model_label=label,
             )
-    raise RuntimeError(
+    raise PerturbationNotFoundError(
         f"no generic perturbation found in {max_attempts} attempts"
     )

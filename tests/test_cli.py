@@ -12,10 +12,39 @@ from weylorb.cli import main
 from weylorb.hodgepoly import BigradedPoly
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# --format json reports that must stay byte-identical; the files in golden/
+# were captured from the CLI at commit cf41e11
+GOLDEN_CASES = {
+    "stringy_G2": ("stringy", "--type", "G_2"),
+    "stringy_B4": ("stringy", "--type", "B_4"),
+    "stringy_A5": ("stringy", "--type", "A_5"),
+    "verify_sp_3": ("verify-sp", "--n", "3"),
+    "verify_su_3": ("verify-su", "--n", "3"),
+    "verify_su_4": ("verify-su", "--n", "4"),
+    "torsion_scan_B3": ("torsion-scan", "--type", "B_3"),
+    "propagate_D4_E6": (
+        "propagate", "--type", "D", "--rank", "4", "--ambient", "E_6",
+        "--nodes", "3,4,5,2",
+    ),
+    "matrix_remark": ("matrix", "--example", "remark"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_json_report_matches_golden(capsys, name):
+    code, out, err = run(capsys, *GOLDEN_CASES[name], "--format", "json")
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        assert out == fh.read()
 
 
 class TestTable1:
@@ -241,6 +270,17 @@ class TestOtherCommands:
             "stringy Hodge output is not (p,q)-symmetric\n"
         )
 
+    def test_propagate_without_generic_perturbation_exits_2(self, capsys):
+        # fine denominator 1 only ever draws the zero perturbation, which
+        # never cuts the ambient stabilizer down to the sub-stabilizer
+        code, out, err = run(
+            capsys, "propagate", "--type", "D", "--rank", "4", "--ambient", "E_6",
+            "--nodes", "3,4,5,2", "--fine-denominator", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no generic perturbation found in 40 attempts\n"
+
     def test_import_leaves_sympy_unloaded(self):
         # only the matrix subcommand needs sympy; the others skip its import
         src = os.path.dirname(os.path.dirname(weylorb.__file__))
@@ -278,3 +318,14 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["verdict"] == "pass"
+
+    def test_failed_run_leaves_out_file_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous report\n")
+        code, out, err = run(
+            capsys, "stringy", "--type", "E", "--rank", "7", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert path.read_text() == "previous report\n"

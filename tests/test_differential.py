@@ -14,6 +14,7 @@ with one Smith form per commuting pair.
 import random
 from math import prod
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +32,9 @@ from weylorb.stringy import (
     LatticeAction,
     stringy_euler_commuting_pairs,
     stringy_hodge,
-    stringy_hodge_by_orbits,
 )
+
+from references import stringy_hodge_by_orbits
 
 WEYL_TYPES = (("G", 2), ("A", 3), ("B", 3), ("C", 3))
 RANK4_TYPES = (("B", 4), ("D", 4))
@@ -102,7 +104,15 @@ def _classes_reference(group):
 @settings(max_examples=40, deadline=None)
 @given(subgroup_actions())
 def test_conjugacy_classes_match_literal_walk(action):
-    assert action.group.conjugacy_classes() == _classes_reference(action.group)
+    classes = action.group.conjugacy_classes()
+    reference = _classes_reference(action.group)
+    assert [(freeze(rep.tolist()), size) for rep, size, _ in classes] == [
+        (rep, size) for rep, size, _ in reference
+    ]
+    # each centralizer is the int64 sub-stack of the literal commuting filter
+    for (_, _, cent), (_, _, literal) in zip(classes, reference):
+        assert cent.dtype == np.int64
+        assert np.array_equal(cent, np.array(literal))
 
 
 @settings(max_examples=25, deadline=None)

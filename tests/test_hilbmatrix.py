@@ -16,7 +16,6 @@ from weylorb.hilbmatrix import (
     is_cyclic,
     make_pair,
     module_isomorphic,
-    negate,
     pair_from_ideal,
     skew_standard_form,
     symplectic_exists,

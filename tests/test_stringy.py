@@ -16,7 +16,6 @@ from weylorb.stringy import (
     fixed_locus,
     stringy_euler_commuting_pairs,
     stringy_hodge,
-    stringy_hodge_by_orbits,
     stringy_hodge_wreath_closed_form,
     su_action,
     symmetric_action,
@@ -24,6 +23,8 @@ from weylorb.stringy import (
     verify_su_case,
     wreath_bn_action,
 )
+
+from references import stringy_hodge_by_orbits
 
 
 class TestLatticeAction:
@@ -98,6 +99,18 @@ class TestFixedLocus:
         act = symmetric_action(2)
         with pytest.raises(ValueError):
             fixed_locus(act, [[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "g",
+        [[[2**70]], [[1, 0], [0, 1]], [[1, 0], [0]]],
+        ids=["beyond-int64", "wrong-shape", "ragged"],
+    )
+    def test_rejects_what_cannot_be_an_element(self, g):
+        # membership answers False, never OverflowError, for any such input
+        act = wreath_bn_action(1)
+        assert g not in act.group
+        with pytest.raises(ValueError, match="g is not an element of the group"):
+            fixed_locus(act, g)
 
 
 class TestEngineOracles:

@@ -23,8 +23,9 @@ from weylorb.torsion import (
     point_from_ambient,
     propagate,
     stabilizer,
-    two_torsion_points,
 )
+
+from references import two_torsion_points
 
 
 def minus_identity(rank):
