@@ -400,12 +400,13 @@ def main(argv=None):
     try:
         if not args.out:
             return handler(args, config, sys.stdout)
-        # the report file is written only once the handler has returned, so
-        # a run that fails leaves an existing file as it was
+        # the report file is written only once the handler has returned a
+        # report, so a run that fails or emits nothing leaves it as it was
         buf = io.StringIO()
         code = handler(args, config, buf)
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+        if buf.getvalue():
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
         return code
     except (GroupOrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -246,27 +247,6 @@ def coxeter_order(cij, cji):
     return {0: 2, 1: 3, 2: 4, 3: 6}[cij * cji]
 
 
-def positive_roots(cartan):
-    """All roots of the system, in simple-root coordinates, via closure."""
-    r = len(cartan)
-    basis = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    seen = set(basis)
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(r):
-                pairing = sum(v[j] * cartan[j][i] for j in range(r))
-                w = tuple(
-                    v[k] - (pairing if k == i else 0) for k in range(r)
-                )
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return [v for v in seen if all(x >= 0 for x in v)]
-
-
 def _relative_norms(cartan):
     """Norms (alpha_i, alpha_i) up to a common scale, from the Cartan matrix."""
     r = len(cartan)
@@ -287,21 +267,156 @@ def _relative_norms(cartan):
 def highest_coroot_coefficients(datum):
     """Coefficients of the highest coroot in the simple-coroot basis.
 
-    The highest root theta = sum a_i alpha_i is found by closure; its coroot
-    is theta^vee = sum a_i (alpha_i, alpha_i)/(theta, theta) alpha_i^vee.
+    This is the coroot theta^vee of the highest root theta, the last row of
+    the root table, whose coroots are in simple-coroot coordinates already.
     Returned sorted ascending.
     """
-    roots = positive_roots(datum.cartan)
-    marks = max(roots, key=sum)
-    norms = _relative_norms(datum.cartan)
-    theta_norm = max(n for n, a in zip(norms, marks) if a)
-    coeffs = []
-    for a, n in zip(marks, norms):
-        c = a * n / theta_norm
-        if c.denominator != 1:
-            raise ValueError("highest coroot is not integral")
-        coeffs.append(int(c))
-    return tuple(sorted(coeffs))
+    return tuple(sorted(root_table(datum.weyl_generators).coroots[-1].tolist()))
+
+
+def weyl_order_from_heights(heights):
+    """|W| of a root system from the heights of its positive roots.
+
+    By Kostant, the number of positive roots of height k is the number of
+    exponents m_i >= k, and |W| = prod(m_i + 1); this holds for reducible
+    systems too, component by component.
+    """
+    counts = [0] * (max(heights, default=0) + 2)
+    for h in heights:
+        counts[h] += 1
+    order = 1
+    for k in range(1, len(counts) - 1):
+        if counts[k + 1] > counts[k]:
+            raise AssertionError("root heights are not those of a root system")
+        order *= (k + 1) ** (counts[k] - counts[k + 1])
+    return order
+
+
+class RootTable:
+    """The positive roots of a reflection group, with their coroots.
+
+    Row k holds a positive root alpha as an integer linear form forms[k] on
+    the lattice, its coroot alpha^vee as a lattice vector coroots[k], so that
+    the reflection in alpha is I - coroots[k] forms[k]^T, and its
+    coefficients coeffs[k] in the simple roots.  Rows are sorted by height,
+    the simple roots first in generator order; order is |W|.
+    """
+
+    def __init__(self, coeffs, forms, coroots):
+        self.coeffs, self.forms, self.coroots = coeffs, forms, coroots
+        self.order = weyl_order_from_heights(coeffs.sum(axis=1).tolist())
+
+    def subsystem(self, mask):
+        """Simple rows and Weyl order of the closed subsystem Psi in mask.
+
+        The simple roots of Psi are the roots of Psi+ that are not a sum of
+        two of them.  Rows come by height, so when a root beta is reached
+        every simple root of Psi below it is known: beta is simple unless
+        beta - gamma lies in Psi+ for one of them, gamma, and then its
+        height in Psi is one more than that of beta - gamma.
+        """
+        coeffs = self.coeffs.tolist()
+        height = {}
+        simple = []
+        for k in np.flatnonzero(mask).tolist():
+            beta = coeffs[k]
+            for j in simple:
+                below = tuple(b - g for b, g in zip(beta, coeffs[j]))
+                if below in height:
+                    height[tuple(beta)] = height[below] + 1
+                    break
+            else:
+                simple.append(k)
+                height[tuple(beta)] = 1
+        return simple, weyl_order_from_heights(height.values())
+
+
+def _reflection_pair(s):
+    """(c, f) with s = I - c f^T and f.c = 2, or None if s is no reflection.
+
+    c is the primitive lattice vector spanning the image of I - s, with its
+    first nonzero entry positive, which makes f integral: a reflection fixes
+    x modulo the lattice exactly when f(x) is an integer.
+    """
+    m = np.eye(len(s), dtype=np.int64) - np.array(s, dtype=np.int64)
+    cols = np.flatnonzero(m.any(axis=0))
+    if not len(cols):
+        return None
+    col = m[:, cols[0]]
+    c = col // (np.gcd.reduce(col) * np.sign(col[np.flatnonzero(col)[0]]))
+    i = np.flatnonzero(c)[0]
+    f = m[i] // c[i]
+    if not np.array_equal(np.outer(c, f), m) or f @ c != 2:
+        return None
+    return c, f
+
+
+def root_table(generators):
+    """The RootTable of the group the generators generate, or None.
+
+    None unless every generator is a reflection, the roots f_i, with signs
+    flipped along the diagram so that f_i(c_j) <= 0 for i != j, form a
+    simple system of the roots they generate, and det[c_1 ... c_r] = +-1,
+    so that the coroots span the lattice.  The roots and coroots come from
+    one closure of (coefficients, coroot) pairs under the simple
+    reflections: s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee)
+    = alpha^vee - alpha_j(alpha^vee) c_j.  The simple system is checked
+    directly: every root's coefficients must be all >= 0 or all <= 0.
+    """
+    r = len(generators[0])
+    pairs = [_reflection_pair(s) for s in generators]
+    if len(pairs) != r or any(p is None for p in pairs):
+        return None
+    coroots = np.array([c for c, _ in pairs])
+    forms = np.array([f for _, f in pairs])
+    pairing = (forms @ coroots.T).tolist()
+    sign = [0] * r
+    for first in range(r):
+        if sign[first]:
+            continue
+        sign[first], todo = 1, [first]
+        while todo:
+            i = todo.pop()
+            for j in range(r):
+                if j != i and pairing[i][j] and not sign[j]:
+                    sign[j] = sign[i] if pairing[i][j] < 0 else -sign[i]
+                    todo.append(j)
+    sign = np.array(sign, dtype=np.int64)[:, None]
+    coroots, forms = sign * coroots, sign * forms
+    cartan = forms @ coroots.T
+    if np.any(cartan - np.diag(np.diag(cartan)) > 0):
+        return None
+    if abs(det(coroots.tolist())) != 1:
+        return None
+    # a finite root system of rank r has at most 2 r^2 + 240 roots; more
+    # means the generators do not generate a finite reflection group
+    cap = 2 * r * r + 240
+    eye = np.eye(r, dtype=np.int64)
+    a, c = eye, coroots
+    seen = dict.fromkeys(_keys(a))
+    levels = [(a, c)]
+    while len(a):
+        # every s_j on every root of the level, in (generator, root) order
+        a = (a[None] - (a @ cartan).T[:, :, None] * eye[:, None]).reshape(-1, r)
+        c = (c[None] - (c @ forms.T).T[:, :, None] * coroots[:, None]).reshape(-1, r)
+        new = []
+        for i, key in enumerate(_keys(a)):
+            if key not in seen:
+                seen[key] = None
+                new.append(i)
+        if len(seen) > cap:
+            return None
+        a, c = a[new], c[new]
+        levels.append((a, c))
+    a = np.concatenate([a for a, _ in levels])
+    c = np.concatenate([c for _, c in levels])
+    low, high = a.min(axis=1), a.max(axis=1)
+    if np.any((low < 0) & (high > 0)):
+        return None
+    # positive roots by height; the stable sort keeps the simple roots first
+    positive = np.flatnonzero(high > 0)
+    positive = positive[np.argsort(a[positive].sum(axis=1), kind="stable")]
+    return RootTable(a[positive], a[positive] @ forms, c[positive])
 
 
 class WeylGroup:
@@ -346,6 +461,11 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def roots(self):
+        """root_table of the generators, built on first use (may be None)."""
+        return root_table(self.generators)
 
     def centralizer(self, g):
         """All elements commuting with g, as an int64 sub-stack."""
@@ -530,14 +650,16 @@ def embed_diagram(sub_label, ambient_label, node_map):
 def crepant_classification(type_label, rank=None):
     """Whether (A tensor Lambda)/W admits a crepant resolution for this type.
 
-    Only the unitary (A_n) and symplectic (C_n) series do.
+    Only the unitary (A_n) and symplectic (C_n) series do, and B_2, which is
+    C_2 (Spin(5) = Sp(2)).  A letter with no rank answers for its series.
     """
     s = str(type_label).strip().upper().replace("_", "")
-    letter = s[0]
-    if len(s) > 1:
-        rank = int(s[1:])
-    if letter not in "ABCDEFG":
-        raise ValueError(f"invalid Dynkin type {type_label}")
-    if rank is not None:
-        _validate_type(letter, rank)
-    return "admits" if letter in ("A", "C") else "does_not_admit"
+    if rank is None and len(s) == 1:
+        if s not in "ABCDEFG":
+            raise ValueError(f"invalid Dynkin type {type_label}")
+        letter = s
+    else:
+        letter, rank = parse_type(type_label, rank)
+    if letter in ("A", "C") or (letter, rank) == ("B", 2):
+        return "admits"
+    return "does_not_admit"

@@ -3,8 +3,15 @@
 Points are stored intrinsically in the simple-coroot basis of Lambda as
 tuples of (Q/Z)^4 entries with a common denominator.  Stabilizers come from
 orbit-stabilizer with Schreier generators, so the full group never needs to
-be materialized; when the group order is known the stabilizer order is read
-off from the orbit size.
+be materialized, and the orbit walked is not the W-orbit but an orbit of a
+small reflection subgroup.  For G simply connected, Lambda is the coroot
+lattice and the stabilizer of one coordinate x_t in t/Lambda is the
+reflection group W(Phi_t) of the roots with alpha(x_t) in Z (Steinberg,
+Torsion in reductive groups, 1975).  Stab(p) lies in W(Phi_t), so the walk
+covers W(Phi_t) only, for the column t with the fewest such roots; its order
+comes from root heights, and the W-orbit size is |W| / |Stab(p)|.  When the
+generators are not the simple reflections of a root system whose coroots
+span the lattice, the walk covers W itself.
 
 The orbit walk is batched: a breadth-first level is an (m, rank, 4) int64
 array of points modulo the denominator, every generator acts on all of it in
@@ -17,7 +24,7 @@ only as far as the Schreier pass asks, with generator inverses computed
 exactly.  The Schreier pass forms u_y^-1 s u_x for chunks of points that
 double in size, skips tree edges (always the identity), closes the Schreier
 generators found so far with rootdata.enumerate_group, and stops as soon as
-that subgroup reaches |W| / |orbit|.  Every int64 product is preceded by an
+that subgroup reaches |H| / |orbit|.  Every int64 product is preceded by an
 entry-bound check that raises intlinalg.EntryBoundError.
 """
 
@@ -42,7 +49,13 @@ from .intlinalg import (
     clear_denominators,
     transpose,
 )
-from .rootdata import DiagramEmbedding, WeylGroup, enumerate_group, least_orbit_labels
+from .rootdata import (
+    DiagramEmbedding,
+    WeylGroup,
+    enumerate_group,
+    least_orbit_labels,
+    root_table,
+)
 
 
 class PerturbationNotFoundError(ValueError):
@@ -298,15 +311,66 @@ _FIRST_CHUNK = 16
 _CHUNK_PAIRS = 1 << 13
 
 
-def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
-    """Exact W-stabilizer of a torsion point by orbit-stabilizer.
+def _point_subgroup(table, point):
+    """Generators and order of a reflection subgroup H of W containing Stab(p).
 
-    Builds the orbit as a Schreier tree, extracts Schreier generators for
-    the stabilizer in (point, generator) order, and classifies the subgroup.
+    For G simply connected, the lattice is the coroot lattice and the
+    stabilizer of one coordinate x_t is the reflection group W(Phi_t) of
+    Phi_t = {alpha : alpha(x_t) in Z} (Steinberg), so Stab(p) lies in each.
+    H is W(Phi_t) for the column t with the fewest positive roots in Phi_t,
+    the lowest t on ties, generated by the reflections in the simple roots
+    of Phi_t; the identity generates H when Phi_t is empty.
     """
-    generators, order, _ = _group_parts(action)
-    rank = len(generators[0])
+    den, rank = point.den, point.rank
+    coords = np.array(point.coords, dtype=np.int64)
+    check_product(rank, max_abs(table.forms), den - 1)
+    integral = table.forms @ coords % den == 0
+    t = int(np.argmin(integral.sum(axis=0)))
+    simple, order = table.subsystem(integral[:, t])
+    eye = np.eye(rank, dtype=np.int64)
+    if not simple:
+        return eye[None], 1
+    c, f = table.coroots[simple], table.forms[simple]
+    return eye - c[:, :, None] * f[:, None, :], order
+
+
+def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
+    """Exact W-stabilizer of a torsion point, walked inside W(Phi_t).
+
+    When the generators are the simple reflections of a root system whose
+    coroots span the lattice (rootdata.root_table), the orbit walk and the
+    Schreier pass run over the generators of the reflection subgroup
+    H = W(Phi_t) that _point_subgroup picks, which contains Stab(p); |H|
+    comes from root heights, and the orbit size is |W| / |Stab(p)|.
+    Otherwise they run over the generators of W itself.  Either way the
+    walk raises "orbit exceeded cap" exactly when |W| / |Stab(p)| exceeds
+    orbit_cap.
+    """
+    generators, order, group = _group_parts(action)
     point = point.reduced()
+    table = group.roots if group is not None else root_table(generators)
+    if table is None:
+        return _walk_stabilizer(generators, order, point, orbit_cap, element_cap)
+    if order is not None and order != table.order:
+        raise AssertionError("root heights disagree with the group order")
+    gens, sub_order = _point_subgroup(table, point)
+    return _walk_stabilizer(
+        gens, sub_order, point, orbit_cap, element_cap, table.order
+    )
+
+
+def _walk_stabilizer(
+    generators, order, point, orbit_cap=10**6, element_cap=10**5, whole=None
+):
+    """Stabilizer of a reduced point in the group H the generators generate.
+
+    Builds the H-orbit as a Schreier tree, extracts Schreier generators for
+    the stabilizer in (point, generator) order, and classifies the subgroup.
+    order is |H| or None.  whole is |W| when H is a proper subgroup of W:
+    the reported orbit size is then |W| / |Stab|, and it must not exceed
+    orbit_cap.
+    """
+    rank = len(generators[0])
     gens = np.array(generators, dtype=np.int64)
     n_gens = len(gens)
     parent, via, edges, levels = _orbit_tree(gens, point, orbit_cap)
@@ -347,6 +411,12 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     stab_order = group.order
     if expected is not None and stab_order != expected:
         raise AssertionError("orbit-stabilizer count mismatch")
+    if whole is not None:
+        if whole % stab_order != 0:
+            raise AssertionError("stabilizer order does not divide |W|")
+        orbit_size = whole // stab_order
+        if orbit_size > orbit_cap:
+            raise ValueError(f"orbit exceeded cap {orbit_cap}")
     crepant = None
     if stab_order == 1:
         cls = "trivial"

@@ -84,3 +84,24 @@ def two_torsion_points(rank):
     entries = list(itertools.product((0, 1), repeat=4))
     for combo in itertools.product(entries, repeat=rank):
         yield TorsionPoint(2, combo).reduced()
+
+
+def positive_roots(cartan):
+    """All roots of the system, in simple-root coordinates, via closure."""
+    r = len(cartan)
+    basis = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    seen = set(basis)
+    frontier = list(basis)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(r):
+                pairing = sum(v[j] * cartan[j][i] for j in range(r))
+                w = tuple(
+                    v[k] - (pairing if k == i else 0) for k in range(r)
+                )
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return [v for v in seen if all(x >= 0 for x in v)]

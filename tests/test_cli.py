@@ -254,6 +254,10 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "classify", "--type", "E", "--rank", "8")
         assert code == 0
         assert "does_not_admit" in out
+        # Spin(5) = Sp(2), so B_2 answers as C_2 does
+        code, out, _ = run(capsys, "classify", "--type", "B_2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["classification"] == "admits"
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -328,4 +332,17 @@ class TestDeterminismAndOutput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert path.read_text() == "previous report\n"
+
+    def test_run_with_no_report_leaves_out_file_unchanged(self, capsys, tmp_path):
+        # A_2 has no minus-one point, so propagate exits 1 with no report
+        path = tmp_path / "report.json"
+        path.write_text("previous report\n")
+        code, out, err = run(
+            capsys, "propagate", "--type", "A", "--rank", "2", "--ambient",
+            "A_3", "--nodes", "1,2", "--out", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "no minus-one point" in err
         assert path.read_text() == "previous report\n"

@@ -355,13 +355,15 @@ class TestMonomialIdeals:
 
 
 class TestDuality:
-    def test_negate_iso_to_dual_for_cyclic_examples(self):
-        # for these point-supported modules the dual is the negated pullback
-        for mats in (FOOTNOTE, REMARK):
-            p = make_pair(*mats)
-            ok, wit = module_isomorphic(dual(p), dual(p))
-            assert ok
-            assert wit is not None
+    def test_self_dual_exactly_for_rectangles(self):
+        # C[x,y]/I_lambda is Gorenstein, so isomorphic to its dual, exactly
+        # when lambda is a rectangle; dualizing twice gives the pair back
+        for lam in ALL_SMALL_PARTITIONS:
+            p = pair_from_ideal(*monomial_ideal(lam))
+            ok, witness = module_isomorphic(p, dual(p))
+            assert ok == (len(set(lam)) == 1)
+            assert (witness is not None) == ok
+            assert dual(dual(p)) == p
 
     def test_module_isomorphic_detects_self(self):
         p = make_pair(*REMARK)

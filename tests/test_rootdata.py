@@ -1,5 +1,8 @@
 """Root data, Weyl groups, embeddings: structural invariants and refusals."""
 
+import random
+
+import numpy as np
 import pytest
 
 from weylorb.intlinalg import freeze, identity, mat_mul, transpose
@@ -14,8 +17,11 @@ from weylorb.rootdata import (
     expected_weyl_order,
     highest_coroot_coefficients,
     parse_type,
-    positive_roots,
+    root_table,
+    weyl_order_from_heights,
 )
+
+from references import positive_roots
 
 ALL_SMALL_TYPES = [
     ("A", 1),
@@ -123,6 +129,85 @@ class TestPositiveRoots:
     def test_positive_root_counts(self, letter, rank, count):
         d = build_root_datum(letter, rank)
         assert len(positive_roots(d.cartan)) == count
+
+
+class TestRootTable:
+    TYPES = (
+        [("A", r) for r in range(1, 9)]
+        + [(x, r) for x in "BC" for r in range(2, 9)]
+        + [("D", r) for r in range(4, 9)]
+        + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+    )
+
+    @pytest.mark.parametrize("letter,rank", TYPES)
+    def test_heights_give_the_weyl_order(self, letter, rank):
+        d = build_root_datum(letter, rank)
+        table = root_table(d.weyl_generators)
+        assert table.order == expected_weyl_order(letter, rank)
+        # heights read off the coefficients, and heights found by subsystem
+        everything = np.ones(len(table.coeffs), dtype=bool)
+        assert table.subsystem(everything) == (list(range(rank)), table.order)
+        assert sorted(map(tuple, table.coeffs.tolist())) == sorted(
+            positive_roots(d.cartan)
+        )
+        # the simple roots come first, and each reflection is I - c f^T
+        assert table.coeffs[:rank].tolist() == identity(rank)
+        for k in range(rank):
+            s = np.eye(rank, dtype=np.int64) - np.outer(
+                table.coroots[k], table.forms[k]
+            )
+            assert s.tolist() == [list(row) for row in d.weyl_generators[k]]
+        assert (table.forms * table.coroots).sum(axis=1).tolist() == [2] * len(
+            table.forms
+        )
+
+    @pytest.mark.parametrize("letter,rank", [("B", 4), ("F", 4), ("E", 6)])
+    def test_subsystem_orders_match_enumeration(self, letter, rank):
+        # the roots integral on a torsion point form a closed subsystem,
+        # often reducible; its simple reflections must generate a group of
+        # the order the heights give, the same as all its reflections
+        table = root_table(build_root_datum(letter, rank).weyl_generators)
+        eye = np.eye(rank, dtype=np.int64)
+        rng = random.Random(rank)
+        orders = set()
+        for _ in range(12):
+            den = rng.choice([2, 3, 4])
+            x = np.array([rng.randrange(den) for _ in range(rank)])
+            mask = table.forms @ x % den == 0
+            simple, order = table.subsystem(mask)
+            orders.add(order)
+            if not simple:
+                assert order == 1 and not mask.any()
+                continue
+            def reflection(k):
+                return eye - np.outer(table.coroots[k], table.forms[k])
+
+            assert enumerate_group([reflection(k) for k in simple]).order == order
+            reflections = [reflection(k) for k in np.flatnonzero(mask)]
+            assert enumerate_group(reflections).order == order
+        assert len(orders) >= 3
+
+    def test_not_simple_reflections(self):
+        rotation = ((0, -1), (1, -1))
+        reflection = ((-1, 1), (0, 1))
+        # the affine Cartan matrix of A_1: an infinite dihedral group
+        affine = [((-1, 2), (0, 1)), ((1, 0), (2, -1))]
+        for gens in (
+            [rotation, reflection],
+            [((-1, 0), (0, -1)), reflection],
+            [reflection],
+            [reflection, reflection],
+            affine,
+            # W(A_2) on its coweight lattice: det[c_1 c_2] = 3
+            [((-1, 0), (1, 1)), ((1, 1), (0, -1))],
+        ):
+            assert root_table(gens) is None
+
+    def test_order_from_heights(self):
+        assert weyl_order_from_heights([]) == 1
+        assert weyl_order_from_heights([1, 1, 2]) == 6
+        with pytest.raises(AssertionError):
+            weyl_order_from_heights([1, 2, 2])
 
 
 class TestHighestCorootTable:
@@ -236,6 +321,8 @@ class TestCrepantClassification:
         [
             ("A_3", "admits"),
             ("C_4", "admits"),
+            # Spin(5) = Sp(2): B_2 is C_2
+            ("B_2", "admits"),
             ("B_3", "does_not_admit"),
             ("D_4", "does_not_admit"),
             ("G_2", "does_not_admit"),
@@ -249,3 +336,13 @@ class TestCrepantClassification:
     def test_invalid(self):
         with pytest.raises(ValueError):
             crepant_classification("X_2")
+        with pytest.raises(ValueError):
+            crepant_classification("B_3", 4)
+        with pytest.raises(ValueError):
+            crepant_classification("D_3")
+
+    def test_letter_answers_for_its_series(self):
+        assert crepant_classification("C") == "admits"
+        assert crepant_classification("E") == "does_not_admit"
+        with pytest.raises(ValueError):
+            crepant_classification("X")

@@ -1,5 +1,6 @@
 """Torsion points, stabilizers, minus-one scans, and propagation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,12 +14,19 @@ from weylorb.intlinalg import (
     identity,
     mat_mul,
 )
-from weylorb.rootdata import build_root_datum, embed_diagram, enumerate_group
+from weylorb.rootdata import (
+    build_root_datum,
+    embed_diagram,
+    enumerate_group,
+    root_table,
+)
 from weylorb.torsion import (
     StabilizerReport,
     TorsionPoint,
     _group_parts,
+    _point_subgroup,
     _two_torsion_orbit_reps,
+    _walk_stabilizer,
     find_minus_one_points,
     point_from_ambient,
     propagate,
@@ -102,6 +110,25 @@ def _stabilizer_reference(action, point, element_cap=10**5):
         elements=tuple(sorted(elements)),
         crepant=crepant,
     )
+
+
+def _full_walk(group, point):
+    """The batched walk and Schreier pass over the generators of all of W."""
+    return _walk_stabilizer(group.generators, group.order, point.reduced())
+
+
+def assert_same_stabilizer(report, reference):
+    """Every field equal but the Schreier generators, which are not
+    canonical; those must generate exactly the stabilizer's elements."""
+    assert dataclasses.replace(report, generators=()) == dataclasses.replace(
+        reference, generators=()
+    )
+    rank = len(report.elements[0])
+    if report.generators:
+        closed = enumerate_group(report.generators).elements
+    else:
+        closed = [freeze(identity(rank))]
+    assert sorted(closed) == list(report.elements)
 
 
 def _points_of_denominator(group, den, count, seed):
@@ -225,7 +252,7 @@ class TestBatchedStabilizer:
     @staticmethod
     def assert_same(group, point):
         fast = stabilizer(group, point)
-        assert fast == _stabilizer_reference(group, point)
+        assert_same_stabilizer(fast, _stabilizer_reference(group, point))
         assert fast.order * fast.orbit_size == group.order
         return fast
 
@@ -289,6 +316,96 @@ class TestBatchedStabilizer:
         assert stabilizer(datum, p).orbit_size > 10
         with pytest.raises(ValueError, match="orbit exceeded cap"):
             stabilizer(datum, p, orbit_cap=10)
+
+
+class TestSubgroupReduction:
+    """stabilizer() walks W(Phi_t); the batched walk over all of W, run
+    directly, must give the same stabilizer element for element."""
+
+    @staticmethod
+    def assert_same(group, point):
+        fast = stabilizer(group, point)
+        assert_same_stabilizer(fast, _full_walk(group, point))
+        return fast
+
+    def test_seeded_d4_sample(self):
+        group = enumerate_group(build_root_datum("D", 4))
+        assert group.roots is not None
+        points = find_minus_one_points(group)
+        for p in random.Random(44).sample(points, 40):
+            assert self.assert_same(group, p).order == 2
+
+    @pytest.mark.parametrize("den", [2, 3, 6])
+    def test_seeded_f4_points(self, den):
+        group = enumerate_group(build_root_datum("F", 4))
+        points = _points_of_denominator(group, den, 12, seed=100 + den)
+        assert len({self.assert_same(group, p).order for p in points}) >= 2
+
+    def test_e6_propagate_points(self):
+        sub = build_root_datum("D", 4)
+        emb = embed_diagram(sub, build_root_datum("E", 6), [3, 4, 5, 2])
+        group = enumerate_group(emb.ambient)
+        sub_points = find_minus_one_points(sub)
+        for seed in range(8):
+            p = random.Random(seed).choice(sub_points)
+            result = propagate(emb, p, seed=seed)
+            fast = self.assert_same(group, result.point)
+            assert (fast.order, fast.orbit_size) == (2, 25920)
+            # the walked subgroup is far smaller than W(E_6)
+            assert _point_subgroup(group.roots, result.point)[1] < 100
+
+    @pytest.mark.parametrize("letter,rank", [("B", 3), ("D", 4)])
+    def test_seeded_basis(self, letter, rank):
+        # conjugating by a unimodular u keeps every generator a reflection,
+        # with other coroot signs and coordinates
+        rng = random.Random(rank)
+        u, u_inv = identity(rank), identity(rank)
+        for _ in range(6):
+            i, j = rng.sample(range(rank), 2)
+            e, e_inv = identity(rank), identity(rank)
+            e[i][j] = rng.choice([-1, 1])
+            e_inv[i][j] = -e[i][j]
+            u, u_inv = mat_mul(e, u), mat_mul(u_inv, e_inv)
+        gens = [
+            mat_mul(mat_mul(u, [list(r) for r in s]), u_inv)
+            for s in build_root_datum(letter, rank).weyl_generators
+        ]
+        group = enumerate_group(gens)
+        assert group.roots is not None
+        for den in (2, 3):
+            for p in _points_of_denominator(group, den, 8, seed=den):
+                self.assert_same(group, p)
+
+    def test_coweight_basis_keeps_the_whole_group(self):
+        # W(A_2) on its coweight lattice: the coroots span a sublattice of
+        # index 3, so Stab(x_t) need not be a reflection group.  Here
+        # W(Phi_t) is trivial, but the rotation of order 3 fixes the point.
+        gens = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
+        p = TorsionPoint(3, ((0, 0, 0, 1), (0, 0, 0, 1)))
+        group = enumerate_group(gens)
+        brute = sorted(g for g in group if p.apply(g) == p)
+        assert len(brute) == 3
+        assert root_table(gens) is None and group.roots is None
+        for action in (gens, group):
+            report = stabilizer(action, p)
+            assert report.order == 3 and list(report.elements) == brute
+        assert stabilizer(group, p).orbit_size == 2
+
+    @pytest.mark.parametrize("source", ["datum", "group", "coweight"])
+    def test_orbit_cap_is_exact(self, source):
+        if source == "coweight":
+            action = enumerate_group([((-1, 0), (1, 1)), ((1, 1), (0, -1))])
+            p = TorsionPoint(5, ((1, 0, 0, 0), (2, 0, 0, 0)))
+        else:
+            action = build_root_datum("B", 3)
+            if source == "group":
+                action = enumerate_group(action)
+            p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
+        n = stabilizer(action, p).orbit_size
+        assert n > 1
+        assert stabilizer(action, p, orbit_cap=n).orbit_size == n
+        with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
+            stabilizer(action, p, orbit_cap=n - 1)
 
 
 class TestTwoTorsionOrbits:
