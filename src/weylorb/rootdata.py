@@ -355,13 +355,14 @@ def root_table(generators):
     """The RootTable of the group the generators generate, or None.
 
     None unless every generator is a reflection, the roots f_i, with signs
-    flipped along the diagram so that f_i(c_j) <= 0 for i != j, form a
-    simple system of the roots they generate, and det[c_1 ... c_r] = +-1,
-    so that the coroots span the lattice.  The roots and coroots come from
-    one closure of (coefficients, coroot) pairs under the simple
-    reflections: s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee)
-    = alpha^vee - alpha_j(alpha^vee) c_j.  The simple system is checked
-    directly: every root's coefficients must be all >= 0 or all <= 0.
+    flipped along the diagram so that f_i(c_j) <= 0 for i != j where the
+    diagram allows it, form a simple system of the roots they generate, and
+    det[c_1 ... c_r] = +-1, so that the coroots span the lattice.  The roots
+    and coroots come from one closure of (coefficients, coroot) pairs under
+    the simple reflections: s_j(alpha) = alpha - alpha(c_j) alpha_j and
+    s_j(alpha^vee) = alpha^vee - alpha_j(alpha^vee) c_j.  The simple system
+    is checked directly: every root's coefficients must be all >= 0 or all
+    <= 0, which fails too when no signs make every f_i(c_j) <= 0.
     """
     r = len(generators[0])
     pairs = [_reflection_pair(s) for s in generators]
@@ -384,8 +385,6 @@ def root_table(generators):
     sign = np.array(sign, dtype=np.int64)[:, None]
     coroots, forms = sign * coroots, sign * forms
     cartan = forms @ coroots.T
-    if np.any(cartan - np.diag(np.diag(cartan)) > 0):
-        return None
     if abs(det(coroots.tolist())) != 1:
         return None
     # a finite root system of rank r has at most 2 r^2 + 240 roots; more

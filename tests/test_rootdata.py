@@ -21,6 +21,8 @@ from weylorb.rootdata import (
     weyl_order_from_heights,
 )
 
+from weylorb.torsion import TorsionPoint, stabilizer
+
 from references import positive_roots
 
 ALL_SMALL_TYPES = [
@@ -192,9 +194,24 @@ class TestRootTable:
         reflection = ((-1, 1), (0, 1))
         # the affine Cartan matrix of A_1: an infinite dihedral group
         affine = [((-1, 2), (0, 1)), ((1, 0), (2, -1))]
+        # -1 has the shape I - c f^T only up to rank: f c = 2, but it is no
+        # reflection, and here the two c span the lattice
+        minus_one = [((-1, 0), (0, -1)), ((1, 0), (1, -1))]
+        # reflections of W(A_3) in e1 - e2, e2 - e3 and e1 + e3 (inside D_4):
+        # one positive pairing on a triangle, so no signs make all three
+        # obtuse, and they are no simple system
+        triangle = [
+            tuple(
+                tuple(int(k == j) - (row[j] if k == i else 0) for j in range(3))
+                for k in range(3)
+            )
+            for i, row in enumerate([(2, -1, 1), (-1, 2, -1), (1, -1, 2)])
+        ]
         for gens in (
             [rotation, reflection],
             [((-1, 0), (0, -1)), reflection],
+            minus_one,
+            triangle,
             [reflection],
             [reflection, reflection],
             affine,
@@ -202,6 +219,12 @@ class TestRootTable:
             [((-1, 0), (1, 1)), ((1, 1), (0, -1))],
         ):
             assert root_table(gens) is None
+        # the full walk still gives the stabilizer a brute force gives
+        group = enumerate_group(triangle)
+        assert group.order == 24
+        p = TorsionPoint(2, ((1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)))
+        brute = sorted(g for g in group if p.apply(g) == p)
+        assert list(stabilizer(group, p).elements) == brute
 
     def test_order_from_heights(self):
         assert weyl_order_from_heights([]) == 1
