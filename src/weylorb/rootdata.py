@@ -387,17 +387,21 @@ def root_table(generators):
     cartan = forms @ coroots.T
     if abs(det(coroots.tolist())) != 1:
         return None
-    # a finite root system of rank r has at most 2 r^2 + 240 roots; more
-    # means the generators do not generate a finite reflection group
+    # a finite root system of rank r has at most 2 r^2 + 240 roots, each
+    # with simple-root coefficients of at most 6 (E_8's highest root); more
+    # means the generators do not generate a finite reflection group, and
+    # stopping there keeps every int64 entry small
     cap = 2 * r * r + 240
     eye = np.eye(r, dtype=np.int64)
     a, c = eye, coroots
     seen = dict.fromkeys(_keys(a))
-    levels = [(a, c)]
+    a_levels, c_levels = [a], [c]
     while len(a):
         # every s_j on every root of the level, in (generator, root) order
         a = (a[None] - (a @ cartan).T[:, :, None] * eye[:, None]).reshape(-1, r)
         c = (c[None] - (c @ forms.T).T[:, :, None] * coroots[:, None]).reshape(-1, r)
+        if max_abs(a) > 6:
+            return None
         new = []
         for i, key in enumerate(_keys(a)):
             if key not in seen:
@@ -406,9 +410,9 @@ def root_table(generators):
         if len(seen) > cap:
             return None
         a, c = a[new], c[new]
-        levels.append((a, c))
-    a = np.concatenate([a for a, _ in levels])
-    c = np.concatenate([c for _, c in levels])
+        a_levels.append(a)
+        c_levels.append(c)
+    a, c = np.concatenate(a_levels), np.concatenate(c_levels)
     low, high = a.min(axis=1), a.max(axis=1)
     if np.any((low < 0) & (high > 0)):
         return None

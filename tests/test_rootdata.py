@@ -192,8 +192,10 @@ class TestRootTable:
     def test_not_simple_reflections(self):
         rotation = ((0, -1), (1, -1))
         reflection = ((-1, 1), (0, 1))
-        # the affine Cartan matrix of A_1: an infinite dihedral group
+        # the affine Cartan matrix of A_1 and a hyperbolic one: infinite
+        # dihedral groups whose root coefficients grow without bound
         affine = [((-1, 2), (0, 1)), ((1, 0), (2, -1))]
+        hyperbolic = [((-1, 3), (0, 1)), ((1, 0), (3, -1))]
         # -1 has the shape I - c f^T only up to rank: f c = 2, but it is no
         # reflection, and here the two c span the lattice
         minus_one = [((-1, 0), (0, -1)), ((1, 0), (1, -1))]
@@ -215,6 +217,7 @@ class TestRootTable:
             [reflection],
             [reflection, reflection],
             affine,
+            hyperbolic,
             # W(A_2) on its coweight lattice: det[c_1 c_2] = 3
             [((-1, 0), (1, 1)), ((1, 1), (0, -1))],
         ):
