@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
@@ -59,6 +58,8 @@ def expected_weyl_order(letter, rank):
 def parse_type(type_label, rank=None):
     """Normalize 'G_2', 'G2', ('G', 2) style input to (letter, rank)."""
     s = str(type_label).strip().upper().replace("_", "")
+    if not s:
+        raise ValueError(f"invalid Dynkin type {type_label!r}")
     letter = s[0]
     if len(s) > 1:
         embedded = int(s[1:])
@@ -95,22 +96,20 @@ class RootDatum:
         return self.dynkin_type.split("_")[0]
 
     def gram(self):
-        """A W-invariant integer Gram matrix in the simple-coroot basis.
+        """The primitive W-invariant integer form in the simple-coroot basis.
 
-        (c_i, c_j) is proportional to n_i * cartan[i][j] where n_i is the
-        coroot norm, recovered (up to scale) from the Cartan matrix; the
-        result is symmetric and invariant under every Weyl generator.
+        It is the sum of alpha alpha^T over the positive roots of root_table,
+        divided by the gcd of its entries: W permutes the roots up to sign,
+        so the form is invariant, and for a simple type every invariant form
+        is a multiple of it.  ValueError when the generators give no root
+        table.
         """
-        root_norms = _relative_norms(self.cartan)
-        coroot_norms = [1 / n for n in root_norms]
-        rows = [
-            [coroot_norms[i] * self.cartan[i][j] for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
-        from math import lcm
-
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        return freeze([[int(x * scale) for x in row] for row in rows])
+        table = root_table(self.weyl_generators)
+        if table is None:
+            raise ValueError(f"the generators of {self.dynkin_type} give no root table")
+        check_product(len(table.forms), max_abs(table.forms), max_abs(table.forms))
+        form = table.forms.T @ table.forms
+        return freeze((form // np.gcd.reduce(form.ravel())).tolist())
 
     def expected_order(self):
         return expected_weyl_order(self.letter, self.rank)
@@ -140,35 +139,25 @@ class RootDatum:
         )
 
 
+def _chain(count, width):
+    """The vectors e_i - e_(i+1) of Z^width, for i < count."""
+    return [
+        [1 if k == i else (-1 if k == i + 1 else 0) for k in range(width)]
+        for i in range(count)
+    ]
+
+
 def _simple_coroot_vectors(letter, rank):
     n = rank
     if letter == "A":
         # sum-zero realization in Z^(n+1)
-        return [
-            [1 if k == i else (-1 if k == i + 1 else 0) for k in range(n + 1)]
-            for i in range(n)
-        ]
+        return _chain(n, n + 1)
     if letter == "B":
-        vs = [
-            [1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)]
-            for i in range(n - 1)
-        ]
-        vs.append([0] * (n - 1) + [2])
-        return vs
+        return _chain(n - 1, n) + [[0] * (n - 1) + [2]]
     if letter == "C":
-        vs = [
-            [1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)]
-            for i in range(n - 1)
-        ]
-        vs.append([0] * (n - 1) + [1])
-        return vs
+        return _chain(n - 1, n) + [[0] * (n - 1) + [1]]
     if letter == "D":
-        vs = [
-            [1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)]
-            for i in range(n - 1)
-        ]
-        vs.append([0] * (n - 2) + [1, 1])
-        return vs
+        return _chain(n - 1, n) + [[0] * (n - 2) + [1, 1]]
     if letter == "G":
         return [[1, -1, 0], [-2, 1, 1]]
     if letter == "F":
@@ -245,23 +234,6 @@ def build_root_datum(type_label, rank=None):
 def coxeter_order(cij, cji):
     """Order of s_i s_j from the off-diagonal Cartan product."""
     return {0: 2, 1: 3, 2: 4, 3: 6}[cij * cji]
-
-
-def _relative_norms(cartan):
-    """Norms (alpha_i, alpha_i) up to a common scale, from the Cartan matrix."""
-    r = len(cartan)
-    norms = [None] * r
-    norms[0] = Fraction(1)
-    pending = [0]
-    while pending:
-        i = pending.pop()
-        for j in range(r):
-            if i != j and cartan[i][j] != 0 and norms[j] is None:
-                norms[j] = norms[i] * Fraction(cartan[j][i], cartan[i][j])
-                pending.append(j)
-    if any(v is None for v in norms):
-        raise ValueError("Cartan matrix is not connected")
-    return norms
 
 
 def highest_coroot_coefficients(datum):
@@ -402,11 +374,7 @@ def root_table(generators):
         c = (c[None] - (c @ forms.T).T[:, :, None] * coroots[:, None]).reshape(-1, r)
         if max_abs(a) > 6:
             return None
-        new = []
-        for i, key in enumerate(_keys(a)):
-            if key not in seen:
-                seen[key] = None
-                new.append(i)
+        new = _number_new(seen, a)
         if len(seen) > cap:
             return None
         a, c = a[new], c[new]
@@ -527,6 +495,16 @@ def _keys(stack):
     return flat.view(f"V{8 * flat.shape[1]}").ravel().tolist()
 
 
+def _number_new(index, stack):
+    """Number the stack's keys missing from index; return their positions."""
+    new = []
+    for i, key in enumerate(_keys(stack)):
+        if key not in index:
+            index[key] = len(index)
+            new.append(i)
+    return new
+
+
 def least_orbit_labels(moves, labels):
     """Label every point by the least point of its orbit.
 
@@ -568,6 +546,8 @@ def enumerate_group(source, order_cap=10**7):
         gens = [np.array(g, dtype=np.int64) for g in source.weyl_generators]
     else:
         gens = [np.array(g, dtype=np.int64) for g in source]
+    if not gens:
+        raise ValueError("no generators")
     for g in gens:
         d = det(g.tolist())
         if abs(d) != 1:
@@ -583,11 +563,7 @@ def enumerate_group(source, order_cap=10**7):
         # products in (generator, frontier element) order, so elements are
         # numbered by first occurrence exactly as a per-product loop would
         prods = np.concatenate([frontier @ g for g in gens])
-        new = []
-        for i, key in enumerate(_keys(prods)):
-            if key not in index:
-                index[key] = len(index)
-                new.append(i)
+        new = _number_new(index, prods)
         if len(index) > order_cap:
             raise GroupOrderCapError(
                 f"group closure exceeded the cap {order_cap}"
@@ -612,15 +588,9 @@ def embed_diagram(sub_label, ambient_label, node_map):
     node_map[i] is the 1-based ambient node receiving sub node i+1.  The map
     must be injective and preserve the Cartan matrix (edges and arrows).
     """
-    sub = (
-        sub_label
-        if isinstance(sub_label, RootDatum)
-        else build_root_datum(sub_label)
-    )
-    ambient = (
-        ambient_label
-        if isinstance(ambient_label, RootDatum)
-        else build_root_datum(ambient_label)
+    sub, ambient = (
+        x if isinstance(x, RootDatum) else build_root_datum(x)
+        for x in (sub_label, ambient_label)
     )
     if isinstance(node_map, dict):
         node_map = [node_map[i] for i in sorted(node_map)]

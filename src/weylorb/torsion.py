@@ -9,9 +9,10 @@ lattice and the stabilizer of one coordinate x_t in t/Lambda is the
 reflection group W(Phi_t) of the roots with alpha(x_t) in Z (Steinberg,
 Torsion in reductive groups, 1975).  Stab(p) lies in W(Phi_t), so the walk
 covers W(Phi_t) only, for the column t with the fewest such roots; its order
-comes from root heights, and the W-orbit size is |W| / |Stab(p)|.  When the
-generators are not the simple reflections of a root system whose coroots
-span the lattice, the walk covers W itself.
+comes from root heights, and the W-orbit size is |W| / |Stab(p)|, reported
+but never walked.  When the generators are not the simple reflections of a
+root system whose coroots span the lattice, the walk covers W itself.  The
+orbit cap bounds the walked orbit only.
 
 The orbit walk is batched: a breadth-first level is an (m, rank, 4) int64
 array of points modulo the denominator, every generator acts on all of it in
@@ -148,22 +149,24 @@ class TorsionPoint:
 
     @classmethod
     def from_json(cls, rows):
-        return cls.from_fractions(
-            [[Fraction(s) for s in row] for row in rows]
-        )
+        return cls.from_fractions(rows)
 
 
 def _group_parts(action):
     """Accept a WeylGroup, a LatticeAction, or a RootDatum-like source.
 
-    Returns (generators, order_or_None, enumerated_group_or_None).
+    Returns (generators, order_or_None, enumerated_group_or_None); an empty
+    generator list raises ValueError.
     """
     group = getattr(action, "group", action)
     if isinstance(group, WeylGroup):
         return group.generators, group.order, group
     if hasattr(group, "weyl_generators"):
         return list(group.weyl_generators), group.expected_order(), None
-    return list(group), None, None
+    generators = list(group)
+    if not generators:
+        raise ValueError("no generators")
+    return generators, None, None
 
 
 @dataclass(frozen=True)
@@ -343,10 +346,15 @@ def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
     H = W(Phi_t) that _point_subgroup picks, which contains Stab(p); |H|
     comes from root heights, and the orbit size is |W| / |Stab(p)|.
     Otherwise they run over the generators of W itself.  Either way the
-    walk raises "orbit exceeded cap" exactly when |W| / |Stab(p)| exceeds
-    orbit_cap.
+    walk raises "orbit exceeded cap" exactly when the walked orbit, of size
+    |H| / |Stab(p)|, exceeds orbit_cap.  A point whose rank differs from the
+    group's raises ValueError.
     """
     generators, order, group = _group_parts(action)
+    if point.rank != len(generators[0]):
+        raise ValueError(
+            f"point of rank {point.rank} for a group of rank {len(generators[0])}"
+        )
     point = point.reduced()
     table = group.roots if group is not None else root_table(generators)
     if table is None:
@@ -367,8 +375,8 @@ def _walk_stabilizer(
     Builds the H-orbit as a Schreier tree, extracts Schreier generators for
     the stabilizer in (point, generator) order, and classifies the subgroup.
     order is |H| or None.  whole is |W| when H is a proper subgroup of W:
-    the reported orbit size is then |W| / |Stab|, and it must not exceed
-    orbit_cap.
+    the reported orbit size is then |W| / |Stab|.  orbit_cap bounds the
+    walked H-orbit.
     """
     rank = len(generators[0])
     gens = np.array(generators, dtype=np.int64)
@@ -415,8 +423,6 @@ def _walk_stabilizer(
         if whole % stab_order != 0:
             raise AssertionError("stabilizer order does not divide |W|")
         orbit_size = whole // stab_order
-        if orbit_size > orbit_cap:
-            raise ValueError(f"orbit exceeded cap {orbit_cap}")
     crepant = None
     if stab_order == 1:
         cls = "trivial"
@@ -486,44 +492,33 @@ def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
 
     A stabilizer containing -1 forces 2p = 0, so only 2-torsion points can
     qualify and every denominator bound >= 2 scans the same candidate set.
-    When -1 lies in W it stabilizes every 2-torsion point, so any orbit of
-    size |W|/2 automatically has stabilizer exactly {+-1}; the scan therefore
-    only needs orbit sizes, never per-point stabilizer chains.
+    -1 fixes every 2-torsion point, so the stabilizer of the first nonzero
+    orbit representative settles whether -1 lies in W, and times that
+    orbit's size it gives |W|; when -1 lies in W, an orbit has stabilizer
+    exactly {+-1} exactly when its size is |W| / 2.  A known group order
+    that disagrees with this |W| raises AssertionError.
     Returns a list of TorsionPoint orbit representatives, each the orbit
-    member with the least bit code, in ascending code order.
+    member with the least bit code, in ascending code order; [] when -1 is
+    not in W.
     """
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
-    generators, order, group = _group_parts(action)
+    generators, order, _ = _group_parts(action)
     rank = len(generators[0])
     if (1 << (4 * rank)) > orbit_cap:
         raise ValueError(f"2-torsion candidate set exceeds cap {orbit_cap}")
-    candidates = [
-        (code, size)
-        for code, size in _two_torsion_orbit_reps(generators, rank)
-        if code != 0 and (order is None or size * 2 == order)
+    reps = _two_torsion_orbit_reps(generators, rank)[1:]
+    first, first_size = reps[0]
+    report = stabilizer(action, _decode_two_torsion(first, rank), orbit_cap=orbit_cap)
+    whole = report.order * first_size
+    if order is not None and order != whole:
+        raise AssertionError("orbit-stabilizer count disagrees with the group order")
+    minus = freeze([[-x for x in row] for row in identity(rank)])
+    if minus not in report.elements:
+        return []
+    return [
+        _decode_two_torsion(code, rank) for code, size in reps if 2 * size == whole
     ]
-    if order is not None:
-        minus = freeze([[-x for x in row] for row in identity(rank)])
-        if group is not None:
-            has_minus = minus in group
-        elif candidates:
-            # one stabilizer chain settles whether -1 is in the group
-            first = _decode_two_torsion(candidates[0][0], rank)
-            has_minus = minus in stabilizer(action, first).elements
-        else:
-            has_minus = False
-        if not has_minus:
-            return []
-        return [_decode_two_torsion(code, rank) for code, _ in candidates]
-    # unknown group order: fall back to explicit stabilizers
-    found = []
-    for code, _size in candidates:
-        p = _decode_two_torsion(code, rank)
-        report = stabilizer(action, p, orbit_cap=orbit_cap)
-        if report.action_classification == "minus_one_local_model":
-            found.append(p)
-    return found
 
 
 def point_from_ambient(datum, ambient_rows):
@@ -586,37 +581,30 @@ def propagate(
     stabilizer of p; PerturbationNotFoundError when max_attempts draws fail.
     """
     sub, amb = embedding.sub, embedding.ambient
-    if gcd(fine_denominator, p.den) != 1:
+    f = fine_denominator
+    if f < 1:
+        raise ValueError(f"fine denominator must be at least 1, not {f}")
+    if gcd(f, p.den) != 1:
         raise ValueError("fine denominator must be coprime to the point order")
     sub_report = stabilizer(sub, p, orbit_cap=orbit_cap)
-    cmap = [list(row) for row in embedding.coroot_map]
-    image_rows = []
-    fracs = p.as_fractions()
-    for k in range(amb.rank):
-        row = [Fraction(0)] * 4
-        for j in range(sub.rank):
-            if cmap[k][j]:
-                for t in range(4):
-                    row[t] += cmap[k][j] * fracs[j][t]
-        image_rows.append(row)
-    gram = [list(r) for r in amb.gram()]
-    pairing = mat_mul(transpose(cmap), gram)
-    basis = [clear_denominators(vcol) for vcol in rational_nullspace(pairing)]
+    pairing = mat_mul(transpose(embedding.coroot_map), amb.gram())
+    basis = [clear_denominators(v) for v in rational_nullspace(pairing)]
     k_extra = len(basis)
+    # candidates live over den = p.den f: the image of p is cmap p f, and a
+    # perturbation q = basis^T draws / f adds p.den q; one bound covers both
+    # products and their sum
+    den = p.den * f
+    basis = np.array(basis, dtype=np.int64).reshape(k_extra, amb.rank)
+    cmap = np.array(embedding.coroot_map, dtype=np.int64)
+    check_product(1, p.den, (k_extra * max_abs(basis) + sub.rank * max_abs(cmap)) * f)
+    image = cmap @ np.array(p.coords, dtype=np.int64) * f
     rng = random.Random(seed)
-    f = fine_denominator
     for attempt in range(1, max_attempts + 1):
-        q_rows = [[Fraction(0)] * 4 for _ in range(amb.rank)]
-        for b in basis:
-            for t in range(4):
-                a = rng.randrange(f)
-                for i in range(amb.rank):
-                    q_rows[i][t] += Fraction(a * b[i], f)
-        total = [
-            [image_rows[i][t] + q_rows[i][t] for t in range(4)]
-            for i in range(amb.rank)
-        ]
-        cand = TorsionPoint.from_fractions(total)
+        # draws in (basis vector, column) order
+        draws = [[rng.randrange(f) for _ in range(4)] for _ in basis]
+        q = basis.T @ np.array(draws, dtype=np.int64).reshape(k_extra, 4)
+        coords = (image + p.den * q) % den
+        cand = TorsionPoint(den, freeze(coords.tolist())).reduced()
         report = stabilizer(amb, cand, orbit_cap=orbit_cap)
         if report.order == sub_report.order:
             label = (

@@ -5,9 +5,16 @@ that a test can check a batched or closed-form route against it.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from weylorb.hodgepoly import BigradedPoly
+from weylorb.intlinalg import (
+    clear_denominators,
+    mat_mul,
+    rational_nullspace,
+    transpose,
+)
 from weylorb.stringy import (
     DEFAULT_ENGINE_CAP,
     _add_outer,
@@ -105,3 +112,34 @@ def positive_roots(cartan):
                     nxt.append(w)
         frontier = nxt
     return [v for v in seen if all(x >= 0 for x in v)]
+
+
+def perturbed_candidates(embedding, p, fine_denominator, seed, count):
+    """The first count candidates of torsion.propagate, built in Fractions.
+
+    Each is the image of p under the coroot map plus q = sum of b a_b / f
+    over the basis vectors b of the orthogonal complement of the
+    sub-lattice, one draw a_b per column, taken from random.Random(seed)
+    basis vector first, then column, and reduced modulo 1.
+    """
+    sub, amb = embedding.sub, embedding.ambient
+    cmap = [list(row) for row in embedding.coroot_map]
+    fracs = p.as_fractions()
+    image = [
+        [sum(cmap[k][j] * fracs[j][t] for j in range(sub.rank)) for t in range(4)]
+        for k in range(amb.rank)
+    ]
+    pairing = mat_mul(transpose(cmap), [list(r) for r in amb.gram()])
+    basis = [clear_denominators(v) for v in rational_nullspace(pairing)]
+    rng = random.Random(seed)
+    f = fine_denominator
+    out = []
+    for _ in range(count):
+        rows = [list(row) for row in image]
+        for b in basis:
+            for t in range(4):
+                a = rng.randrange(f)
+                for i in range(amb.rank):
+                    rows[i][t] += Fraction(a * b[i], f)
+        out.append(TorsionPoint.from_fractions(rows))
+    return out

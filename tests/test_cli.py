@@ -98,6 +98,13 @@ class TestStringy:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["stringy", "classify"])
+    @pytest.mark.parametrize("label", ["", "_"])
+    def test_empty_type_is_usage_error(self, capsys, command, label):
+        code, out, err = run(capsys, command, "--type", label)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid Dynkin type {label!r}\n"
+
 
 class TestVerifiers:
     def test_verify_sp(self, capsys):
@@ -169,6 +176,27 @@ class TestTorsionCommands:
         payload = json.loads(out)
         assert payload["stabilizer_order"] == 2
         assert payload["local_model"] == "(C^6/W_p) x C^2"
+
+    @pytest.mark.parametrize("ambient", ["E_7", "E_8"])
+    def test_propagate_into_e7_and_e8(self, capsys, ambient):
+        # the W-orbit (1,451,520 and 348,364,800 points) is never walked,
+        # so the orbit cap does not refuse it
+        code, out, err = run(
+            capsys, "propagate", "--type", "D", "--rank", "4", "--ambient", ambient,
+            "--nodes", "3,4,5,2", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["stabilizer_order"] == payload["sub_stabilizer_order"] == 2
+        assert payload["verdict"] == "pass"
+
+    def test_propagate_negative_fine_denominator_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "propagate", "--type", "B", "--rank", "3", "--ambient", "F_4",
+            "--nodes", "1,2,3", "--fine-denominator", "-3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: fine denominator must be at least 1, not -3\n"
 
 
 class TestMatrixLab:

@@ -1,5 +1,6 @@
 """Root data, Weyl groups, embeddings: structural invariants and refusals."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -38,6 +39,14 @@ ALL_SMALL_TYPES = [
 ]
 
 
+EVERY_TYPE_TO_E8 = (
+    [("A", r) for r in range(1, 9)]
+    + [(x, r) for x in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+)
+
+
 class TestParseType:
     def test_label_styles(self):
         assert parse_type("G_2") == ("G", 2)
@@ -58,6 +67,11 @@ class TestParseType:
     def test_invalid_types(self, bad):
         with pytest.raises(ValueError):
             parse_type(bad)
+
+    @pytest.mark.parametrize("bad", ["", "_", " "])
+    def test_empty_label(self, bad):
+        with pytest.raises(ValueError, match="invalid Dynkin type"):
+            parse_type(bad, 2)
 
 
 class TestRootDatum:
@@ -99,6 +113,26 @@ class TestRootDatum:
         for g in d.weyl_generators:
             gl = [list(r) for r in g]
             assert mat_mul(transpose(gl), mat_mul(gram, gl)) == gram
+
+    @pytest.mark.parametrize("letter,rank", EVERY_TYPE_TO_E8)
+    def test_gram_is_primitive_and_invariant(self, letter, rank):
+        d = build_root_datum(letter, rank)
+        gram = np.array(d.gram())
+        assert np.gcd.reduce(gram.ravel()) == 1
+        assert np.array_equal(gram, gram.T)
+        for g in d.weyl_generators:
+            g = np.array(g)
+            assert np.array_equal(g.T @ gram @ g, gram)
+        if letter in "ADE" and rank > 1:
+            # simply laced: (c_i, c_j) is the Cartan matrix, already primitive
+            assert d.gram() == d.cartan
+
+    def test_gram_needs_a_root_table(self):
+        # the coweight generators of W(A_2): the coroots do not span Z^2
+        gens = (((-1, 0), (1, 1)), ((1, 1), (0, -1)))
+        d = dataclasses.replace(build_root_datum("A", 2), weyl_generators=gens)
+        with pytest.raises(ValueError, match="no root table"):
+            d.gram()
 
     def test_e_series_cartan_symmetric(self):
         for rank in (6, 7, 8):
@@ -287,6 +321,10 @@ class TestEnumeration:
         with pytest.raises(GroupOrderCapError) as exc:
             enumerate_group(build_root_datum("E", 8))
         assert "696729600" in str(exc.value)
+
+    def test_no_generators_is_refused(self):
+        with pytest.raises(ValueError, match="no generators"):
+            enumerate_group([])
 
     def test_cap_refusal_on_raw_generators(self):
         d = build_root_datum("B", 3)

@@ -33,7 +33,7 @@ from weylorb.torsion import (
     stabilizer,
 )
 
-from references import two_torsion_points
+from references import perturbed_candidates, two_torsion_points
 
 
 def minus_identity(rank):
@@ -311,11 +311,24 @@ class TestBatchedStabilizer:
             stabilizer(build_root_datum("B", 3), TorsionPoint.zero(3), element_cap=10)
 
     def test_orbit_cap_raises(self):
+        # the cap bounds the walked W(Phi_t)-orbit of 4 points, not the
+        # W-orbit of 48, which is reported but never walked
         datum = build_root_datum("B", 3)
         p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
-        assert stabilizer(datum, p).orbit_size > 10
-        with pytest.raises(ValueError, match="orbit exceeded cap"):
-            stabilizer(datum, p, orbit_cap=10)
+        report = stabilizer(datum, p)
+        n = _point_subgroup(root_table(datum.weyl_generators), p)[1] // report.order
+        assert (report.orbit_size, n) == (48, 4)
+        assert stabilizer(datum, p, orbit_cap=n) == report
+        with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
+            stabilizer(datum, p, orbit_cap=n - 1)
+
+    def test_point_of_another_rank_is_refused(self):
+        with pytest.raises(ValueError, match="rank 3 for a group of rank 2"):
+            stabilizer(build_root_datum("G", 2), TorsionPoint.zero(3))
+
+    def test_no_generators_is_refused(self):
+        with pytest.raises(ValueError, match="no generators"):
+            stabilizer([], TorsionPoint.zero(2))
 
 
 class TestSubgroupReduction:
@@ -401,9 +414,16 @@ class TestSubgroupReduction:
             if source == "group":
                 action = enumerate_group(action)
             p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
-        n = stabilizer(action, p).orbit_size
+        # the cap bounds the walked orbit: the W-orbit on the coweight
+        # lattice, the W(Phi_t)-orbit of |W(Phi_t)| / |Stab| points otherwise
+        report = stabilizer(action, p)
+        table = root_table(_group_parts(action)[0])
+        if table is None:
+            n = report.orbit_size
+        else:
+            n = _point_subgroup(table, p)[1] // report.order
         assert n > 1
-        assert stabilizer(action, p, orbit_cap=n).orbit_size == n
+        assert stabilizer(action, p, orbit_cap=n) == report
         with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
             stabilizer(action, p, orbit_cap=n - 1)
 
@@ -485,6 +505,27 @@ class TestMinusOneScan:
         with pytest.raises(ValueError):
             find_minus_one_points(build_root_datum("G", 2), denominator_bound=1)
 
+    @pytest.mark.parametrize(
+        "letter,rank,count", [("G", 2, 35), ("B", 3, 140), ("D", 4, 560)]
+    )
+    def test_every_source_gives_the_same_points(self, letter, rank, count):
+        datum = build_root_datum(letter, rank)
+        group = enumerate_group(datum)
+        points = find_minus_one_points(group)
+        assert len(points) == count
+        assert find_minus_one_points(datum) == points
+        assert find_minus_one_points(list(datum.weyl_generators)) == points
+
+    def test_none_without_minus_one(self):
+        assert find_minus_one_points(build_root_datum("A", 3)) == []
+        # W(A_2) on its coweight lattice: no root table, no known order
+        coweight = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
+        assert find_minus_one_points(coweight) == []
+
+    def test_no_generators_is_refused(self):
+        with pytest.raises(ValueError, match="no generators"):
+            find_minus_one_points([])
+
 
 class TestPointFromAmbient:
     def test_g2_roundtrip(self):
@@ -565,3 +606,25 @@ class TestPropagation:
         p = find_minus_one_points(build_root_datum("B", 3))[0]
         with pytest.raises(ValueError):
             propagate(emb, p, fine_denominator=2)
+
+    @pytest.mark.parametrize("f", [0, -3])
+    def test_fine_denominator_must_be_positive(self, f):
+        emb = embed_diagram("B_3", "F_4", [1, 2, 3])
+        p = find_minus_one_points(build_root_datum("B", 3))[0]
+        with pytest.raises(ValueError, match="fine denominator must be at least 1"):
+            propagate(emb, p, fine_denominator=f)
+
+    @pytest.mark.parametrize("f", [3, 7])
+    @pytest.mark.parametrize(
+        "sub,ambient,nodes",
+        [(("D", 4), "E_6", [3, 4, 5, 2]), (("B", 3), "F_4", [1, 2, 3])],
+    )
+    def test_candidates_match_the_fraction_reference(self, sub, ambient, nodes, f):
+        sub_datum = build_root_datum(*sub)
+        emb = embed_diagram(sub_datum, ambient, nodes)
+        sub_points = find_minus_one_points(sub_datum)
+        for seed in range(8):
+            p = random.Random(seed).choice(sub_points)
+            result = propagate(emb, p, fine_denominator=f, seed=seed)
+            candidates = perturbed_candidates(emb, p, f, seed, result.attempts)
+            assert result.point == candidates[result.attempts - 1]
