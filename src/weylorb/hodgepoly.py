@@ -85,6 +85,8 @@ class BigradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         out = BigradedPoly.one()
         for _ in range(n):
             out = out * self
@@ -275,7 +277,13 @@ def generating_series(surface_hodge, n_max, specialization=None):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if isinstance(specialization, str):
-        specialization = SPECIALIZATIONS[specialization.lower()]
+        name = specialization.lower()
+        if name not in SPECIALIZATIONS:
+            raise ValueError(
+                f"unknown specialization {specialization!r}; "
+                f"known: {', '.join(SPECIALIZATIONS)}"
+            )
+        specialization = SPECIALIZATIONS[name]
     out = []
     for n in range(n_max + 1):
         poly = goettsche(surface_hodge, n)

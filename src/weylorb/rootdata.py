@@ -95,6 +95,11 @@ class RootDatum:
     def letter(self):
         return self.dynkin_type.split("_")[0]
 
+    @cached_property
+    def roots(self):
+        """root_table of the generators, built on first use (may be None)."""
+        return root_table(self.weyl_generators)
+
     def gram(self):
         """The primitive W-invariant integer form in the simple-coroot basis.
 
@@ -104,7 +109,7 @@ class RootDatum:
         is a multiple of it.  ValueError when the generators give no root
         table.
         """
-        table = root_table(self.weyl_generators)
+        table = self.roots
         if table is None:
             raise ValueError(f"the generators of {self.dynkin_type} give no root table")
         check_product(len(table.forms), max_abs(table.forms), max_abs(table.forms))
@@ -243,7 +248,7 @@ def highest_coroot_coefficients(datum):
     the root table, whose coroots are in simple-coroot coordinates already.
     Returned sorted ascending.
     """
-    return tuple(sorted(root_table(datum.weyl_generators).coroots[-1].tolist()))
+    return tuple(sorted(datum.roots.coroots[-1].tolist()))
 
 
 def weyl_order_from_heights(heights):

@@ -1,32 +1,23 @@
 """Torsion points of A tensor Lambda and their Weyl stabilizers.
 
 Points are stored intrinsically in the simple-coroot basis of Lambda as
-tuples of (Q/Z)^4 entries with a common denominator.  Stabilizers come from
-orbit-stabilizer with Schreier generators, so the full group never needs to
-be materialized, and the orbit walked is not the W-orbit but an orbit of a
-small reflection subgroup.  For G simply connected, Lambda is the coroot
-lattice and the stabilizer of one coordinate x_t in t/Lambda is the
-reflection group W(Phi_t) of the roots with alpha(x_t) in Z (Steinberg,
-Torsion in reductive groups, 1975).  Stab(p) lies in W(Phi_t), so the walk
-covers W(Phi_t) only, for the column t with the fewest such roots; its order
-comes from root heights, and the W-orbit size is |W| / |Stab(p)|, reported
-but never walked.  When the generators are not the simple reflections of a
-root system whose coroots span the lattice, the walk covers W itself.  The
-orbit cap bounds the walked orbit only.
+tuples of (Q/Z)^4 entries with a common denominator.  A stabilizer is not
+searched for in W but in a small reflection subgroup H that contains it.
+For G simply connected, Lambda is the coroot lattice and the stabilizer of
+one coordinate x_t in t/Lambda is the reflection group W(Phi_t) of the roots
+with alpha(x_t) in Z (Steinberg, Torsion in reductive groups, 1975).
+Stab(p) lies in W(Phi_t), so H is W(Phi_t) for the column t with the fewest
+such roots; its order comes from root heights, and the W-orbit size is
+|W| / |Stab(p)|, reported but never walked.  When the generators are not the
+simple reflections of a root system whose coroots span the lattice, H is W
+itself.  The order cap bounds |H|.
 
-The orbit walk is batched: a breadth-first level is an (m, rank, 4) int64
-array of points modulo the denominator, every generator acts on all of it in
-one product, and new images are found by exact integer keys and numbered in
-(point, generator) order.  The walk records a Schreier tree (the parent of
-each point and the generator that first reached it) and the edge table
-edges[x, s] = number of s.x; it builds no per-point object.  The coset
-witnesses u_x and their inverses are filled in from the tree level by level,
-only as far as the Schreier pass asks, with generator inverses computed
-exactly.  The Schreier pass forms u_y^-1 s u_x for chunks of points that
-double in size, skips tree edges (always the identity), closes the Schreier
-generators found so far with rootdata.enumerate_group, and stops as soon as
-that subgroup reaches |H| / |orbit|.  Every int64 product is preceded by an
-entry-bound check that raises intlinalg.EntryBoundError.
+H is enumerated with rootdata.enumerate_group into one int64 stack, and
+Stab(p) is the rows g of that stack with g p = p modulo the denominator,
+found in one batched product.  Its generators are taken greedily from those
+rows in stack order, each one that the earlier ones do not generate.  Every
+int64 product is preceded by an entry-bound check that raises
+intlinalg.EntryBoundError.
 """
 
 from __future__ import annotations
@@ -39,9 +30,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .intlinalg import (
-    INT64_MAX,
     check_product,
-    finite_order_inverse,
     freeze,
     identity,
     mat_mul,
@@ -52,6 +41,7 @@ from .intlinalg import (
 )
 from .rootdata import (
     DiagramEmbedding,
+    GroupOrderCapError,
     WeylGroup,
     enumerate_group,
     least_orbit_labels,
@@ -120,6 +110,10 @@ class TorsionPoint:
         return all(x == 0 for row in self.coords for x in row)
 
     def add(self, other):
+        if other.rank != self.rank:
+            raise ValueError(
+                f"cannot add a point of rank {other.rank} to one of rank {self.rank}"
+            )
         d = lcm(self.den, other.den)
         a, b = d // self.den, d // other.den
         return TorsionPoint(
@@ -132,6 +126,11 @@ class TorsionPoint:
 
     def apply(self, g):
         """Image under an integer matrix acting on the coroot coordinates."""
+        if len(g) != self.rank or any(len(row) != self.rank for row in g):
+            raise ValueError(
+                f"a matrix with rows of lengths {[len(row) for row in g]} "
+                f"cannot act on a point of rank {self.rank}"
+            )
         out = []
         for k in range(len(g)):
             row = [0, 0, 0, 0]
@@ -155,18 +154,19 @@ class TorsionPoint:
 def _group_parts(action):
     """Accept a WeylGroup, a LatticeAction, or a RootDatum-like source.
 
-    Returns (generators, order_or_None, enumerated_group_or_None); an empty
-    generator list raises ValueError.
+    Returns (generators, order_or_None, root_table_or_None); a WeylGroup or
+    a RootDatum keeps its root table, and an empty generator list raises
+    ValueError.
     """
     group = getattr(action, "group", action)
     if isinstance(group, WeylGroup):
-        return group.generators, group.order, group
+        return group.generators, group.order, group.roots
     if hasattr(group, "weyl_generators"):
-        return list(group.weyl_generators), group.expected_order(), None
+        return list(group.weyl_generators), group.expected_order(), group.roots
     generators = list(group)
     if not generators:
         raise ValueError("no generators")
-    return generators, None, None
+    return generators, None, root_table(generators)
 
 
 @dataclass(frozen=True)
@@ -188,130 +188,6 @@ class StabilizerReport:
             "crepant": self.crepant,
             "generators": [[list(r) for r in g] for g in self.generators],
         }
-
-
-def _point_keys(flat, den):
-    """Exact sort keys for the rows of an (n, k) array of residues mod den.
-
-    Entries are packed base den into int64 words; a row that needs more than
-    one word is keyed by the bytes of its words.
-    """
-    n, k = flat.shape
-    per_word = 1
-    while per_word < k and den ** (per_word + 1) <= INT64_MAX:
-        per_word += 1
-    words = -(-k // per_word)
-    padded = np.zeros((n, words * per_word), dtype=np.int64)
-    padded[:, :k] = flat
-    radix = den ** np.arange(per_word, dtype=np.int64)
-    packed = padded.reshape(n, words, per_word) @ radix
-    if words == 1:
-        return packed[:, 0]
-    return np.ascontiguousarray(packed).view(f"V{8 * words}").ravel()
-
-
-def _orbit_tree(gens, point, orbit_cap):
-    """Breadth-first orbit of a point as a Schreier tree.
-
-    Points are numbered in discovery order, the start point being 0: a level
-    of the walk applies every generator to every frontier point in one
-    batched product, and the new images are numbered in (point, generator)
-    order.  Returns (parent, via, edges, levels): point y was first reached
-    as gens[via[y]] applied to parent[y], edges[x, s] is the number of
-    gens[s] applied to x, levels[i] is the first number of level i, and
-    levels[-1] is the orbit size.
-    """
-    den = point.den
-    n_gens, rank = len(gens), gens.shape[1]
-    check_product(rank, max_abs(gens), den - 1)
-    frontier = np.array(point.coords, dtype=np.int64).reshape(1, rank, 4)
-    seen = _point_keys(frontier.reshape(1, -1), den)
-    seen_ids = np.zeros(1, dtype=np.int64)
-    parents = [np.zeros(1, dtype=np.int64)]
-    vias = [np.zeros(1, dtype=np.int64)]
-    edges = []
-    levels = [0]
-    size = 1
-    while len(frontier):
-        start = levels[-1]
-        images = (gens @ frontier[:, None] % den).reshape(-1, rank, 4)
-        keys = _point_keys(images.reshape(len(images), -1), den)
-        at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        hit = seen[at] == keys
-        ids = np.empty(len(keys), dtype=np.int64)
-        ids[hit] = seen_ids[at[hit]]
-        miss = np.flatnonzero(~hit)
-        new_keys, first, inverse = np.unique(
-            keys[miss], return_index=True, return_inverse=True
-        )
-        # number new points by their first (point, generator) occurrence
-        order = np.argsort(first)
-        new_ids = np.empty(len(new_keys), dtype=np.int64)
-        new_ids[order] = size + np.arange(len(new_keys))
-        ids[miss] = new_ids[inverse]
-        edges.append(ids.reshape(-1, n_gens))
-        origin = miss[first[order]]
-        parents.append(start + origin // n_gens)
-        vias.append(origin % n_gens)
-        frontier = images[origin]
-        at = np.searchsorted(seen, new_keys)
-        seen = np.insert(seen, at, new_keys)
-        seen_ids = np.insert(seen_ids, at, new_ids)
-        levels.append(size)
-        size += len(new_keys)
-        if size > orbit_cap:
-            raise ValueError(f"orbit exceeded cap {orbit_cap}")
-    return (
-        np.concatenate(parents),
-        np.concatenate(vias),
-        np.concatenate(edges),
-        levels,
-    )
-
-
-class _Witnesses:
-    """Coset witnesses u_x (x = u_x p) and their inverses, level by level.
-
-    u_y = s u_x along the tree edge x -> y labelled s, so u_y^-1 = u_x^-1
-    s^-1; a level is filled only when a caller first needs one of its points.
-    """
-
-    def __init__(self, gens, parent, via, levels):
-        rank = gens.shape[1]
-        self.gens = gens
-        self.gens_inv = np.array(
-            [finite_order_inverse(g.tolist()) for g in gens], dtype=np.int64
-        )
-        self.gens_max = max_abs(gens)
-        self.gens_inv_max = max_abs(self.gens_inv)
-        self.parent, self.via = parent, via
-        self.ends = levels[1:]
-        self.u = np.empty((len(parent), rank, rank), dtype=np.int64)
-        self.u_inv = np.empty_like(self.u)
-        self.u[0] = self.u_inv[0] = np.eye(rank, dtype=np.int64)
-        self.done = 1
-        self.u_max = self.u_inv_max = 1
-
-    def through(self, x):
-        """Make u and u_inv valid for every point numbered up to x."""
-        rank = self.gens.shape[1]
-        while self.done <= x:
-            lo = self.done
-            hi = next(b for b in self.ends if b > lo)
-            par, via = self.parent[lo:hi], self.via[lo:hi]
-            check_product(rank, self.gens_max, self.u_max)
-            check_product(rank, self.u_inv_max, self.gens_inv_max)
-            self.u[lo:hi] = self.gens[via] @ self.u[par]
-            self.u_inv[lo:hi] = self.u_inv[par] @ self.gens_inv[via]
-            self.u_max = max(self.u_max, max_abs(self.u[lo:hi]))
-            self.u_inv_max = max(self.u_inv_max, max_abs(self.u_inv[lo:hi]))
-            self.done = hi
-
-
-# points per chunk of the Schreier pass: the first chunk, and a cap that
-# keeps one chunk's (points * generators, rank, rank) products a few MB
-_FIRST_CHUNK = 16
-_CHUNK_PAIRS = 1 << 13
 
 
 def _point_subgroup(table, point):
@@ -337,92 +213,58 @@ def _point_subgroup(table, point):
     return eye - c[:, :, None] * f[:, None, :], order
 
 
-def stabilizer(action, point, orbit_cap=10**6, element_cap=10**5):
-    """Exact W-stabilizer of a torsion point, walked inside W(Phi_t).
+def stabilizer(action, point, order_cap=10**6):
+    """Exact W-stabilizer of a torsion point, as the elements of H that fix it.
 
     When the generators are the simple reflections of a root system whose
-    coroots span the lattice (rootdata.root_table), the orbit walk and the
-    Schreier pass run over the generators of the reflection subgroup
-    H = W(Phi_t) that _point_subgroup picks, which contains Stab(p); |H|
-    comes from root heights, and the orbit size is |W| / |Stab(p)|.
-    Otherwise they run over the generators of W itself.  Either way the
-    walk raises "orbit exceeded cap" exactly when the walked orbit, of size
-    |H| / |Stab(p)|, exceeds orbit_cap.  A point whose rank differs from the
-    group's raises ValueError.
+    coroots span the lattice (rootdata.root_table), H is the reflection
+    subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
+    |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
+    Otherwise H is W itself.  H is enumerated, and Stab(p) is the rows of
+    its stack that fix p.  order_cap bounds |H|: GroupOrderCapError before
+    any enumeration when |H| is known and exceeds it, and enumerate_group's
+    own refusal otherwise.  A point whose rank differs from the group's
+    raises ValueError.
     """
-    generators, order, group = _group_parts(action)
-    if point.rank != len(generators[0]):
-        raise ValueError(
-            f"point of rank {point.rank} for a group of rank {len(generators[0])}"
-        )
-    point = point.reduced()
-    table = group.roots if group is not None else root_table(generators)
-    if table is None:
-        return _walk_stabilizer(generators, order, point, orbit_cap, element_cap)
-    if order is not None and order != table.order:
-        raise AssertionError("root heights disagree with the group order")
-    gens, sub_order = _point_subgroup(table, point)
-    return _walk_stabilizer(
-        gens, sub_order, point, orbit_cap, element_cap, table.order
-    )
-
-
-def _walk_stabilizer(
-    generators, order, point, orbit_cap=10**6, element_cap=10**5, whole=None
-):
-    """Stabilizer of a reduced point in the group H the generators generate.
-
-    Builds the H-orbit as a Schreier tree, extracts Schreier generators for
-    the stabilizer in (point, generator) order, and classifies the subgroup.
-    order is |H| or None.  whole is |W| when H is a proper subgroup of W:
-    the reported orbit size is then |W| / |Stab|.  orbit_cap bounds the
-    walked H-orbit.
-    """
+    generators, order, table = _group_parts(action)
     rank = len(generators[0])
-    gens = np.array(generators, dtype=np.int64)
-    n_gens = len(gens)
-    parent, via, edges, levels = _orbit_tree(gens, point, orbit_cap)
-    orbit_size = len(parent)
-    expected = None
-    if order is not None:
-        if order % orbit_size != 0:
-            raise AssertionError("orbit size does not divide the group order")
-        expected = order // orbit_size
-    # second pass over the closed edges: collect Schreier generators
-    # u_y^-1 s u_x, stopping once the closure reaches the expected order;
-    # a tree edge always gives the identity, so it is skipped
-    witnesses = _Witnesses(gens, parent, via, levels)
-    tree = np.zeros(edges.shape, dtype=bool)
-    tree[parent[1:], via[1:]] = True
+    if point.rank != rank:
+        raise ValueError(f"point of rank {point.rank} for a group of rank {rank}")
+    point = point.reduced()
+    gens, sub_order = generators, order
+    if table is not None:
+        if order is not None and order != table.order:
+            raise AssertionError("root heights disagree with the group order")
+        gens, sub_order = _point_subgroup(table, point)
+    if sub_order is not None and sub_order > order_cap:
+        raise GroupOrderCapError(
+            f"the subgroup searched has order {sub_order}, "
+            f"which exceeds the cap {order_cap}"
+        )
+    sub = enumerate_group(gens, order_cap=order_cap)
+    if sub_order is not None and sub.order != sub_order:
+        raise AssertionError("the subgroup searched has the wrong order")
+    den = point.den
+    coords = np.array(point.coords, dtype=np.int64)
+    check_product(rank, max_abs(sub.stack), den - 1)
+    fixed = sub.stack[(sub.stack @ coords % den == coords).all(axis=(1, 2))]
+    # generators in stack order, each one outside the group the earlier
+    # ones generate, until that group is all of the fixed rows
     eye = np.eye(rank, dtype=np.int64)
     found = []
     group = WeylGroup(eye[None], [], {eye.tobytes(): 0})
-    start, chunk = 0, _FIRST_CHUNK
-    while start < orbit_size and group.order != expected:
-        stop = min(orbit_size, start + chunk)
-        xs, ss = np.nonzero(~tree[start:stop])
-        xs += start
-        ys = edges[xs, ss]
-        witnesses.through(max(stop - 1, int(ys.max(initial=0))))
-        su_max = rank * witnesses.gens_max * witnesses.u_max
-        check_product(rank, witnesses.gens_max, witnesses.u_max)
-        check_product(rank, witnesses.u_inv_max, su_max)
-        w = witnesses.u_inv[ys] @ (gens[ss] @ witnesses.u[xs])
-        for k in np.flatnonzero((w != eye).any(axis=(1, 2))):
-            if w[k] not in group:
-                found.append(freeze(w[k].tolist()))
-                group = enumerate_group(found, order_cap=element_cap)
-                if group.order == expected:
-                    break
-        start = stop
-        chunk = min(2 * chunk, max(1, _CHUNK_PAIRS // n_gens))
-    stab_order = group.order
-    if expected is not None and stab_order != expected:
-        raise AssertionError("orbit-stabilizer count mismatch")
-    if whole is not None:
-        if whole % stab_order != 0:
-            raise AssertionError("stabilizer order does not divide |W|")
-        orbit_size = whole // stab_order
+    for g in fixed:
+        if group.order == len(fixed):
+            break
+        if g not in group:
+            found.append(freeze(g.tolist()))
+            group = enumerate_group(found, order_cap=order_cap)
+    stab_order = len(fixed)
+    if group.order != stab_order:
+        raise AssertionError("the fixed rows are not a group")
+    whole = sub.order if table is None else table.order
+    if whole % stab_order != 0:
+        raise AssertionError("stabilizer order does not divide |W|")
     crepant = None
     if stab_order == 1:
         cls = "trivial"
@@ -438,10 +280,10 @@ def _walk_stabilizer(
     return StabilizerReport(
         generators=tuple(found),
         order=stab_order,
-        orbit_size=orbit_size,
+        orbit_size=whole // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(group.elements)),
+        elements=tuple(sorted(freeze(g) for g in fixed.tolist())),
         crepant=crepant,
     )
 
@@ -487,7 +329,7 @@ def _decode_two_torsion(code, rank):
     return TorsionPoint(2, coords).reduced()
 
 
-def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
+def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     """Orbit representatives whose stabilizer is exactly {+-identity}.
 
     A stabilizer containing -1 forces 2p = 0, so only 2-torsion points can
@@ -505,11 +347,11 @@ def find_minus_one_points(action, denominator_bound=2, orbit_cap=10**6):
         raise ValueError("denominator bound must be at least 2")
     generators, order, _ = _group_parts(action)
     rank = len(generators[0])
-    if (1 << (4 * rank)) > orbit_cap:
-        raise ValueError(f"2-torsion candidate set exceeds cap {orbit_cap}")
+    if (1 << (4 * rank)) > order_cap:
+        raise ValueError(f"2-torsion candidate set exceeds cap {order_cap}")
     reps = _two_torsion_orbit_reps(generators, rank)[1:]
     first, first_size = reps[0]
-    report = stabilizer(action, _decode_two_torsion(first, rank), orbit_cap=orbit_cap)
+    report = stabilizer(action, _decode_two_torsion(first, rank), order_cap=order_cap)
     whole = report.order * first_size
     if order is not None and order != whole:
         raise AssertionError("orbit-stabilizer count disagrees with the group order")
@@ -570,7 +412,7 @@ def propagate(
     fine_denominator=3,
     seed=0,
     max_attempts=40,
-    orbit_cap=10**6,
+    order_cap=10**6,
 ):
     """Push a sub-lattice point into the ambient lattice keeping its stabilizer.
 
@@ -586,7 +428,7 @@ def propagate(
         raise ValueError(f"fine denominator must be at least 1, not {f}")
     if gcd(f, p.den) != 1:
         raise ValueError("fine denominator must be coprime to the point order")
-    sub_report = stabilizer(sub, p, orbit_cap=orbit_cap)
+    sub_report = stabilizer(sub, p, order_cap=order_cap)
     pairing = mat_mul(transpose(embedding.coroot_map), amb.gram())
     basis = [clear_denominators(v) for v in rational_nullspace(pairing)]
     k_extra = len(basis)
@@ -605,7 +447,7 @@ def propagate(
         q = basis.T @ np.array(draws, dtype=np.int64).reshape(k_extra, 4)
         coords = (image + p.den * q) % den
         cand = TorsionPoint(den, freeze(coords.tolist())).reduced()
-        report = stabilizer(amb, cand, orbit_cap=orbit_cap)
+        report = stabilizer(amb, cand, order_cap=order_cap)
         if report.order == sub_report.order:
             label = (
                 f"(C^{2 * sub.rank}/W_p) x C^{2 * k_extra}"

@@ -180,7 +180,7 @@ class TestTorsionCommands:
     @pytest.mark.parametrize("ambient", ["E_7", "E_8"])
     def test_propagate_into_e7_and_e8(self, capsys, ambient):
         # the W-orbit (1,451,520 and 348,364,800 points) is never walked,
-        # so the orbit cap does not refuse it
+        # and the cap bounds only the small W(Phi_t) searched
         code, out, err = run(
             capsys, "propagate", "--type", "D", "--rank", "4", "--ambient", ambient,
             "--nodes", "3,4,5,2", "--format", "json",

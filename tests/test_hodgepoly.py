@@ -56,6 +56,10 @@ class TestRingLaws:
         with pytest.raises(ValueError):
             BigradedPoly({(-1, 0): 1})
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            BigradedPoly.monomial(1, 1) ** -1
+
     def test_json_roundtrip(self):
         p = BigradedPoly({(0, 0): 1, (1, 1): 20, (2, 2): 1})
         assert BigradedPoly.from_json_rows(p.to_json_rows()) == p
@@ -185,6 +189,10 @@ class TestGoettsche:
             h = goettsche(kummer_k3(), n)
             assert h.is_hodge_symmetric()
             assert h.is_centrally_symmetric(n)
+
+    def test_unknown_specialization_rejected(self):
+        with pytest.raises(ValueError, match="'foo'.*euler, signature"):
+            generating_series(kummer_k3(), 2, "foo")
 
     def test_explicit_pair_specialization(self):
         vals = generating_series(kummer_k3(), 2, (1, 1))

@@ -15,6 +15,7 @@ from weylorb.intlinalg import (
     mat_mul,
 )
 from weylorb.rootdata import (
+    GroupOrderCapError,
     build_root_datum,
     embed_diagram,
     enumerate_group,
@@ -26,7 +27,6 @@ from weylorb.torsion import (
     _group_parts,
     _point_subgroup,
     _two_torsion_orbit_reps,
-    _walk_stabilizer,
     find_minus_one_points,
     point_from_ambient,
     propagate,
@@ -61,9 +61,9 @@ def _closure(generators, cap):
 def _stabilizer_reference(action, point, element_cap=10**5):
     """Per-point orbit-stabilizer walk: one TorsionPoint.apply per edge.
 
-    The literal form of stabilizer(), kept as its oracle: a witness dict in
-    discovery order, then Schreier generators u_y^-1 s u_x collected in
-    (point, generator) order until the closure reaches |W| / |orbit|.
+    The oracle of stabilizer(), over all of W: a witness dict in discovery
+    order, then Schreier generators u_y^-1 s u_x collected in (point,
+    generator) order until the closure reaches |W| / |orbit|.
     """
     generators, order, _ = _group_parts(action)
     rank = len(generators[0])
@@ -93,6 +93,12 @@ def _stabilizer_reference(action, point, element_cap=10**5):
                 elements = _closure(gens, element_cap)
         if len(elements) == expected:
             break
+    return _report(gens, elements, len(witness), rank)
+
+
+def _report(gens, elements, orbit_size, rank):
+    """A StabilizerReport for the given elements, classified as stabilizer()
+    classifies them."""
     minus = minus_identity(rank)
     if len(elements) == 1:
         cls, label, crepant = "trivial", "smooth point", None
@@ -104,7 +110,7 @@ def _stabilizer_reference(action, point, element_cap=10**5):
     return StabilizerReport(
         generators=tuple(gens),
         order=len(elements),
-        orbit_size=len(witness),
+        orbit_size=orbit_size,
         action_classification=cls,
         local_model_label=label,
         elements=tuple(sorted(elements)),
@@ -112,14 +118,19 @@ def _stabilizer_reference(action, point, element_cap=10**5):
     )
 
 
-def _full_walk(group, point):
-    """The batched walk and Schreier pass over the generators of all of W."""
-    return _walk_stabilizer(group.generators, group.order, point.reduced())
+def _brute_force(group, point):
+    """Brute force over all of W: the elements of the stack that fix p."""
+    p = point.reduced()
+    coords = np.array(p.coords, dtype=np.int64)
+    stack = group.stack
+    fixed = stack[(stack @ coords % p.den == coords).all(axis=(1, 2))].tolist()
+    elements = [freeze(g) for g in fixed]
+    return _report(elements, elements, group.order // len(fixed), p.rank)
 
 
 def assert_same_stabilizer(report, reference):
-    """Every field equal but the Schreier generators, which are not
-    canonical; those must generate exactly the stabilizer's elements."""
+    """Every field equal but the generators, which are not canonical;
+    those must generate exactly the stabilizer's elements."""
     assert dataclasses.replace(report, generators=()) == dataclasses.replace(
         reference, generators=()
     )
@@ -137,7 +148,8 @@ def _points_of_denominator(group, den, count, seed):
 
     Zero rows put many points on reflection hyperplanes, so the sample has
     stabilizers of several orders, not only the trivial one; moving them
-    makes the Schreier generators depend on the order of the orbit walk.
+    conjugates each stabilizer, so not every one is generated by simple
+    reflections.
     """
     rng = random.Random(seed)
     rank = len(group.generators[0])
@@ -170,6 +182,16 @@ class TestTorsionPoint:
         assert half.add(half).is_zero()
         third = TorsionPoint.from_fractions([[Fraction(1, 3), 0, 0, 0]])
         assert half.add(third).den == 6
+
+    def test_add_refuses_another_rank(self):
+        p = TorsionPoint(2, ((1, 0, 0, 0), (0, 1, 0, 0)))
+        with pytest.raises(ValueError, match="rank 1 to one of rank 2"):
+            p.add(TorsionPoint(2, ((1, 1, 0, 0),)))
+
+    def test_apply_refuses_another_size(self):
+        p = TorsionPoint(2, ((1, 0, 0, 0), (0, 1, 0, 0)))
+        with pytest.raises(ValueError, match=r"\[1\] cannot act on a point of rank 2"):
+            p.apply(((1,),))
 
     def test_apply_linearity(self):
         p = TorsionPoint.from_fractions(
@@ -295,7 +317,8 @@ class TestBatchedStabilizer:
 
     @pytest.mark.parametrize("letter,rank,den", [("G", 2, 301), ("B", 3, 2**31 + 11)])
     def test_keys_wider_than_one_word(self, letter, rank, den):
-        # den ** (4 * rank) > 2 ** 63, so a point's key spans two int64 words
+        # den ** (4 * rank) > 2 ** 63, so no point fits in one int64 word;
+        # entries near 2 ** 31 must still pass the entry bound check on g p
         group = enumerate_group(build_root_datum(letter, rank))
         for p in _points_of_denominator(group, den, 6, seed=den):
             self.assert_same(group, p)
@@ -307,20 +330,25 @@ class TestBatchedStabilizer:
 
     def test_element_cap_raises(self):
         # the zero point's stabilizer is all of W(B_3), of order 48
-        with pytest.raises(ValueError, match="cap 10"):
-            stabilizer(build_root_datum("B", 3), TorsionPoint.zero(3), element_cap=10)
+        with pytest.raises(GroupOrderCapError, match="cap 10"):
+            stabilizer(build_root_datum("B", 3), TorsionPoint.zero(3), order_cap=10)
 
     def test_orbit_cap_raises(self):
-        # the cap bounds the walked W(Phi_t)-orbit of 4 points, not the
-        # W-orbit of 48, which is reported but never walked
+        # the cap bounds |W(Phi_t)| = 4, not the W-orbit of 48, which is
+        # reported but never walked
         datum = build_root_datum("B", 3)
         p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
         report = stabilizer(datum, p)
-        n = _point_subgroup(root_table(datum.weyl_generators), p)[1] // report.order
+        n = _point_subgroup(root_table(datum.weyl_generators), p)[1]
         assert (report.orbit_size, n) == (48, 4)
-        assert stabilizer(datum, p, orbit_cap=n) == report
-        with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
-            stabilizer(datum, p, orbit_cap=n - 1)
+        assert stabilizer(datum, p, order_cap=n) == report
+        with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
+            stabilizer(datum, p, order_cap=n - 1)
+
+    def test_e8_zero_point_is_refused_before_enumeration(self):
+        # W(Phi_t) is all of W(E_8), whose order root heights give at once
+        with pytest.raises(GroupOrderCapError, match="cap 1000000"):
+            stabilizer(build_root_datum("E", 8), TorsionPoint.zero(8))
 
     def test_point_of_another_rank_is_refused(self):
         with pytest.raises(ValueError, match="rank 3 for a group of rank 2"):
@@ -332,13 +360,13 @@ class TestBatchedStabilizer:
 
 
 class TestSubgroupReduction:
-    """stabilizer() walks W(Phi_t); the batched walk over all of W, run
-    directly, must give the same stabilizer element for element."""
+    """stabilizer() searches W(Phi_t); brute force over all of W must give
+    the same stabilizer element for element."""
 
     @staticmethod
     def assert_same(group, point):
         fast = stabilizer(group, point)
-        assert_same_stabilizer(fast, _full_walk(group, point))
+        assert_same_stabilizer(fast, _brute_force(group, point))
         return fast
 
     def test_seeded_d4_sample(self):
@@ -364,7 +392,7 @@ class TestSubgroupReduction:
             result = propagate(emb, p, seed=seed)
             fast = self.assert_same(group, result.point)
             assert (fast.order, fast.orbit_size) == (2, 25920)
-            # the walked subgroup is far smaller than W(E_6)
+            # the subgroup searched is far smaller than W(E_6)
             assert _point_subgroup(group.roots, result.point)[1] < 100
 
     @pytest.mark.parametrize("letter,rank", [("B", 3), ("D", 4)])
@@ -414,18 +442,19 @@ class TestSubgroupReduction:
             if source == "group":
                 action = enumerate_group(action)
             p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
-        # the cap bounds the walked orbit: the W-orbit on the coweight
-        # lattice, the W(Phi_t)-orbit of |W(Phi_t)| / |Stab| points otherwise
+        # the cap bounds the subgroup searched: W itself on the coweight
+        # lattice, W(Phi_t) otherwise
         report = stabilizer(action, p)
-        table = root_table(_group_parts(action)[0])
+        table = _group_parts(action)[2]
         if table is None:
-            n = report.orbit_size
+            n = report.orbit_size * report.order
+            assert n == 6
         else:
-            n = _point_subgroup(table, p)[1] // report.order
+            n = _point_subgroup(table, p)[1]
         assert n > 1
-        assert stabilizer(action, p, orbit_cap=n) == report
-        with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
-            stabilizer(action, p, orbit_cap=n - 1)
+        assert stabilizer(action, p, order_cap=n) == report
+        with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
+            stabilizer(action, p, order_cap=n - 1)
 
 
 class TestTwoTorsionOrbits:
