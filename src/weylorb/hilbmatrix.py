@@ -65,9 +65,7 @@ class MatrixPair:
         """Read {"dim": n, "mx": rows, "my": rows}; ValueError if malformed."""
         if not isinstance(d, dict) or not {"dim", "mx", "my"} <= d.keys():
             raise ValueError('a pair must be an object with "dim", "mx" and "my"')
-        conv = lambda rows: tuple(
-            tuple(_as_number(Fraction(s)) for s in r) for r in rows
-        )
+        conv = lambda rows: tuple(tuple(_as_number(s) for s in r) for r in rows)
         try:
             return cls(dim=d["dim"], mx=conv(d["mx"]), my=conv(d["my"]))
         except TypeError as exc:
@@ -75,7 +73,13 @@ class MatrixPair:
 
 
 def _as_number(f):
-    f = Fraction(f)
+    """f as an exact int or Fraction; ValueError for a bool, x/0 or inf."""
+    if isinstance(f, bool):
+        raise ValueError(f"malformed entry {f!r}: not a number")
+    try:
+        f = Fraction(f)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed entry {f!r}: {exc}") from None
     return int(f) if f.denominator == 1 else f
 
 

@@ -8,7 +8,8 @@ elimination, `rref`: fraction-free Gauss-Jordan on primitive integer rows,
 with Fractions made only when the pivot rows are normalised at the end.
 `rational_rank`, `rational_nullspace` and `solve_exact` are read off it.
 Over Z, `echelon_pivots_stack` reduces a whole int64 stack of matrices at
-once when only the index of each row lattice is needed.
+once when only the index of each row lattice is needed; exact inverses are
+read off the Smith form, and det(I + t m) off `det_i_plus_t_stack`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,35 @@ def max_abs(a):
     return int(np.abs(a).max()) if a.size else 0
 
 
+def int64_generators(generators):
+    """Square integer matrices of one size, as a list of (r, r) int64 arrays.
+
+    Nothing is rounded or wrapped: ValueError for no generators, for one
+    that is not a square matrix of integers of the first one's size, and
+    EntryBoundError for an entry beyond int64.
+    """
+    gens = [np.array(g) for g in generators]
+    if not gens:
+        raise ValueError("no generators")
+    for a in gens:
+        if a.shape != (len(gens[0]),) * 2:
+            raise ValueError(f"{a.tolist()} is not square of size {len(gens[0])}")
+        if a.dtype.kind != "i":
+            # ints beyond int64, or entries that are no ints at all
+            entries = a.ravel().tolist()
+            if any(type(x) is not int for x in entries):
+                raise ValueError(f"{a.tolist()} has entries that are not integers")
+            if max(map(abs, entries), default=0) > INT64_MAX:
+                raise EntryBoundError(f"{a.tolist()} has entries beyond int64")
+    return [a.astype(np.int64, copy=False) for a in gens]
+
+
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    n, k, m = len(a), len(b), len(b[0]) if len(b) else 0
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
         for i in range(n)
@@ -99,10 +123,6 @@ def smith_normal_form(m):
         for r in v:
             r[dst] += c * r[src]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
     for t in range(min(rows, cols)):
         while True:
             # pick the nonzero entry of smallest magnitude in the trailing
@@ -148,7 +168,8 @@ def smith_normal_form(m):
                 break
             add_row(offender, t, 1)
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
     return d, u, v
 
 
@@ -288,6 +309,8 @@ def solve_exact(a, b):
     in one RREF of [a | b]: the system is consistent exactly when no pivot
     falls in the b columns.
     """
+    if len(b) != len(a):
+        raise ValueError(f"a has {len(a)} rows but b has {len(b)}")
     vec = not isinstance(b[0], list)
     bcols = [b] if vec else transpose(b)
     ncols = len(a[0])
@@ -308,39 +331,26 @@ def solve_exact(a, b):
 
 
 def unimodular_inverse(m):
-    """Inverse of an integer matrix with det +-1, returned over Z.
+    """Inverse of a square integer matrix with det +-1, returned over Z.
 
-    The last Faddeev-LeVerrier matrix M_n satisfies m M_n = -c_0 I, and
-    c_0 = (-1)^n det m is +-1, so the inverse is -c_0 M_n.
-    """
-    coeffs, last = _faddeev_leverrier(m)
-    if abs(coeffs[0]) != 1:
-        raise ValueError("matrix is not unimodular")
-    return [[-coeffs[0] * x for x in row] for row in last]
-
-
-_MAX_FINITE_ORDER = 1000
-
-
-def finite_order_inverse(m):
-    """Inverse of an integer matrix of finite order k, as m^(k-1), over Z.
-
-    Raises ValueError when no power up to _MAX_FINITE_ORDER is the identity.
+    It is read off the Smith form: u m v = d with u, v unimodular, and m is
+    unimodular exactly when d is the identity, so then m^-1 = v u.
     """
     n = len(m)
-    ident = identity(n)
-    prev, power = ident, [list(row) for row in m]
-    for _ in range(_MAX_FINITE_ORDER):
-        if power == ident:
-            return freeze(prev)
-        prev, power = power, mat_mul(m, power)
-    raise ValueError(f"matrix has no finite order up to {_MAX_FINITE_ORDER}")
+    if any(len(row) != n for row in m):
+        raise ValueError("unimodular_inverse needs a square matrix")
+    d, u, v = smith_normal_form(m)
+    if d != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(v, u)
 
 
 def det(m):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of a square integer matrix by fraction-free elimination."""
     a = [list(row) for row in m]
     n, sign, prev = len(a), 1, 1
+    if any(len(row) != n for row in a):
+        raise ValueError("det needs a square matrix")
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
@@ -354,45 +364,12 @@ def det(m):
     return sign * a[-1][-1] if n else 1
 
 
-def charpoly(m):
-    """Coefficients [c_0, ..., c_n] of det(tI - m) = sum c_i t^i, exact.
-
-    Faddeev-LeVerrier; every intermediate value is an integer for integer
-    input (the division by k is exact), so the whole run stays in machine
-    ints instead of Fractions.  Rational input whose characteristic
-    polynomial is not integral raises ValueError.
-    """
-    return _faddeev_leverrier(m)[0]
-
-
-def _faddeev_leverrier(m):
-    """Charpoly coefficients and the last matrix M_n of the recursion.
-
-    M_1 = I and M_(k+1) = m M_k + c_(n-k) I, so that m M_n = -c_0 I.
-    """
-    n = len(m)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = last = identity(n)
-    for k in range(1, n + 1):
-        last, mk = mk, mat_mul(m, mk)
-        trace = sum(mk[i][i] for i in range(n))
-        if trace % k != 0:
-            raise ValueError(f"trace {trace} at step {k} is not divisible by {k}")
-        c = -(trace // k)
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return coeffs, last
-
-
 def det_i_plus_t(m):
-    """Coefficients [a_0, ..., a_n] of det(I + t*m) as a polynomial in t."""
+    """Coefficients [a_0, ..., a_n] of det(I + t*m): det_i_plus_t_stack of m."""
     n = len(m)
-    neg = [[-x for x in row] for row in m]
-    c = charpoly(neg)  # det(tI + m) = sum c_i t^i
-    # det(I + t m) = t^n det((1/t) I + m) = sum c_i t^(n-i)
-    return [c[n - k] for k in range(n + 1)]
+    if not n:
+        return [1]
+    return det_i_plus_t_stack(int64_generators([m])[0][None])[0].tolist()
 
 
 def det_i_plus_t_stack(stack):

@@ -25,10 +25,14 @@ import numpy as np
 from .intlinalg import (
     check_product,
     det,
-    finite_order_inverse,
     freeze,
+    identity,
+    int64_generators,
     invariant_factors,
+    mat_mul,
     max_abs,
+    transpose,
+    unimodular_inverse,
 )
 
 
@@ -183,19 +187,12 @@ _E_EDGES = {
 
 
 def _cartan_from_coroots(coroots):
-    r = len(coroots)
-    out = []
-    for i in range(r):
-        ci = coroots[i]
-        nii = sum(x * x for x in ci)
-        row = []
-        for j in range(r):
-            num = 2 * sum(a * b for a, b in zip(ci, coroots[j]))
-            if num % nii != 0:
-                raise ValueError("coroot vectors give a non-integral pairing")
-            row.append(num // nii)
-        out.append(row)
-    return out
+    """cartan[i][j] = 2 (c_i, c_j) / (c_i, c_i), read off the Gram matrix."""
+    gram = mat_mul(coroots, transpose(coroots))
+    for i, row in enumerate(gram):
+        if any(2 * x % row[i] for x in row):
+            raise ValueError("coroot vectors give a non-integral pairing")
+    return [[2 * x // row[i] for x in row] for i, row in enumerate(gram)]
 
 
 def build_root_datum(type_label, rank=None):
@@ -207,25 +204,17 @@ def build_root_datum(type_label, rank=None):
     letter, rank = parse_type(type_label, rank)
     coroots = _simple_coroot_vectors(letter, rank)
     if coroots is None:
-        cartan = [
-            [2 if i == j else 0 for j in range(rank)] for i in range(rank)
-        ]
+        coroots = identity(rank)
+        cartan = [[2 * x for x in row] for row in coroots]
         for a, b in _E_EDGES[rank]:
             cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
-        coroots = [
-            [1 if k == i else 0 for k in range(rank)] for i in range(rank)
-        ]
     else:
         cartan = _cartan_from_coroots(coroots)
     gens = []
     for i in range(rank):
-        g = [
-            [
-                (1 if k == j else 0) - (cartan[i][j] if k == i else 0)
-                for j in range(rank)
-            ]
-            for k in range(rank)
-        ]
+        # s_i(e_j) = e_j - cartan[i][j] e_i changes only row i of I
+        g = identity(rank)
+        g[i] = [x - c for x, c in zip(g[i], cartan[i])]
         gens.append(freeze(g))
     return RootDatum(
         dynkin_type=f"{letter}_{rank}",
@@ -315,7 +304,7 @@ def _reflection_pair(s):
     first nonzero entry positive, which makes f integral: a reflection fixes
     x modulo the lattice exactly when f(x) is an integer.
     """
-    m = np.eye(len(s), dtype=np.int64) - np.array(s, dtype=np.int64)
+    m = np.eye(len(s), dtype=np.int64) - s
     cols = np.flatnonzero(m.any(axis=0))
     if not len(cols):
         return None
@@ -339,10 +328,12 @@ def root_table(generators):
     the simple reflections: s_j(alpha) = alpha - alpha(c_j) alpha_j and
     s_j(alpha^vee) = alpha^vee - alpha_j(alpha^vee) c_j.  The simple system
     is checked directly: every root's coefficients must be all >= 0 or all
-    <= 0, which fails too when no signs make every f_i(c_j) <= 0.
+    <= 0, which fails too when no signs make every f_i(c_j) <= 0.  The
+    generators are read by intlinalg.int64_generators, as in enumerate_group.
     """
-    r = len(generators[0])
-    pairs = [_reflection_pair(s) for s in generators]
+    gens = int64_generators(generators)
+    r = len(gens[0])
+    pairs = [_reflection_pair(s) for s in gens]
     if len(pairs) != r or any(p is None for p in pairs):
         return None
     coroots = np.array([c for c, _ in pairs])
@@ -424,16 +415,14 @@ class WeylGroup:
     def __contains__(self, m):
         """Whether m is an element; False for any other input.
 
-        A wrong shape, a non-integer entry or one that does not fit in int64
-        cannot be an element, so each answers False rather than raising.
+        What int64_generators refuses, or a matrix of another size, cannot
+        be an element, so each answers False rather than raising.
         """
         try:
-            m = np.asarray(m)
+            (m,) = int64_generators([m])
         except ValueError:
             return False
-        if m.dtype.kind != "i" or m.shape != self.stack.shape[1:]:
-            return False
-        return m.astype(np.int64).tobytes() in self.index
+        return m.shape == self.stack.shape[1:] and m.tobytes() in self.index
 
     def __iter__(self):
         return iter(self.elements)
@@ -467,7 +456,7 @@ class WeylGroup:
         moves = []
         for s in self.generators:
             s_np = np.array(s, dtype=np.int64)
-            s_inv = np.array(finite_order_inverse(s), dtype=np.int64)
+            s_inv = np.array(unimodular_inverse(s), dtype=np.int64)
             check_product(r, max_abs(s_np), max_abs(arr))
             left = s_np @ arr
             check_product(r, max_abs(left), max_abs(s_inv))
@@ -532,7 +521,9 @@ def least_orbit_labels(moves, labels):
 def enumerate_group(source, order_cap=10**7):
     """Breadth-first closure of the generators into a WeylGroup.
 
-    source may be a RootDatum or an iterable of integer matrices.  Refuses
+    source may be a RootDatum or an iterable of integer matrices, read by
+    intlinalg.int64_generators: anything but square integer matrices of one
+    size raises ValueError, and an entry beyond int64 EntryBoundError.  Refuses
     with GroupOrderCapError when the expected (or running) order exceeds the
     cap; W(E_8) is refused at the default cap.  A generator whose exact
     determinant is not +-1 has no inverse over Z, so it cannot lie in a
@@ -548,11 +539,8 @@ def enumerate_group(source, order_cap=10**7):
                 f"W({source.dynkin_type}) has order {expected}, "
                 f"which exceeds the cap {order_cap}"
             )
-        gens = [np.array(g, dtype=np.int64) for g in source.weyl_generators]
-    else:
-        gens = [np.array(g, dtype=np.int64) for g in source]
-    if not gens:
-        raise ValueError("no generators")
+        source = source.weyl_generators
+    gens = int64_generators(source)
     for g in gens:
         d = det(g.tolist())
         if abs(d) != 1:

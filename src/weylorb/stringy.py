@@ -51,7 +51,7 @@ from .intlinalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .rootdata import GroupOrderCapError, WeylGroup, enumerate_group
+from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
 
 DEFAULT_ENGINE_CAP = 10**5
 # commuting pairs echelonized per batch.  The identity sector of E_6 alone is
@@ -113,8 +113,6 @@ def wreath_bn_action(n, order_cap=DEFAULT_ENGINE_CAP):
 
 def su_action(n, order_cap=DEFAULT_ENGINE_CAP):
     """S_n on the A_{n-1} coroot lattice (rank n-1)."""
-    from .rootdata import build_root_datum
-
     return LatticeAction.from_root_datum(
         build_root_datum("A", n - 1), order_cap
     )

@@ -131,15 +131,10 @@ class TorsionPoint:
                 f"a matrix with rows of lengths {[len(row) for row in g]} "
                 f"cannot act on a point of rank {self.rank}"
             )
-        out = []
-        for k in range(len(g)):
-            row = [0, 0, 0, 0]
-            for j, c in enumerate(g[k]):
-                if c:
-                    for t in range(4):
-                        row[t] += c * self.coords[j][t]
-            out.append(tuple(x % self.den for x in row))
-        return TorsionPoint(self.den, tuple(out))
+        image = mat_mul(g, self.coords)
+        return TorsionPoint(
+            self.den, tuple(tuple(x % self.den for x in row) for row in image)
+        )
 
     def to_json(self):
         return [
@@ -155,8 +150,8 @@ def _group_parts(action):
     """Accept a WeylGroup, a LatticeAction, or a RootDatum-like source.
 
     Returns (generators, order_or_None, root_table_or_None); a WeylGroup or
-    a RootDatum keeps its root table, and an empty generator list raises
-    ValueError.
+    a RootDatum keeps its root table, and root_table refuses an empty or
+    malformed generator list with ValueError.
     """
     group = getattr(action, "group", action)
     if isinstance(group, WeylGroup):
@@ -164,8 +159,6 @@ def _group_parts(action):
     if hasattr(group, "weyl_generators"):
         return list(group.weyl_generators), group.expected_order(), group.roots
     generators = list(group)
-    if not generators:
-        raise ValueError("no generators")
     return generators, None, root_table(generators)
 
 
@@ -374,8 +367,7 @@ def point_from_ambient(datum, ambient_rows):
     """
     from .intlinalg import smith_normal_form, mat_vec
 
-    cols = [list(c) for c in datum.simple_coroots]
-    cmat = transpose(cols)  # m x r, columns are the coroots
+    cmat = transpose(datum.simple_coroots)  # m x r, columns are the coroots
     m, r = len(cmat), len(cmat[0])
     d, u, v = smith_normal_form(cmat)
     x = [[Fraction(val) % 1 for val in row] for row in ambient_rows]

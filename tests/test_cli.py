@@ -250,12 +250,23 @@ class TestMatrixLab:
             {"dim": 2, "mx": [[0, 1], [0]], "my": [[0, 0], [0, 0]]},  # ragged
             [[[0, 1], [0, 0]], [[0, 0], [0, 0]]],  # not an object
             {"dim": 2, "mx": [[0, 1], [0, 0]], "my": [[0, 0], [1, 0]]},  # xy != yx
+            {"dim": 1, "mx": [["1/0"]], "my": [[0]]},
+            {"dim": 1, "mx": [[float("inf")]], "my": [[0]]},  # written as 1e400
+            {"dim": 1, "mx": [[True]], "my": [[0]]},
         ],
-        ids=["missing-my", "ragged-row", "top-level-list", "non-commuting"],
+        ids=[
+            "missing-my",
+            "ragged-row",
+            "top-level-list",
+            "non-commuting",
+            "zero-denominator",
+            "infinite-entry",
+            "boolean-entry",
+        ],
     )
     def test_malformed_pair_file_is_usage_error(self, capsys, tmp_path, content):
         path = tmp_path / "pair.json"
-        path.write_text(json.dumps(content))
+        path.write_text(json.dumps(content).replace("Infinity", "1e400"))
         code, out, err = run(capsys, "matrix", "--pair-file", str(path))
         assert code == 2
         assert out == ""

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 import weylorb.stringy
 from weylorb.intlinalg import (
-    finite_order_inverse,
     freeze,
     identity,
     mat_mul,
     mat_sub,
     smith_normal_form,
+    unimodular_inverse,
 )
 from weylorb.rootdata import build_root_datum, enumerate_group
 from weylorb.stringy import (
@@ -78,7 +78,7 @@ def _classes_reference(group):
     Classes come in the order of their first element in the element list,
     which is also the representative.
     """
-    pairs = [(s, finite_order_inverse(s)) for s in group.generators]
+    pairs = [(s, unimodular_inverse(s)) for s in group.generators]
     assigned = set()
     classes = []
     for rep in group.elements:

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from weylorb.intlinalg import (
     EntryBoundError,
-    charpoly,
     clear_denominators,
     det,
     det_i_plus_t,
     det_i_plus_t_stack,
     echelon_pivots_stack,
-    finite_order_inverse,
     freeze,
     identity,
     invariant_factors,
@@ -30,6 +28,14 @@ from weylorb.intlinalg import (
     solve_exact,
     transpose,
     unimodular_inverse,
+)
+from weylorb.rootdata import build_root_datum
+
+SIMPLE_TYPES = (
+    [f"A_{n}" for n in range(1, 9)]
+    + [f"{x}_{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D_{n}" for n in range(4, 9)]
+    + ["G_2", "F_4", "E_6", "E_7", "E_8"]
 )
 
 
@@ -335,6 +341,10 @@ class TestRankNullspaceSolve:
     def test_solve_exact_inconsistent(self):
         assert solve_exact([[1, 0], [1, 0]], [1, 2]) is None
 
+    def test_solve_exact_refuses_b_of_another_length(self):
+        with pytest.raises(ValueError, match="1 rows but b has 2"):
+            solve_exact([[1, 0]], [1, 2])
+
     def test_unimodular_inverse(self):
         m = [[2, 1], [1, 1]]
         inv = unimodular_inverse(m)
@@ -352,29 +362,48 @@ class TestRankNullspaceSolve:
                 m[i] = [x + c * y for x, y in zip(m[i], m[j])]
             assert mat_mul(m, unimodular_inverse(m)) == identity(n)
 
+    @pytest.mark.parametrize("type_label", SIMPLE_TYPES)
+    def test_unimodular_inverse_of_simple_reflections(self, type_label):
+        for s in build_root_datum(type_label).weyl_generators:
+            assert mat_mul(s, unimodular_inverse(s)) == identity(len(s))
+
     def test_unimodular_inverse_refuses_det_2(self):
         with pytest.raises(ValueError, match="not unimodular"):
             unimodular_inverse([[2, 0], [0, 1]])
 
-    def test_finite_order_inverse(self):
-        # the rotation of order 6 in G_2-like coordinates, and a reflection
-        for m in ([[1, -1], [1, 0]], [[-1, 0], [1, 1]]):
-            inv = finite_order_inverse(m)
-            assert mat_mul(m, inv) == identity(2)
-            assert inv == freeze(unimodular_inverse(m))
+    def test_unimodular_inverse_refuses_a_non_square_matrix(self, monkeypatch):
+        # refused before the Smith form, which would accept the shape
+        monkeypatch.setattr("weylorb.intlinalg.smith_normal_form", None)
+        with pytest.raises(ValueError, match="square"):
+            unimodular_inverse([[1, 0]])
 
-    def test_finite_order_inverse_refuses_infinite_order(self):
-        with pytest.raises(ValueError, match="no finite order"):
-            finite_order_inverse([[1, 1], [0, 1]])
+    def test_finite_order_inverse(self):
+        # the rotation of order 6 in G_2-like coordinates, and a reflection:
+        # for m of order k the inverse is m^(k-1)
+        for m, k in (([[1, -1], [1, 0]], 6), ([[-1, 0], [1, 1]], 2)):
+            power = identity(2)
+            for _ in range(k - 1):
+                power = mat_mul(m, power)
+            assert unimodular_inverse(m) == power
+
+
+def _det_i_plus_t_at(m, t):
+    """det(I + t m) by exact Gaussian elimination."""
+    n = len(m)
+    return det_int(
+        [[(1 if i == j else 0) + t * m[i][j] for j in range(n)] for i in range(n)]
+    )
 
 
 class TestCharpoly:
+    """det(I + t m), the characteristic polynomial of -m read backwards."""
+
     def test_against_expansion_2x2(self):
         rng = random.Random(3)
         for _ in range(40):
             a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
-            # det(tI - m) = t^2 - (a+d) t + (ad - bc)
-            assert charpoly([[a, b], [c, d]]) == [a * d - b * c, -(a + d), 1]
+            # det(I + t m) = 1 + (a+d) t + (ad - bc) t^2
+            assert det_i_plus_t([[a, b], [c, d]]) == [1, a + d, a * d - b * c]
 
     def test_det_i_plus_t_values(self):
         rng = random.Random(4)
@@ -397,21 +426,23 @@ class TestCharpoly:
             n = rng.randint(0, 5)
             m = random_matrix(rng, n, n, rng.choice((1, 4, 30)))
             assert det(m) == det_int(m)
-            assert det(m) == (-1) ** n * charpoly(m)[0]
+            assert det(m) == det_i_plus_t(m)[-1]
 
-    def test_rational_input_needs_an_integral_polynomial(self):
-        half = Fraction(1, 2)
-        # trace 1 and determinant 1/4 - 9/4 = -2
-        assert charpoly([[half, 3 * half], [3 * half, half]]) == [-2, -1, 1]
-        with pytest.raises(ValueError):
-            charpoly([[Fraction(1, 2)]])
+    @pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[]]], ids=["2x3", "1x0"])
+    def test_det_refuses_a_non_square_matrix(self, m):
+        with pytest.raises(ValueError, match="square"):
+            det(m)
 
     def test_det_i_plus_t_stack_matches_one_at_a_time(self):
+        # a polynomial of degree k is fixed by its values at k + 1 points
         rng = random.Random(5)
         for k in range(6):
             stack = [random_matrix(rng, k, k, 3) for _ in range(12)]
             got = det_i_plus_t_stack(np.array(stack, dtype=np.int64).reshape(12, k, k))
-            assert got.tolist() == [det_i_plus_t(m) for m in stack]
+            for m, coeffs in zip(stack, got.tolist()):
+                for t in range(k + 1):
+                    value = sum(c * t**j for j, c in enumerate(coeffs))
+                    assert value == _det_i_plus_t_at(m, t)
 
     def test_det_i_plus_t_stack_checks_entry_bound(self):
         stack = np.array([[[2**31, 0], [0, 1]]], dtype=np.int64)
@@ -419,19 +450,20 @@ class TestCharpoly:
             det_i_plus_t_stack(stack)
 
     def test_cayley_hamilton(self):
+        # det(x I + m) = sum a_j x^(n-j), so sum a_j (-m)^(n-j) = 0
         rng = random.Random(6)
         for _ in range(20):
             n = rng.randint(1, 4)
             m = random_matrix(rng, n, n, 4)
-            coeffs = charpoly(m)
+            neg = [[-x for x in row] for row in m]
             acc = [[0] * n for _ in range(n)]
             power = identity(n)
-            for c in coeffs:
+            for c in reversed(det_i_plus_t(m)):
                 acc = [
                     [acc[i][j] + c * power[i][j] for j in range(n)]
                     for i in range(n)
                 ]
-                power = mat_mul(power, m)
+                power = mat_mul(power, neg)
             assert all(x == 0 for row in acc for x in row)
 
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from weylorb.intlinalg import freeze, identity, mat_mul, transpose
+from weylorb.intlinalg import EntryBoundError, freeze, identity, mat_mul, transpose
 from weylorb.rootdata import (
     GroupOrderCapError,
     RootDatum,
@@ -325,6 +325,23 @@ class TestEnumeration:
     def test_no_generators_is_refused(self):
         with pytest.raises(ValueError, match="no generators"):
             enumerate_group([])
+
+    @pytest.mark.parametrize(
+        "gens,error,match",
+        [
+            ([[[1.5, 0], [0, 1]]], ValueError, "not integers"),
+            ([[[1, 0], [0, 1], [0, 0]]], ValueError, "not square"),
+            ([[[1, 0], [0]]], ValueError, "inhomogeneous"),
+            ([[[-1]], [[1, 0], [0, -1]]], ValueError, "not square of size 1"),
+            ([[[1, 2**70], [0, 1]]], EntryBoundError, "beyond int64"),
+        ],
+        ids=["fraction", "3x2", "ragged", "mixed-sizes", "beyond-int64"],
+    )
+    def test_malformed_generators_are_refused(self, gens, error, match):
+        # read by the one shared check, never truncated or wrapped
+        for read in (enumerate_group, root_table):
+            with pytest.raises(error, match=match):
+                read(gens)
 
     def test_cap_refusal_on_raw_generators(self):
         d = build_root_datum("B", 3)

@@ -52,6 +52,11 @@ class TestLatticeAction:
         with pytest.raises(ValueError, match="determinant 2"):
             LatticeAction.from_generators([[[2, 0], [0, 1]]])
 
+    def test_rejects_fractional_generator(self):
+        # int64 conversion once truncated -1.5 to -1: a group of order 2
+        with pytest.raises(ValueError, match="not integers"):
+            LatticeAction.from_generators([[[-1.5, 0], [0, -1]]])
+
     def test_infinite_order_generator_hits_the_entry_bound(self):
         # a unipotent generator has infinite order; its powers must be
         # refused before an int64 product wraps, not walked toward the cap

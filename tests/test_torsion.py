@@ -9,10 +9,10 @@ import pytest
 
 from weylorb.intlinalg import (
     EntryBoundError,
-    finite_order_inverse,
     freeze,
     identity,
     mat_mul,
+    unimodular_inverse,
 )
 from weylorb.rootdata import (
     GroupOrderCapError,
@@ -86,7 +86,7 @@ def _stabilizer_reference(action, point, element_cap=10**5):
     elements = {ident}
     for x, ux in witness.items():
         for s in gen_list:
-            uy_inv = finite_order_inverse(witness[x.apply(s)])
+            uy_inv = unimodular_inverse(witness[x.apply(s)])
             w = freeze(mat_mul(uy_inv, mat_mul(s, ux)))
             if w not in elements:
                 gens.append(w)
@@ -253,7 +253,7 @@ class TestStabilizer:
         rq = stabilizer(group, q)
         assert rp.order == rq.order
         conj = {
-            freeze(mat_mul(s, mat_mul(g, finite_order_inverse(s))))
+            freeze(mat_mul(s, mat_mul(g, unimodular_inverse(s))))
             for g in rp.elements
         }
         assert conj == set(rq.elements)
@@ -357,6 +357,11 @@ class TestBatchedStabilizer:
     def test_no_generators_is_refused(self):
         with pytest.raises(ValueError, match="no generators"):
             stabilizer([], TorsionPoint.zero(2))
+
+    def test_fractional_generator_is_refused(self):
+        # int64 conversion once truncated -1.5 to -1, the local model -1
+        with pytest.raises(ValueError, match="not integers"):
+            stabilizer([[[-1.5]]], TorsionPoint(2, ((1, 0, 0, 0),)))
 
 
 class TestSubgroupReduction:
