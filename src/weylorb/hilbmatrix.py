@@ -11,12 +11,13 @@ linear systems (solved by the same rref) followed by one question: does a
 span of matrices contain an invertible one?  That is decided by the
 determinant of the generic element, taken exactly in a polynomial ring over
 ZZ; the witness is drawn from a seeded stream, so it is fixed by the seed.
-sympy is imported inside the two functions that use it, so importing the
-package does not load it.
+sympy is imported inside the two functions that use it, and it reads a
+generator only once `_check_polynomial` has found its ast a polynomial.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from dataclasses import dataclass
@@ -94,10 +95,47 @@ def _monomials(n):
     return [(a, d - a) for d in range(n) for a in range(d, -1, -1)]
 
 
+def _literal(node):
+    """The value of an integer literal or of / between literals, else None."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        num, den = _literal(node.left), _literal(node.right)
+        if None not in (num, den):
+            if den == 0:
+                raise ValueError("division by zero in a generator")
+            return Fraction(num, den)
+    return None
+
+
+def _check_polynomial(node):
+    """ValueError unless an ast node is a polynomial in x and y.
+
+    That is +, - and * of polynomials, unary + and -, ** to an integer literal
+    (ast has none below 0), integer literals, / between literals, x and y.
+    sympify evaluates what it is given, so nothing else may reach it.
+    """
+    op = getattr(node, "op", None)
+    if isinstance(op, (ast.Add, ast.Sub, ast.Mult)):
+        _check_polynomial(node.left)
+        _check_polynomial(node.right)
+    elif isinstance(op, (ast.UAdd, ast.USub)):
+        _check_polynomial(node.operand)
+    elif isinstance(op, ast.Pow) and type(getattr(node.right, "value", None)) is int:
+        _check_polynomial(node.left)
+    elif _literal(node) is None and getattr(node, "id", None) not in ("x", "y"):
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed in a polynomial")
+
+
 def _generator_terms(generator):
-    """The terms (a, b, coefficient) of one generator, parsed with sympy once."""
+    """The terms (a, b, coefficient) of one generator, checked, then read by sympy."""
     import sympy
 
+    try:
+        _check_polynomial(ast.parse(generator, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError):
+        # the parser reports nesting beyond its limits with the last two
+        raise ValueError(f"generator {generator!r} is not an expression") from None
     x, y = sympy.symbols("x y")
     poly = sympy.Poly(
         sympy.sympify(generator, locals={"x": x, "y": y}), x, y, domain="QQ"
@@ -307,38 +345,3 @@ def symplectic_exists(pair, seed=0):
         witness=tuple(tuple(r) for r in witness) if witness else None,
     )
 
-
-def skew_standard_form(phi):
-    """Congruence transform P with P^T Phi P the standard block form J.
-
-    Phi must be an invertible skew matrix over the rationals.
-    """
-    m = len(phi)
-    a = [[Fraction(x) for x in row] for row in phi]
-    # build a symplectic basis pair by pair
-    pool = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-
-    def form(u, v):
-        return sum(
-            u[i] * a[i][j] * v[j] for i in range(m) for j in range(m)
-        )
-
-    chosen = []
-    while pool:
-        u = pool.pop(0)
-        v = next((w for w in pool if form(u, w) != 0), None)
-        if v is None:
-            raise ValueError("form is degenerate on the remaining space")
-        pool.remove(v)
-        c = form(u, v)
-        v = [x / c for x in v]
-        rest = []
-        for w in pool:
-            cu, cv = form(v, w), form(u, w)
-            w2 = [
-                wi + cu * ui - cv * vi for wi, ui, vi in zip(w, u, v)
-            ]
-            rest.append(w2)
-        pool = rest
-        chosen.extend([u, v])
-    return transpose(chosen)

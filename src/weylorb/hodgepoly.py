@@ -109,33 +109,11 @@ class BigradedPoly:
             for (p, q), c in self.coeffs.items()
         )
 
-    def has_integer_coeffs(self):
-        return all(Fraction(c).denominator == 1 for c in self.coeffs.values())
-
-    def to_int(self):
-        """Force all coefficients to int; raises if any is fractional."""
-        out = {}
-        for k, v in self.coeffs.items():
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise ValueError(f"non-integer coefficient {v} at {k}")
-            out[k] = int(f)
-        return BigradedPoly(out)
-
-    def max_degree(self):
-        if not self.coeffs:
-            return 0
-        return max(p + q for p, q in self.coeffs)
-
     def to_json_rows(self):
         return [
             {"p": p, "q": q, "h": int(c)}
             for (p, q), c in sorted(self.coeffs.items())
         ]
-
-    @classmethod
-    def from_json_rows(cls, rows):
-        return cls({(r["p"], r["q"]): r["h"] for r in rows})
 
     def diamond_text(self):
         """Aligned text rendering of the Hodge diamond."""

@@ -2,14 +2,14 @@
 
 Everything here works on plain lists/tuples of ints or Fractions, or on numpy
 int64 stacks whose products are bound-checked first; no floating point.  The
-Smith normal form keeps track of both transforms because the callers need
-solution coordinates, not just invariant factors.  Over Q there is one
-elimination, `rref`: fraction-free Gauss-Jordan on primitive integer rows,
-with Fractions made only when the pivot rows are normalised at the end.
-`rational_rank`, `rational_nullspace` and `solve_exact` are read off it.
-Over Z, `echelon_pivots_stack` reduces a whole int64 stack of matrices at
-once when only the index of each row lattice is needed; exact inverses are
-read off the Smith form, and det(I + t m) off `det_i_plus_t_stack`.
+Smith normal form u m v = d also returns v^-1, built alongside v, because the
+callers need solution coordinates and a change of basis, not just invariant
+factors.  Over Q there is one elimination, `rref`: fraction-free
+Gauss-Jordan on primitive integer rows, with Fractions made only when the
+pivot rows are normalised at the end.  `rational_rank`, `rational_nullspace`
+and `solve_exact` are read off it.  Over Z, `echelon_pivots_stack` reduces a
+whole int64 stack of matrices at once when only the index of each row
+lattice is needed, and det(I + t m) comes off `det_i_plus_t_stack`.
 """
 
 from __future__ import annotations
@@ -94,14 +94,16 @@ def freeze(a):
 def smith_normal_form(m):
     """Smith normal form with transforms.
 
-    Returns (d, u, v) with u @ m @ v == d, u and v unimodular, and d diagonal
-    with d[0] | d[1] | ... (nonnegative).
+    Returns (d, u, v, v_inv) with u @ m @ v == d, u and v unimodular, d
+    diagonal with d[0] | d[1] | ... (nonnegative), and v_inv @ v == I.  v_inv
+    takes the inverse of each column operation on v as a row operation.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
     u = identity(rows)
     v = identity(cols)
+    v_inv = identity(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -112,6 +114,7 @@ def smith_normal_form(m):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, c):
         d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
@@ -122,6 +125,7 @@ def smith_normal_form(m):
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     for t in range(min(rows, cols)):
         while True:
@@ -170,7 +174,7 @@ def smith_normal_form(m):
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
-    return d, u, v
+    return d, u, v, v_inv
 
 
 def echelon_pivots_stack(stack):
@@ -214,7 +218,7 @@ def echelon_pivots_stack(stack):
 
 
 def invariant_factors(m):
-    d, _, _ = smith_normal_form(m)
+    d = smith_normal_form(m)[0]
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
@@ -311,6 +315,8 @@ def solve_exact(a, b):
     """
     if len(b) != len(a):
         raise ValueError(f"a has {len(a)} rows but b has {len(b)}")
+    if not b:
+        raise ValueError("solve_exact got the empty system, with no equations")
     vec = not isinstance(b[0], list)
     bcols = [b] if vec else transpose(b)
     ncols = len(a[0])
@@ -328,21 +334,6 @@ def solve_exact(a, b):
     if vec:
         return sols[0]
     return transpose(sols)
-
-
-def unimodular_inverse(m):
-    """Inverse of a square integer matrix with det +-1, returned over Z.
-
-    It is read off the Smith form: u m v = d with u, v unimodular, and m is
-    unimodular exactly when d is the identity, so then m^-1 = v u.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("unimodular_inverse needs a square matrix")
-    d, u, v = smith_normal_form(m)
-    if d != identity(n):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(v, u)
 
 
 def det(m):

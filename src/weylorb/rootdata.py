@@ -32,7 +32,6 @@ from .intlinalg import (
     mat_mul,
     max_abs,
     transpose,
-    unimodular_inverse,
 )
 
 
@@ -223,11 +222,6 @@ def build_root_datum(type_label, rank=None):
         simple_coroots=freeze(coroots),
         weyl_generators=tuple(gens),
     )
-
-
-def coxeter_order(cij, cji):
-    """Order of s_i s_j from the off-diagonal Cartan product."""
-    return {0: 2, 1: 3, 2: 4, 3: 6}[cij * cji]
 
 
 def highest_coroot_coefficients(datum):
@@ -439,33 +433,35 @@ class WeylGroup:
         check_product(len(gm), max_abs(arr), max_abs(gm))
         return arr[np.all(arr @ gm == gm @ arr, axis=(1, 2))]
 
+    def rows_of(self, stack):
+        """The row of self.stack holding each matrix of an int64 stack."""
+        try:
+            return np.array([self.index[key] for key in _keys(stack)], dtype=np.int64)
+        except KeyError:
+            raise AssertionError("a product lies outside the group") from None
+
     def conjugacy_classes(self):
         """List of (representative, class_size, centralizer) on the stack.
 
-        Conjugation by each generator is one batched product s E s^-1 over
-        the element stack E, whose matrices are looked up in the group's
-        index to give an index map of the elements.  Classes are the orbits
-        of these maps, each labelled by its least index, so a representative
-        (a row of the stack) is the first element of its class and classes
-        come in that order.  Centralizers are int64 sub-stacks.
+        Conjugation by each generator s is one batched product s E s^-1 over
+        the element stack E, s^-1 being the row of E where s E is the
+        identity; its matrices are looked up in the group's index to give an
+        index map of the elements.  Classes are the orbits of these maps,
+        each labelled by its least index, so a representative (a row of the
+        stack) is the first element of its class and classes come in that
+        order.  Centralizers are int64 sub-stacks.
         """
         if self._classes is not None:
             return self._classes
         arr = self.stack
         n, r = arr.shape[:2]
+        # s, s E and s^-1 are all elements: one bound covers every product
+        check_product(r, bound := max_abs(arr), bound)
         moves = []
         for s in self.generators:
-            s_np = np.array(s, dtype=np.int64)
-            s_inv = np.array(unimodular_inverse(s), dtype=np.int64)
-            check_product(r, max_abs(s_np), max_abs(arr))
-            left = s_np @ arr
-            check_product(r, max_abs(left), max_abs(s_inv))
-            try:
-                moves.append(
-                    np.array([self.index[key] for key in _keys(left @ s_inv)])
-                )
-            except KeyError:
-                raise AssertionError("a conjugate lies outside the group") from None
+            left = np.array(s, dtype=np.int64) @ arr
+            s_inv = arr[np.flatnonzero((left == np.eye(r)).all(axis=(1, 2)))[0]]
+            moves.append(self.rows_of(left @ s_inv))
         labels = least_orbit_labels(moves, np.arange(n))
         reps = np.flatnonzero(labels == np.arange(n))
         sizes = np.bincount(labels)[reps]

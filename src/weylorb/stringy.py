@@ -49,7 +49,6 @@ from .intlinalg import (
     mat_sub,
     max_abs,
     smith_normal_form,
-    unimodular_inverse,
 )
 from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
 
@@ -73,14 +72,6 @@ class LatticeAction:
     @classmethod
     def from_generators(cls, generators, order_cap=DEFAULT_ENGINE_CAP):
         return cls(enumerate_group(generators, order_cap=order_cap))
-
-    @classmethod
-    def from_matrices(cls, matrices, order_cap=DEFAULT_ENGINE_CAP):
-        """Accepts a full element list; verifies closure by re-enumeration."""
-        group = enumerate_group(matrices, order_cap=order_cap)
-        if group.order != len(np.unique(np.array(matrices, dtype=np.int64), axis=0)):
-            raise ValueError("matrix set is not closed under products")
-        return cls(group)
 
     @classmethod
     def from_root_datum(cls, datum, order_cap=DEFAULT_ENGINE_CAP):
@@ -137,7 +128,7 @@ def fixed_locus(action, g):
     if g not in action.group:
         raise ValueError("g is not an element of the group")
     r = action.rank
-    d, _, v = smith_normal_form(mat_sub([list(row) for row in g], identity(r)))
+    d, _, v, _ = smith_normal_form(mat_sub([list(row) for row in g], identity(r)))
     diag = [d[i][i] for i in range(r)]
     kernel_idx = [i for i, x in enumerate(diag) if x == 0]
     basis = tuple(
@@ -166,10 +157,9 @@ def _sector(g, centralizer):
     lattice, K being the kernel columns of v and L the same rows of v^-1.
     """
     r = len(g)
-    d, _, v = smith_normal_form((g - np.eye(r, dtype=np.int64)).tolist())
+    d, _, v, v_inv = smith_normal_form((g - np.eye(r, dtype=np.int64)).tolist())
     diag = [d[i][i] for i in range(r)]
-    v_inv = np.array(unimodular_inverse(v), dtype=np.int64)
-    v = np.array(v, dtype=np.int64)
+    v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
     check_product(r, max_abs(v_inv), max_abs(centralizer))
     w = v_inv @ centralizer
     check_product(r, max_abs(w), max_abs(v))

@@ -12,10 +12,11 @@ such roots; its order comes from root heights, and the W-orbit size is
 simple reflections of a root system whose coroots span the lattice, H is W
 itself.  The order cap bounds |H|.
 
-H is enumerated with rootdata.enumerate_group into one int64 stack, and
-Stab(p) is the rows g of that stack with g p = p modulo the denominator,
+H is enumerated once with rootdata.enumerate_group into one int64 stack,
+and Stab(p) is the rows g of that stack with g p = p modulo the denominator,
 found in one batched product.  Its generators are taken greedily from those
-rows in stack order, each one that the earlier ones do not generate.  Every
+rows in stack order, each one outside the group the earlier ones generate,
+which is a boolean mask over the rows of H grown inside H's index.  Every
 int64 product is preceded by an entry-bound check that raises
 intlinalg.EntryBoundError.
 """
@@ -31,12 +32,14 @@ import numpy as np
 
 from .intlinalg import (
     check_product,
+    clear_denominators,
     freeze,
     identity,
     mat_mul,
+    mat_vec,
     max_abs,
     rational_nullspace,
-    clear_denominators,
+    smith_normal_form,
     transpose,
 )
 from .rootdata import (
@@ -213,11 +216,11 @@ def stabilizer(action, point, order_cap=10**6):
     coroots span the lattice (rootdata.root_table), H is the reflection
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
     |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
-    Otherwise H is W itself.  H is enumerated, and Stab(p) is the rows of
-    its stack that fix p.  order_cap bounds |H|: GroupOrderCapError before
-    any enumeration when |H| is known and exceeds it, and enumerate_group's
-    own refusal otherwise.  A point whose rank differs from the group's
-    raises ValueError.
+    Otherwise H is W itself.  H is enumerated once, Stab(p) is the rows of
+    its stack that fix p, and its greedy generators must generate exactly
+    those rows.  order_cap bounds |H|: GroupOrderCapError before any
+    enumeration when |H| is known and exceeds it, and enumerate_group's own
+    refusal otherwise.  A point of another rank raises ValueError.
     """
     generators, order, table = _group_parts(action)
     rank = len(generators[0])
@@ -237,23 +240,29 @@ def stabilizer(action, point, order_cap=10**6):
     sub = enumerate_group(gens, order_cap=order_cap)
     if sub_order is not None and sub.order != sub_order:
         raise AssertionError("the subgroup searched has the wrong order")
-    den = point.den
+    stack, den, bound = sub.stack, point.den, max_abs(sub.stack)
     coords = np.array(point.coords, dtype=np.int64)
-    check_product(rank, max_abs(sub.stack), den - 1)
-    fixed = sub.stack[(sub.stack @ coords % den == coords).all(axis=(1, 2))]
+    check_product(rank, bound, den - 1)
+    fixed = (stack @ coords % den == coords).all(axis=(1, 2))
+    stab_order = int(fixed.sum())
     # generators in stack order, each one outside the group the earlier
-    # ones generate, until that group is all of the fixed rows
-    eye = np.eye(rank, dtype=np.int64)
+    # ones generate, until that group holds all of the fixed rows; the group
+    # is a mask over the rows of H, closed under products looked up in H
+    check_product(rank, bound, bound)
+    group = np.arange(sub.order) == 0  # the identity is the first row
     found = []
-    group = WeylGroup(eye[None], [], {eye.tobytes(): 0})
-    for g in fixed:
-        if group.order == len(fixed):
-            break
-        if g not in group:
-            found.append(freeze(g.tolist()))
-            group = enumerate_group(found, order_cap=order_cap)
-    stab_order = len(fixed)
-    if group.order != stab_order:
+    while (fixed & ~group).any():
+        found.append(stack[np.argmax(fixed & ~group)])
+        # the old members times the new generator, then each new member
+        # times every generator
+        frontier, gens = np.flatnonzero(group), found[-1:]
+        while len(frontier):
+            rows = sub.rows_of(np.concatenate([stack[frontier] @ g for g in gens]))
+            fresh = np.zeros_like(group)
+            fresh[rows] = True
+            frontier, gens = np.flatnonzero(fresh & ~group), found
+            group |= fresh
+    if not np.array_equal(group, fixed):
         raise AssertionError("the fixed rows are not a group")
     whole = sub.order if table is None else table.order
     if whole % stab_order != 0:
@@ -262,7 +271,7 @@ def stabilizer(action, point, order_cap=10**6):
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and -eye in group:
+    elif stab_order == 2 and np.array_equal(stack[fixed][1], -np.eye(rank)):
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
         # the +-1 quotient is resolvable only in one surface factor
@@ -271,12 +280,12 @@ def stabilizer(action, point, order_cap=10**6):
         cls = "other"
         label = f"subgroup of order {stab_order}"
     return StabilizerReport(
-        generators=tuple(found),
+        generators=tuple(freeze(g.tolist()) for g in found),
         order=stab_order,
         orbit_size=whole // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(freeze(g) for g in fixed.tolist())),
+        elements=tuple(sorted(freeze(g) for g in stack[fixed].tolist())),
         crepant=crepant,
     )
 
@@ -365,11 +374,9 @@ def point_from_ambient(datum, ambient_rows):
     solution is one representative; it is unique up to points killed by the
     inclusion Lambda in Z^m.
     """
-    from .intlinalg import smith_normal_form, mat_vec
-
     cmat = transpose(datum.simple_coroots)  # m x r, columns are the coroots
     m, r = len(cmat), len(cmat[0])
-    d, u, v = smith_normal_form(cmat)
+    d, u, v, _ = smith_normal_form(cmat)
     x = [[Fraction(val) % 1 for val in row] for row in ambient_rows]
     ycols = []
     for t in range(4):

@@ -11,8 +11,10 @@ from fractions import Fraction
 from weylorb.hodgepoly import BigradedPoly
 from weylorb.intlinalg import (
     clear_denominators,
+    identity,
     mat_mul,
     rational_nullspace,
+    smith_normal_form,
     transpose,
 )
 from weylorb.stringy import (
@@ -83,7 +85,26 @@ def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
                 molien_cache[stab] = molien_average(rho[list(stab)])
             sector = sector + molien_cache[stab]
         total = total + xy**shift * sector
-    return total.to_int()
+    # a fractional coefficient would be a wrong answer, not a rounding error
+    if any(Fraction(c).denominator != 1 for c in total.coeffs.values()):
+        raise ValueError(f"non-integer coefficient in {total}")
+    return BigradedPoly({k: int(c) for k, c in total.coeffs.items()})
+
+
+def unimodular_inverse(m):
+    """Inverse of a square integer matrix with det +-1, returned over Z.
+
+    It is read off the Smith form's two transforms, not off the column
+    transform's inverse: u m v = d with u, v unimodular, and m is unimodular
+    exactly when d is the identity, so then m^-1 = v u.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("unimodular_inverse needs a square matrix")
+    d, u, v, _ = smith_normal_form(m)
+    if d != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(v, u)
 
 
 def two_torsion_points(rank):

@@ -272,6 +272,20 @@ class TestMatrixLab:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "generator",
+        ["__import__('sys').stderr.write('EXECUTED\\n')*0 + x**2", "x.__class__"],
+        ids=["call", "attribute"],
+    )
+    def test_ideal_that_is_no_polynomial_is_usage_error(self, capsys, generator):
+        code, out, err = run(
+            capsys, "matrix", "--ideal", generator, "x*y", "y**2", "--truncation", "3"
+        )
+        # had the call run, it would have written a line of its own
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_pair_file_is_usage_error(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "matrix", "--pair-file", str(tmp_path / name))

@@ -25,7 +25,6 @@ from weylorb.intlinalg import (
     mat_mul,
     mat_sub,
     smith_normal_form,
-    unimodular_inverse,
 )
 from weylorb.rootdata import build_root_datum, enumerate_group
 from weylorb.stringy import (
@@ -34,7 +33,7 @@ from weylorb.stringy import (
     stringy_hodge,
 )
 
-from references import stringy_hodge_by_orbits
+from references import stringy_hodge_by_orbits, unimodular_inverse
 
 WEYL_TYPES = (("G", 2), ("A", 3), ("B", 3), ("C", 3))
 RANK4_TYPES = (("B", 4), ("D", 4))
@@ -121,7 +120,7 @@ def test_engine_matches_orbits_and_commuting_pairs(action):
     h = stringy_hodge(action)
     assert h == stringy_hodge_by_orbits(action)
     assert h.specialize(-1, -1) == stringy_euler_commuting_pairs(action)
-    assert h.has_integer_coeffs()
+    assert all(isinstance(c, int) for c in h.coeffs.values())
     assert h.is_hodge_symmetric()
     assert h.is_centrally_symmetric(action.rank)
 
@@ -145,9 +144,9 @@ def _euler_commuting_pairs_reference(action):
         gm1 = mat_sub([list(row) for row in rep], identity(r))
         sub = 0
         for h in centralizer:
-            d, _, _ = smith_normal_form(
+            d = smith_normal_form(
                 gm1 + mat_sub([list(row) for row in h], identity(r))
-            )
+            )[0]
             diag = [d[i][i] for i in range(r)]
             if all(diag):
                 sub += prod(diag) ** 4

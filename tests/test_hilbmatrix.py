@@ -17,10 +17,9 @@ from weylorb.hilbmatrix import (
     make_pair,
     module_isomorphic,
     pair_from_ideal,
-    skew_standard_form,
     symplectic_exists,
 )
-from weylorb.intlinalg import mat_mul, mat_vec, transpose
+from weylorb.intlinalg import mat_mul, mat_vec, rational_rank, transpose
 
 # the 3x3 spanning-but-not-cospanning example
 FOOTNOTE = (
@@ -58,8 +57,6 @@ def brute_is_cyclic(pair):
             for _ in range(b):
                 v = mat_vec(my, v)
             vecs.append(v)
-        from weylorb.intlinalg import rational_rank
-
         if rational_rank(vecs) == n:
             return True
     return False
@@ -290,6 +287,20 @@ class TestIdealConstruction:
         with pytest.raises(ValueError):
             pair_from_ideal(["x"], 2)  # infinite colength in y
 
+    def test_generators_in_the_grammar(self):
+        # fractions of literals, unary signs and literal exponents are read;
+        # the curvilinear ideal again, written differently
+        p = pair_from_ideal(["-(1/2)*x**2 + +y*(4/8)", "x**3"], 4)
+        assert p == pair_from_ideal(["y - x**2", "x**3"], 4)
+
+    @pytest.mark.parametrize(
+        "generator",
+        ["x/2", "x**-1", "x**(1/2)", "0.5*x", "x^2", "1/0*x", "2x", "z", "True*x"],
+    )
+    def test_generators_outside_the_grammar(self, generator):
+        with pytest.raises(ValueError):
+            pair_from_ideal([generator, "x**2", "y**2"], 3)
+
     def test_remark_ideal_matches_remark_pair(self):
         # the colength-4 ideal (x^2, xy - y^2... ) reproducing the 4x4 pair:
         # its module is isomorphic to the pair as printed, not to its dual
@@ -421,23 +432,13 @@ class TestSymplectic:
         skew = symplectic_exists(make_pair(a, b))
         assert skew.contains_invertible
         phi = [list(r) for r in skew.witness]
-        p = skew_standard_form(phi)
-        res = mat_mul(transpose(p), mat_mul(phi, p))
-        m = len(res)
-        # standard form: 2x2 blocks [[0, 1], [-1, 0]] down the diagonal
-        for i in range(0, m, 2):
-            assert res[i][i + 1] == 1 and res[i + 1][i] == -1
-        assert sum(1 for r in res for x in r if x != 0) == m
-
-    def test_skew_standard_form_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            skew_standard_form([[0, 0], [0, 0]])
+        # a symplectic form: skew and nondegenerate
+        assert transpose(phi) == [[-x for x in r] for r in phi]
+        assert rational_rank(phi) == len(phi)
 
     def test_brute_force_invertibility_agreement(self):
         # exhaust small rational combinations of the remark skew basis
         skew = symplectic_exists(make_pair(*REMARK))
-        from weylorb.intlinalg import rational_rank
-
         for c1 in range(-3, 4):
             for c2 in range(-3, 4):
                 combo = [

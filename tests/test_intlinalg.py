@@ -27,9 +27,10 @@ from weylorb.intlinalg import (
     smith_normal_form,
     solve_exact,
     transpose,
-    unimodular_inverse,
 )
 from weylorb.rootdata import build_root_datum
+
+from references import unimodular_inverse
 
 SIMPLE_TYPES = (
     [f"A_{n}" for n in range(1, 9)]
@@ -187,7 +188,7 @@ class TestSmithNormalForm:
         for _ in range(250):
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             m = random_matrix(rng, rows, cols)
-            d, u, v = smith_normal_form(m)
+            d, u, v, _ = smith_normal_form(m)
             assert mat_mul(mat_mul(u, m), v) == d
             assert is_diagonal(d)
             diag = [d[i][i] for i in range(min(rows, cols))]
@@ -212,9 +213,28 @@ class TestSmithNormalForm:
             [5, -13, 26, -22, 22, -3, 25, 5],
             [-13, 15, -4, -8, 13, 26, -6, -16],
         ]
-        d, u, v = smith_normal_form(m)
+        d, u, v, v_inv = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
         assert is_diagonal(d)
+        assert mat_mul(v_inv, v) == identity(8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda rows: st.integers(1, 6).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.integers(-20, 20), min_size=cols, max_size=cols),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+        )
+    )
+    def test_column_transform_inverse(self, m):
+        d, u, v, v_inv = smith_normal_form(m)
+        assert mat_mul(mat_mul(u, m), v) == d
+        assert v_inv == unimodular_inverse(v)
+        assert mat_mul(v, v_inv) == identity(len(v))
 
     def test_invariant_factor_product_is_det(self):
         rng = random.Random(5)
@@ -232,11 +252,11 @@ class TestSmithNormalForm:
                 assert prod == abs(det)
 
     def test_diag_example(self):
-        d, _, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        d = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])[0]
         assert [d[i][i] for i in range(3)] == [2, 2, 156]
 
     def test_zero_and_empty_shapes(self):
-        d, u, v = smith_normal_form([[0, 0], [0, 0]])
+        d = smith_normal_form([[0, 0], [0, 0]])[0]
         assert d == [[0, 0], [0, 0]]
         assert invariant_factors([[0]]) == []
 
@@ -345,6 +365,10 @@ class TestRankNullspaceSolve:
         with pytest.raises(ValueError, match="1 rows but b has 2"):
             solve_exact([[1, 0]], [1, 2])
 
+    def test_solve_exact_refuses_the_empty_system(self):
+        with pytest.raises(ValueError, match="empty system"):
+            solve_exact([], [])
+
     def test_unimodular_inverse(self):
         m = [[2, 1], [1, 1]]
         inv = unimodular_inverse(m)
@@ -373,7 +397,7 @@ class TestRankNullspaceSolve:
 
     def test_unimodular_inverse_refuses_a_non_square_matrix(self, monkeypatch):
         # refused before the Smith form, which would accept the shape
-        monkeypatch.setattr("weylorb.intlinalg.smith_normal_form", None)
+        monkeypatch.setattr("references.smith_normal_form", None)
         with pytest.raises(ValueError, match="square"):
             unimodular_inverse([[1, 0]])
 

@@ -11,7 +11,6 @@ from weylorb.rootdata import (
     GroupOrderCapError,
     RootDatum,
     build_root_datum,
-    coxeter_order,
     crepant_classification,
     embed_diagram,
     enumerate_group,
@@ -96,7 +95,9 @@ class TestRootDatum:
         d = build_root_datum(letter, rank)
         for i in range(rank):
             for j in range(i + 1, rank):
-                m = coxeter_order(d.cartan[i][j], d.cartan[j][i])
+                # the Coxeter relation (s_i s_j)^m = 1, m read off the
+                # product of the two off-diagonal Cartan entries
+                m = {0: 2, 1: 3, 2: 4, 3: 6}[d.cartan[i][j] * d.cartan[j][i]]
                 prod = mat_mul(d.weyl_generators[i], d.weyl_generators[j])
                 power = identity(rank)
                 orders = []
@@ -362,6 +363,29 @@ class TestEnumeration:
         # class counts: S_4 has 5, hyperoctahedral rank 3 has 10
         assert len(enumerate_group(build_root_datum("A", 3)).conjugacy_classes()) == 5
         assert len(enumerate_group(build_root_datum("B", 3)).conjugacy_classes()) == 10
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [[[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]]],
+        ids=["order-3", "order-4", "order-6"],
+    )
+    def test_classes_with_a_generator_that_is_not_its_own_inverse(self, rotation):
+        # the rotation alone (abelian), and with a reflection (dihedral)
+        for gens in ([rotation], [rotation, [[0, 1], [1, 0]]]):
+            group = enumerate_group(gens)
+            elements = group.elements
+            inverse = {
+                x: next(y for y in elements if mat_mul(x, y) == identity(2))
+                for x in elements
+            }
+            brute, seen = [], set()
+            for x in elements:
+                if x not in seen:
+                    orbit = {freeze(mat_mul(mat_mul(g, x), inverse[g])) for g in elements}
+                    seen |= orbit
+                    brute.append((x, len(orbit)))
+            classes = group.conjugacy_classes()
+            assert [(freeze(rep.tolist()), size) for rep, size, _ in classes] == brute
 
 
 class TestEmbeddings:

@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import weylorb.torsion
 from weylorb.intlinalg import (
     EntryBoundError,
     freeze,
     identity,
     mat_mul,
-    unimodular_inverse,
 )
 from weylorb.rootdata import (
     GroupOrderCapError,
@@ -33,7 +33,7 @@ from weylorb.torsion import (
     stabilizer,
 )
 
-from references import perturbed_candidates, two_torsion_points
+from references import perturbed_candidates, two_torsion_points, unimodular_inverse
 
 
 def minus_identity(rank):
@@ -322,6 +322,20 @@ class TestBatchedStabilizer:
         group = enumerate_group(build_root_datum(letter, rank))
         for p in _points_of_denominator(group, den, 6, seed=den):
             self.assert_same(group, p)
+
+    def test_subgroup_is_enumerated_once(self, monkeypatch):
+        # the greedy generators are checked inside H's index, with no second
+        # enumeration of the growing group
+        calls = []
+        real = weylorb.torsion.enumerate_group
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weylorb.torsion, "enumerate_group", counted)
+        report = stabilizer(build_root_datum("F", 4), TorsionPoint.zero(4))
+        assert (report.order, len(report.generators), len(calls)) == (1152, 4, 1)
 
     def test_entry_bound_is_checked(self):
         p = TorsionPoint(2**62 + 1, ((1, 0, 0, 0), (0, 0, 0, 0)))
