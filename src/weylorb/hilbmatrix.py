@@ -5,19 +5,21 @@ matrices; structure sheaves of subschemes are the cyclic ones.  This module
 constructs pairs from ideals, decides cyclicity, duality, isomorphism, and
 whether the module carries a compatible symplectic structure.
 
-An ideal is parsed once; its quotient data at truncations N and N + 1 come
-from one `intlinalg.rref` each.  Isomorphism and symplectic structure are
-linear systems (solved by the same rref) followed by one question: does a
-span of matrices contain an invertible one?  That is decided by the
-determinant of the generic element, taken exactly in a polynomial ring over
-ZZ; the witness is drawn from a seeded stream, so it is fixed by the seed.
-sympy is imported inside the two functions that use it, and it reads a
-generator only once `_check_polynomial` has found its ast a polynomial.
+An ideal is read once, by a recursive reader over Python's `ast` that
+accepts polynomials in x and y only and drops the terms its truncation never
+uses; its quotient data at truncations N and N + 1 come from one
+`intlinalg.rref` each.  Isomorphism and symplectic structure are linear
+systems (solved by the same rref) followed by one question: does a span of
+matrices contain an invertible one?  That is decided by the determinant of
+the generic element, taken exactly in ZZ[t_0..t_k] by `intlinalg.det` on
+sparse polynomials; the witness is drawn from a seeded stream, so it is
+fixed by the seed.
 """
 
 from __future__ import annotations
 
 import ast
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ from fractions import Fraction
 from math import lcm
 
 from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, transpose
+
+# entries of the linear system at truncation N + 1 that pair_from_ideal
+# builds at most: 10**6 allows N = 32 for three generators
+MAX_SYSTEM_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -108,39 +114,68 @@ def _literal(node):
     return None
 
 
-def _check_polynomial(node):
-    """ValueError unless an ast node is a polynomial in x and y.
+def _plus(p, q, sign):
+    """p + sign q for polynomials {(a, b): coefficient}."""
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
 
-    That is +, - and * of polynomials, unary + and -, ** to an integer literal
-    (ast has none below 0), integer literals, / between literals, x and y.
-    sympify evaluates what it is given, so nothing else may reach it.
+
+def _times(p, q, top):
+    """p q without the terms of degree above top."""
+    out = {}
+    for (a, b), c in p.items():
+        for (i, j), d in q.items():
+            if a + b + i + j <= top:
+                out[a + i, b + j] = out.get((a + i, b + j), 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _read(node, top):
+    """The terms {(a, b): coefficient} of degree <= top of a polynomial's ast.
+
+    A polynomial in x and y is +, - and * of polynomials, unary + and -, **
+    to an integer literal (ast has none below 0), integer literals, /
+    between literals, x and y; anything else raises ValueError.  Reducing
+    mod (x, y)^(top + 1) is a ring map, so terms above top are dropped as
+    soon as they appear, and ** squares and multiplies: one step per bit of
+    the exponent (a constant term c of the base still grows to c^exponent).
     """
     op = getattr(node, "op", None)
-    if isinstance(op, (ast.Add, ast.Sub, ast.Mult)):
-        _check_polynomial(node.left)
-        _check_polynomial(node.right)
-    elif isinstance(op, (ast.UAdd, ast.USub)):
-        _check_polynomial(node.operand)
-    elif isinstance(op, ast.Pow) and type(getattr(node.right, "value", None)) is int:
-        _check_polynomial(node.left)
-    elif _literal(node) is None and getattr(node, "id", None) not in ("x", "y"):
+    if isinstance(op, (ast.Add, ast.Sub)):
+        sign = 1 if isinstance(op, ast.Add) else -1
+        return _plus(_read(node.left, top), _read(node.right, top), sign)
+    if isinstance(op, ast.Mult):
+        return _times(_read(node.left, top), _read(node.right, top), top)
+    if isinstance(op, (ast.UAdd, ast.USub)):
+        sign = 1 if isinstance(op, ast.UAdd) else -1
+        return _plus({}, _read(node.operand, top), sign)
+    if isinstance(op, ast.Pow) and type(getattr(node.right, "value", None)) is int:
+        base, exponent, power = _read(node.left, top), node.right.value, {(0, 0): 1}
+        while exponent:
+            if exponent & 1:
+                power = _times(power, base, top)
+            exponent >>= 1
+            if exponent:
+                base = _times(base, base, top)
+        return power
+    if getattr(node, "id", None) in ("x", "y"):
+        return {(1, 0) if node.id == "x" else (0, 1): 1}
+    value = _literal(node)
+    if value is None:
         raise ValueError(f"{ast.unparse(node)!r} is not allowed in a polynomial")
+    return {(0, 0): value} if value else {}
 
 
-def _generator_terms(generator):
-    """The terms (a, b, coefficient) of one generator, checked, then read by sympy."""
-    import sympy
-
+def _generator_terms(generator, top):
+    """The terms (a, b, coefficient) of degree <= top of one generator."""
     try:
-        _check_polynomial(ast.parse(generator, mode="eval").body)
+        terms = _read(ast.parse(generator, mode="eval").body, top)
     except (SyntaxError, RecursionError, MemoryError):
         # the parser reports nesting beyond its limits with the last two
         raise ValueError(f"generator {generator!r} is not an expression") from None
-    x, y = sympy.symbols("x y")
-    poly = sympy.Poly(
-        sympy.sympify(generator, locals={"x": x, "y": y}), x, y, domain="QQ"
-    )
-    return [(a, b, Fraction(c.p, c.q)) for (a, b), c in poly.terms()]
+    return [(a, b, Fraction(c)) for (a, b), c in terms.items()]
 
 
 def _quotient_data(terms, truncation):
@@ -172,10 +207,27 @@ def pair_from_ideal(generators, truncation):
     checked by requiring the colength to be the same at N and N + 1.  The
     monomials off the pivot columns of the RREF at N are the basis of the
     quotient, and a pivot monomial reduces to minus the rest of its row.
+    ValueError, before anything is built, unless N is a positive int and
+    the generators are strings whose system at N + 1 (one row per generator
+    and monomial, one column per monomial) has at most MAX_SYSTEM_ENTRIES
+    entries.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be positive")
-    terms = [_generator_terms(g) for g in generators]
+    if type(truncation) is not int or truncation < 1:
+        raise ValueError(f"truncation must be a positive integer, not {truncation!r}")
+    generators = list(generators)
+    for g in generators:
+        if not isinstance(g, str):
+            raise ValueError(f"generator {g!r} is not a string")
+    if not generators:
+        raise ValueError("no generators")
+    size = len(generators) * ((truncation + 1) * (truncation + 2) // 2) ** 2
+    if size > MAX_SYSTEM_ENTRIES:
+        raise ValueError(
+            f"truncation {truncation} with {len(generators)} generators needs a "
+            f"system of {size} entries, more than {MAX_SYSTEM_ENTRIES}"
+        )
+    # _quotient_data reads no term of degree > N, at N or at N + 1
+    terms = [_generator_terms(g, truncation) for g in generators]
     monomials, rows, pivots = _quotient_data(terms, truncation)
     monomials_next, _, pivots_next = _quotient_data(terms, truncation + 1)
     colength = len(monomials) - len(pivots)
@@ -245,34 +297,102 @@ def _sylvester_solution_space(a, b):
     ]
 
 
+class _Poly(dict):
+    """A polynomial over ZZ as {packed exponent: nonzero coefficient}.
+
+    t_0^e_0 t_1^e_1 ... is packed as the int sum e_k base^k, so keys add
+    when monomials multiply and compare as a monomial order, as long as no
+    e_k reaches the base.  Just what `intlinalg.det` uses: *, -, exact //
+    and truth (nonzero).
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if type(other) is int:
+            other = {0: other}
+        out = {}
+        for i, a in self.items():
+            for j, b in other.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return _Poly({k: c for k, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        out = _Poly(self)
+        for k, c in other.items():
+            c = out.get(k, 0) - c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return out
+
+    def __floordiv__(self, other):
+        """The exact quotient, by leading terms; ValueError if there is none."""
+        if type(other) is int:
+            other = {0: other}
+        lead = max(other)
+        lead_c, rest = other[lead], [(k, c) for k, c in other.items() if k != lead]
+        rem, quot = dict(self), _Poly()
+        # a step only adds keys below the one it cancels, so the heap holds
+        # the keys of rem, each once, largest first
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        while heap:
+            k = -heapq.heappop(heap)
+            c = rem.pop(k)
+            if not c:
+                continue
+            q, r = divmod(c, lead_c)
+            if k < lead or r:
+                raise ValueError("inexact polynomial division")
+            quot[k - lead] = q
+            for j, d in rest:
+                m = k - lead + j
+                if m not in rem:
+                    heapq.heappush(heap, -m)
+                rem[m] = rem.get(m, 0) - q * d
+        return quot
+
+
+def _generic_det(basis, dim):
+    """det(sum_k t_k B_k) of integer matrices B_k, as a _Poly (or 0).
+
+    `intlinalg.det` runs fraction-free Bareiss on the _Poly entries.  Its
+    numerators are products of two minors, of degree up to 2(dim - 1) in a
+    single t_k, so the base 2 dim keeps every packed exponent below it.
+    """
+    base = 2 * dim
+    return det([
+        [
+            _Poly({base**k: b[i][j] for k, b in enumerate(basis) if b[i][j]})
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ])
+
+
 def _subspace_contains_invertible(basis, dim, seed=0):
     """Decide whether a span of matrices contains an invertible one.
 
     The determinant of the generic element sum t_k B_k is an exact
     polynomial in the parameters; over an infinite field it vanishes
     identically iff the subspace has no invertible element.  It is taken
-    fraction-free in the polynomial ring ZZ[t_0..t_k] (sympy's DomainMatrix),
+    fraction-free in the polynomial ring ZZ[t_0..t_k] (`_generic_det`),
     after scaling the basis by a common denominator L.  When it is nonzero,
     a witness is the first seeded integer draw of coefficients, with growing
     bounds, whose combination has a nonzero (integer, L-scaled) determinant.
     """
     if not basis:
         return False, None
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.rings import ring
-
-    den = lcm(*(Fraction(x).denominator for b in basis for row in b for x in row))
-    scaled = [[[int(x * den) for x in row] for row in b] for b in basis]
-    poly_ring, *ts = ring([f"t{k}" for k in range(len(basis))], ZZ)
-    generic = [
-        [
-            sum((t * b[i][j] for t, b in zip(ts, scaled) if b[i][j]), poly_ring.zero)
-            for j in range(dim)
-        ]
-        for i in range(dim)
+    den = lcm(*(x.denominator for b in basis for row in b for x in row))
+    scaled = [
+        [[x.numerator * (den // x.denominator) for x in row] for row in b]
+        for b in basis
     ]
-    if not DomainMatrix(generic, (dim, dim), poly_ring.to_domain()).det():
+    if not _generic_det(scaled, dim):
         return False, None
     rng = random.Random(seed)
     for bound in (1, 2, 3, 5, 9):

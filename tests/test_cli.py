@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import weylorb
+from weylorb import hilbmatrix
 from weylorb.cli import main
 from weylorb.hodgepoly import BigradedPoly
 
@@ -286,6 +288,20 @@ class TestMatrixLab:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_oversized_truncation_is_usage_error(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(hilbmatrix, "_quotient_data", build)
+        code, out, err = run(
+            capsys,
+            "matrix", "--ideal", "x**2", "x*y", "y**2", "--truncation", "1000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: truncation 1000000")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_pair_file_is_usage_error(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "matrix", "--pair-file", str(tmp_path / name))
@@ -339,16 +355,35 @@ class TestOtherCommands:
         assert err == "error: no generic perturbation found in 40 attempts\n"
 
     def test_import_leaves_sympy_unloaded(self):
-        # only the matrix subcommand needs sympy; the others skip its import
+        # neither the import nor reading an ideal loads sympy
         src = os.path.dirname(os.path.dirname(weylorb.__file__))
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import weylorb, weylorb.cli; "
-            "print('sympy' in sys.modules)"
+            "imported = 'sympy' in sys.modules; "
+            "code = weylorb.cli.main(['matrix', '--ideal', 'x**2', 'x*y', 'y**2', "
+            "'--truncation', '3']); "
+            "print(code, imported, 'sympy' in sys.modules, file=sys.stderr)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stderr.strip() == "0 False False"
+
+    def test_no_source_file_imports_sympy(self):
+        package = os.path.dirname(weylorb.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert not any(m.split(".")[0] == "sympy" for m in modules), name
 
 
 class TestDeterminismAndOutput:

@@ -2,15 +2,23 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
+from weylorb import hilbmatrix
 from weylorb.hilbmatrix import (
     MatrixPair,
+    _generator_terms,
+    _generic_det,
+    _Poly,
     _subspace_contains_invertible,
     dual,
     is_cyclic,
@@ -173,6 +181,75 @@ class TestInvertibleInSpan:
             assert (ok, witness) == invertible_in_span_oracle(basis, 2, seed)
 
 
+def sympy_generic_det(basis, dim):
+    """det(sum t_k B_k) by sympy's DomainMatrix over ZZ[t], packed in base 2 dim."""
+    poly_ring, *ts = ring([f"t{k}" for k in range(len(basis))], ZZ)
+    generic = [
+        [
+            sum((t * b[i][j] for t, b in zip(ts, basis)), poly_ring.zero)
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    value = DomainMatrix(generic, (dim, dim), poly_ring.to_domain()).det()
+    return {pack(e, dim): int(c) for e, c in value.items()}
+
+
+def pack(exponents, dim):
+    return sum(e * (2 * dim) ** k for k, e in enumerate(exponents))
+
+
+@st.composite
+def linear_form_matrices(draw):
+    """(basis, dim): integer matrices B_k, often sparse, of size up to 7."""
+    dim = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    basis = [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(k)]
+    return basis, dim
+
+
+class TestGenericDeterminant:
+    @settings(max_examples=40, deadline=None)
+    @given(linear_form_matrices())
+    def test_matches_sympy_domain_matrix(self, case):
+        basis, dim = case
+        assert dict(_generic_det(basis, dim) or {}) == sympy_generic_det(basis, dim)
+
+    def test_top_degree_stays_below_the_packing_base(self, monkeypatch):
+        # t0 A + t1 B with A's leading minors nonzero: the last Bareiss
+        # numerators hold t0^(2(n-1)), one short of the base 2n
+        dim, rng = 7, random.Random(3)
+        basis = [
+            [[rng.randint(1, 5) for _ in range(dim)] for _ in range(dim)]
+            for _ in range(2)
+        ]
+        top = []
+        multiply = _Poly.__mul__
+
+        def recording(a, b):
+            product = multiply(a, b)
+            for key in product:
+                while key:
+                    key, digit = divmod(key, 2 * dim)
+                    top.append(digit)
+            return product
+
+        monkeypatch.setattr(_Poly, "__mul__", recording)
+        value = _generic_det(basis, dim)
+        assert max(top) == 2 * (dim - 1)
+        monkeypatch.undo()
+        assert value and dict(value) == sympy_generic_det(basis, dim)
+
+    def test_inexact_division_raises(self):
+        t0_squared_plus_1, t0 = _Poly({2: 1, 0: 1}), _Poly({1: 1})
+        assert t0_squared_plus_1 * t0 // t0 == t0_squared_plus_1
+        with pytest.raises(ValueError, match="inexact"):
+            t0_squared_plus_1 // t0
+        with pytest.raises(ValueError, match="inexact"):
+            _Poly({1: 3}) // 2
+
+
 class TestMatrixPair:
     def test_commutation_enforced(self):
         with pytest.raises(ValueError):
@@ -259,6 +336,30 @@ class TestCyclicity:
             is_cyclic(make_pair([[1]], [[0]]))
 
 
+def polynomial_texts():
+    """Strings in the generator grammar, every composite operand in parentheses."""
+    leaves = st.one_of(
+        st.sampled_from(["x", "y"]),
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+            lambda t: f"({t[0]}/{t[1]})"
+        ),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from(["+", "-", "*"]), children).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+            ),
+            st.tuples(st.sampled_from(["-", "+"]), children).map(
+                lambda t: f"{t[0]}({t[1]})"
+            ),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})**{t[1]}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
 class TestIdealConstruction:
     def test_fat_point(self):
         # C[x,y]/(x^2, xy, y^2) has dimension 3
@@ -300,6 +401,55 @@ class TestIdealConstruction:
     def test_generators_outside_the_grammar(self, generator):
         with pytest.raises(ValueError):
             pair_from_ideal([generator, "x**2", "y**2"], 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomial_texts(), st.integers(1, 12))
+    def test_reader_matches_sympy(self, text, top):
+        x, y = sympy.symbols("x y")
+        expr = sympy.sympify(text, locals={"x": x, "y": y})
+        poly = sympy.Poly(expr, x, y, domain="QQ")
+        expected = {
+            (a, b): Fraction(c.p, c.q)
+            for (a, b), c in poly.terms()
+            if c and a + b <= top
+        }
+        terms = _generator_terms(text, top)
+        assert {(a, b): c for a, b, c in terms} == expected
+        assert len(terms) == len(expected)
+
+    def test_large_exponents_cost_their_bit_length(self):
+        fat_point = pair_from_ideal(["x**2", "x*y", "y**2"], 3)
+        for generator in (
+            "(x+y)**800 + x**2",
+            f"x**{10**6} + x**2",
+            f"x**2 - (1 + x)**{10**100} * y**{10**4000}",
+        ):
+            start = time.perf_counter()
+            assert pair_from_ideal([generator, "x*y", "y**2"], 3) == fat_point
+            assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("truncation", [2.5, True, "3", 0])
+    def test_truncation_must_be_a_positive_int(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            pair_from_ideal(["x**2", "x*y", "y**2"], truncation)
+
+    @pytest.mark.parametrize("generators", [[5, "x*y", "y**2"], [b"x**2", "x*y"], []])
+    def test_generators_must_be_strings(self, generators):
+        with pytest.raises(ValueError, match="generator"):
+            pair_from_ideal(generators, 3)
+
+    def test_oversized_system_is_refused_before_it_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("reached the reader")
+
+        monkeypatch.setattr(hilbmatrix, "_generator_terms", build)
+        fat_point = ["x**2", "x*y", "y**2"]
+        for truncation in (33, 10**6, 10**100):
+            with pytest.raises(ValueError, match="more than 1000000"):
+                pair_from_ideal(fat_point, truncation)
+        # 3 * (33 * 34 / 2)^2 entries is the largest three generators get
+        with pytest.raises(AssertionError, match="reached the reader"):
+            pair_from_ideal(fat_point, 32)
 
     def test_remark_ideal_matches_remark_pair(self):
         # the colength-4 ideal (x^2, xy - y^2... ) reproducing the 4x4 pair:
