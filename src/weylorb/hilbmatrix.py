@@ -31,6 +31,10 @@ from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, tr
 # entries of the linear system at truncation N + 1 that pair_from_ideal
 # builds at most: 10**6 allows N = 32 for three generators
 MAX_SYSTEM_ENTRIES = 10**6
+# exponent times the bit length of the constant term's numerator and
+# denominator that a literal power may reach: (2/3 + x)**25000 is read,
+# (2/3 + x)**25001 is refused
+MAX_POWER_BITS = 10**5
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,10 @@ def _read(node, top):
     between literals, x and y; anything else raises ValueError.  Reducing
     mod (x, y)^(top + 1) is a ring map, so terms above top are dropped as
     soon as they appear, and ** squares and multiplies: one step per bit of
-    the exponent (a constant term c of the base still grows to c^exponent).
+    the exponent.  A constant term c of the base grows to c^exponent, so a
+    power whose exponent times the bit length of c's numerator and
+    denominator exceeds MAX_POWER_BITS raises ValueError, unless c is 0 or
+    +-1.
     """
     op = getattr(node, "op", None)
     if isinstance(op, (ast.Add, ast.Sub)):
@@ -153,6 +160,13 @@ def _read(node, top):
         return _plus({}, _read(node.operand, top), sign)
     if isinstance(op, ast.Pow) and type(getattr(node.right, "value", None)) is int:
         base, exponent, power = _read(node.left, top), node.right.value, {(0, 0): 1}
+        c = base.get((0, 0), 0)
+        bits = abs(c.numerator).bit_length() + c.denominator.bit_length()
+        if c not in (0, 1, -1) and exponent * bits > MAX_POWER_BITS:
+            raise ValueError(
+                f"{ast.unparse(node)!r} raises a constant term past "
+                f"{MAX_POWER_BITS} bits"
+            )
         while exponent:
             if exponent & 1:
                 power = _times(power, base, top)
@@ -175,7 +189,10 @@ def _generator_terms(generator, top):
     except (SyntaxError, RecursionError, MemoryError):
         # the parser reports nesting beyond its limits with the last two
         raise ValueError(f"generator {generator!r} is not an expression") from None
-    return [(a, b, Fraction(c)) for (a, b), c in terms.items()]
+    # an integral coefficient stays an int, so its rows skip the Fraction pass
+    return [
+        (a, b, c.numerator if c.denominator == 1 else c) for (a, b), c in terms.items()
+    ]
 
 
 def _quotient_data(terms, truncation):

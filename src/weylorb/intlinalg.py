@@ -224,6 +224,9 @@ def invariant_factors(m):
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return [x // g for x in vec] if g > 1 else list(vec)
     row = [x if isinstance(x, int) else Fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]

@@ -46,7 +46,6 @@ from .intlinalg import (
     echelon_pivots_stack,
     freeze,
     identity,
-    mat_sub,
     max_abs,
     smith_normal_form,
 )
@@ -128,8 +127,7 @@ def fixed_locus(action, g):
     if g not in action.group:
         raise ValueError("g is not an element of the group")
     r = action.rank
-    d, _, v, _ = smith_normal_form(mat_sub([list(row) for row in g], identity(r)))
-    diag = [d[i][i] for i in range(r)]
+    diag, v, _ = _smith_of_g_minus_one(g)
     kernel_idx = [i for i, x in enumerate(diag) if x == 0]
     basis = tuple(
         tuple(v[row][i] for row in range(r)) for i in kernel_idx
@@ -145,6 +143,15 @@ def fixed_locus(action, g):
     )
 
 
+def _smith_of_g_minus_one(g):
+    """The diagonal of D, v and v^-1 of one Smith form u (g - 1) v = D."""
+    r = len(g)
+    d, _, v, v_inv = smith_normal_form(
+        (np.asarray(g, dtype=np.int64) - np.eye(r, dtype=np.int64)).tolist()
+    )
+    return [d[i][i] for i in range(r)], v, v_inv
+
+
 def _sector(g, centralizer):
     """Integer data of the twisted sector {g}, batched over C(g).
 
@@ -157,8 +164,7 @@ def _sector(g, centralizer):
     lattice, K being the kernel columns of v and L the same rows of v^-1.
     """
     r = len(g)
-    d, _, v, v_inv = smith_normal_form((g - np.eye(r, dtype=np.int64)).tolist())
-    diag = [d[i][i] for i in range(r)]
+    diag, v, v_inv = _smith_of_g_minus_one(g)
     v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
     check_product(r, max_abs(v_inv), max_abs(centralizer))
     w = v_inv @ centralizer

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import weylorb
 from weylorb import hilbmatrix
-from weylorb.cli import main
+from weylorb.cli import build_parser, main
 from weylorb.hodgepoly import BigradedPoly
 
 
@@ -46,6 +47,38 @@ def test_json_report_matches_golden(capsys, name):
     code, out, err = run(capsys, *GOLDEN_CASES[name], "--format", "json")
     assert (code, err) == (0, "")
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        assert out == fh.read()
+
+
+# text and CSV reports pinned the same way, captured from the CLI at commit
+# 7fe6a7b; the CSV files keep the csv module's \r\n line ends
+REPORT_CASES = {
+    "table1.txt": ("table1",),
+    "stringy_G2.txt": ("stringy", "--type", "G_2"),
+    "verify_sp_2.txt": ("verify-sp", "--n", "2"),
+    "verify_su_2.txt": ("verify-su", "--n", "2"),
+    "series_3.txt": ("series", "--n", "3"),
+    "torsion_scan_G2.txt": ("torsion-scan", "--type", "G_2"),
+    "propagate_B3_F4.txt": (
+        "propagate", "--type", "B", "--rank", "3", "--ambient", "F_4",
+        "--nodes", "1,2,3",
+    ),
+    "matrix_remark.txt": ("matrix", "--example", "remark"),
+    "spin8_check.txt": ("spin8-check",),
+    "classify_C4.txt": ("classify", "--type", "C_4"),
+    "table1.csv": ("table1",),
+    "stringy_G2.csv": ("stringy", "--type", "G_2"),
+    "series_3.csv": ("series", "--n", "3"),
+    "torsion_scan_G2.csv": ("torsion-scan", "--type", "G_2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_text_and_csv_reports_match_golden(capsys, name):
+    fmt = "csv" if name.endswith(".csv") else "text"
+    code, out, err = run(capsys, *REPORT_CASES[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, name), newline="") as fh:
         assert out == fh.read()
 
 
@@ -302,6 +335,19 @@ class TestMatrixLab:
         assert err.startswith("error: truncation 1000000")
         assert len(err.splitlines()) == 1
 
+    def test_power_of_a_large_constant_term_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "matrix", "--ideal", "(2/3 + x)**1000000 - (2/3)**1000000",
+            "x*y", "y**2", "--truncation", "3",
+        )
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: '(2 / 3 + x) ** 1000000' raises a constant term past "
+            "100000 bits\n"
+        )
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_pair_file_is_usage_error(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "matrix", "--pair-file", str(tmp_path / name))
@@ -384,6 +430,59 @@ class TestOtherCommands:
                 else:
                     continue
                 assert not any(m.split(".")[0] == "sympy" for m in modules), name
+
+
+# the least arguments each subcommand runs with; the contract test below
+# checks that this covers every subcommand the parser has
+MINIMAL_ARGS = {
+    "table1": (),
+    "stringy": ("--type", "G_2"),
+    "verify-sp": ("--n", "2"),
+    "verify-su": ("--n", "2"),
+    "series": ("--n", "2"),
+    "torsion-scan": ("--type", "G_2"),
+    "propagate": ("--type", "B_3", "--ambient", "F_4", "--nodes", "1,2,3"),
+    "matrix": ("--example", "remark"),
+    "spin8-check": (),
+    "classify": ("--type", "C_4"),
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
+def _usage_cases():
+    for command, sub in sorted(_subparsers().items()):
+        minimal = MINIMAL_ARGS[command]
+        for action in sub._actions:
+            if action.type is int:
+                opt = action.option_strings[0]
+                yield f"{command}-{opt}-not-int", (command, *minimal, opt, "2.5")
+        if minimal:
+            # the required options dropped; matrix needs one of three inputs
+            yield f"{command}-missing-required", (command,)
+        yield f"{command}-unknown-option", (command, *minimal, "--bogus", "1")
+
+
+USAGE_CASES = dict(_usage_cases())
+
+
+def test_usage_cases_cover_every_subcommand():
+    assert sorted(MINIMAL_ARGS) == sorted(_subparsers())
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES.values(), ids=USAGE_CASES.keys())
+def test_usage_error_is_one_line_exit_2(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
 
 class TestDeterminismAndOutput:

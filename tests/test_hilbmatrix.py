@@ -428,6 +428,20 @@ class TestIdealConstruction:
             assert pair_from_ideal([generator, "x*y", "y**2"], 3) == fat_point
             assert time.perf_counter() - start < 0.1
 
+    def test_power_of_a_large_constant_term_is_refused_at_once(self):
+        generator = "(2/3 + x)**1000000 - (2/3)**1000000"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="constant term past 100000 bits"):
+            pair_from_ideal([generator, "x*y", "y**2"], 3)
+        assert time.perf_counter() - start < 0.1
+        # the bound is exponent times the bit lengths of 2 and 3
+        assert len(_generator_terms("(2/3 + x)**25000", 0)) == 1
+        with pytest.raises(ValueError):
+            _generator_terms("(2/3 + x)**25001", 0)
+        assert sorted(_generator_terms("(2/3 + x)**3", 3)) == [
+            (0, 0, Fraction(8, 27)), (1, 0, Fraction(4, 3)), (2, 0, 2), (3, 0, 1)
+        ]
+
     @pytest.mark.parametrize("truncation", [2.5, True, "3", 0])
     def test_truncation_must_be_a_positive_int(self, truncation):
         with pytest.raises(ValueError, match="truncation must be a positive integer"):

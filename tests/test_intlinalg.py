@@ -495,6 +495,21 @@ class TestSmallHelpers:
     def test_clear_denominators(self):
         assert clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == [2, 3]
         assert clear_denominators([Fraction(2), Fraction(4)]) == [1, 2]
+        # rows of ints take the gcd alone, with the same result
+        assert clear_denominators([4, -6, 0]) == [2, -3, 0]
+        assert clear_denominators([0, 0]) == [0, 0]
+        assert clear_denominators([Fraction(1, 2), 3]) == [1, 6]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_rref_of_int_rows_equals_rref_of_fraction_rows(self, m):
+        assert rref(m) == rref([[Fraction(x) for x in row] for row in m])
 
     def test_transpose_freeze(self):
         m = [[1, 2, 3], [4, 5, 6]]
