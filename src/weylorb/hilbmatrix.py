@@ -9,11 +9,14 @@ An ideal is read once, by a recursive reader over Python's `ast` that
 accepts polynomials in x and y only and drops the terms its truncation never
 uses; its quotient data at truncations N and N + 1 come from one
 `intlinalg.rref` each.  Isomorphism and symplectic structure are linear
-systems (solved by the same rref) followed by one question: does a span of
-matrices contain an invertible one?  That is decided by the determinant of
-the generic element, taken exactly in ZZ[t_0..t_k] by `intlinalg.det` on
-sparse polynomials; the witness is drawn from a seeded stream, so it is
-fixed by the seed.
+systems, solved by the same elimination, followed by one question: does a
+span of matrices contain an invertible one?  Every linear system is built
+as sparse rows {column: nonzero entry}, straight from the nonzero terms of a
+generator or the nonzero entries of a pair, and so are the rows whose rank
+decides cyclicity.  Whether a span holds an invertible matrix is decided by
+the determinant of the generic element, taken exactly in ZZ[t_0..t_k] by
+`intlinalg.det` on sparse polynomials; the witness is drawn from a seeded
+stream, so it is fixed by the seed.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, tr
 # builds at most: 10**6 allows N = 32 for three generators
 MAX_SYSTEM_ENTRIES = 10**6
 # exponent times the bit length of the constant term's numerator and
-# denominator that a literal power may reach: (2/3 + x)**25000 is read,
-# (2/3 + x)**25001 is refused
+# denominator times the number of terms the power can have, that a literal
+# power may reach: (2/3 + x)**25000 is read at truncation 0, where it has
+# one term, and (2/3 + x)**25001 is refused
 MAX_POWER_BITS = 10**5
 
 
@@ -87,6 +91,8 @@ def _as_number(f):
     """f as an exact int or Fraction; ValueError for a bool, x/0 or inf."""
     if isinstance(f, bool):
         raise ValueError(f"malformed entry {f!r}: not a number")
+    if type(f) is int:
+        return f
     try:
         f = Fraction(f)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -144,10 +150,12 @@ def _read(node, top):
     between literals, x and y; anything else raises ValueError.  Reducing
     mod (x, y)^(top + 1) is a ring map, so terms above top are dropped as
     soon as they appear, and ** squares and multiplies: one step per bit of
-    the exponent.  A constant term c of the base grows to c^exponent, so a
-    power whose exponent times the bit length of c's numerator and
-    denominator exceeds MAX_POWER_BITS raises ValueError, unless c is 0 or
-    +-1.
+    the exponent.  A constant term c of the base grows to c^exponent, and
+    every term of the power carries such a factor, so a power whose
+    exponent, times the bit length of c's numerator and denominator, times
+    the number of terms the power can have (the monomials of degree <= top
+    in the variables of the base) exceeds MAX_POWER_BITS raises ValueError,
+    unless c is 0 or +-1.
     """
     op = getattr(node, "op", None)
     if isinstance(op, (ast.Add, ast.Sub)):
@@ -162,7 +170,11 @@ def _read(node, top):
         base, exponent, power = _read(node.left, top), node.right.value, {(0, 0): 1}
         c = base.get((0, 0), 0)
         bits = abs(c.numerator).bit_length() + c.denominator.bit_length()
-        if c not in (0, 1, -1) and exponent * bits > MAX_POWER_BITS:
+        # the power's terms lie among the monomials of degree <= top in the
+        # variables its base holds
+        xs, ys = (any(m[k] for m in base) for k in (0, 1))
+        terms = (top + 1) * (top + 2) // 2 if xs and ys else top + 1 if xs or ys else 1
+        if c not in (0, 1, -1) and exponent * bits * terms > MAX_POWER_BITS:
             raise ValueError(
                 f"{ast.unparse(node)!r} raises a constant term past "
                 f"{MAX_POWER_BITS} bits"
@@ -199,22 +211,23 @@ def _quotient_data(terms, truncation):
     """RREF of the ideal inside the ring truncated at degree N.
 
     Each generator is multiplied by each monomial of degree < N by shifting
-    its terms; terms of degree >= N die in the truncated ring.  Returns the
-    monomials and the RREF (rows, pivot columns) of the multiples.
+    its terms; terms of degree >= N die in the truncated ring, so a row
+    holds at most the generator's terms.  Returns the monomials and the
+    RREF (rows, pivot columns) of the multiples.
     """
     monomials = _monomials(truncation)
     index = {m: i for i, m in enumerate(monomials)}
     rows = []
     for gen in terms:
         for a, b in monomials:
-            row = [0] * len(monomials)
+            row = {}
             for i, j, c in gen:
                 k = index.get((a + i, b + j))
                 if k is not None:
                     row[k] = c
-            if any(row):
+            if row:
                 rows.append(row)
-    return (monomials, *rref(rows))
+    return (monomials, *rref(rows, len(monomials)))
 
 
 def pair_from_ideal(generators, truncation):
@@ -284,9 +297,9 @@ def is_cyclic(pair):
     if not pair.is_nilpotent():
         raise ValueError("cyclicity criterion requires a nilpotent pair")
     stacked = [
-        list(rx) + list(ry) for rx, ry in zip(pair.mx, pair.my)
+        {j: x for j, x in enumerate(rx + ry) if x} for rx, ry in zip(pair.mx, pair.my)
     ]
-    return pair.dim - rational_rank(stacked) == 1
+    return pair.dim - rational_rank(stacked, 2 * pair.dim) == 1
 
 
 def dual(pair):
@@ -299,16 +312,22 @@ def _sylvester_solution_space(a, b):
     m = a.dim
     rows = []
     for (ax, bx) in ((a.mx, b.mx), (a.my, b.my)):
-        for i in range(m):
-            for j in range(m):
-                # coefficient of P[k][l] in (P ax - bx P)[i][j]
-                row = [0] * (m * m)
-                for l in range(m):
-                    row[i * m + l] += ax[l][j]
-                for k in range(m):
-                    row[k * m + j] -= bx[i][k]
-                rows.append(row)
-    basis = rational_nullspace(rows)
+        # (P ax - bx P)[i][j] holds P[i][l] ax[l][j] - bx[i][k] P[k][j];
+        # row i * m + j, with P[k][l] in column k * m + l
+        eqs = [{} for _ in range(m * m)]
+        for l, r in enumerate(ax):
+            for j, x in enumerate(r):
+                if x:
+                    for i in range(m):
+                        eqs[i * m + j][i * m + l] = x
+        for i, r in enumerate(bx):
+            for k, x in enumerate(r):
+                if x:
+                    for j in range(m):
+                        row = eqs[i * m + j]
+                        row[k * m + j] = row.get(k * m + j, 0) - x
+        rows += [row for row in eqs if row]
+    basis = rational_nullspace(rows, m * m)
     return [
         [[v[i * m + j] for j in range(m)] for i in range(m)] for v in basis
     ]
@@ -446,28 +465,33 @@ def symplectic_exists(pair, seed=0):
     (self-minus-dual) one; when true a witness Phi is included.
     """
     m = pair.dim
-    n_params = m * (m - 1) // 2
     positions = list(itertools.combinations(range(m), 2))
+    # Phi[k][l] = t_idx and Phi[l][k] = -t_idx for positions[idx] = (k, l)
+    param = {kl: idx for idx, kl in enumerate(positions)}
+
+    def add(row, k, l, x):
+        """row += x Phi[k][l], for k != l."""
+        idx, x = (param[k, l], x) if k < l else (param[l, k], -x)
+        row[idx] = row.get(idx, 0) + x
+
     rows = []
     for mat in (pair.mx, pair.my):
-        mt = transpose(mat)
-        for i in range(m):
-            for j in range(m):
-                row = [0] * n_params
-                for idx, (k, l) in enumerate(positions):
-                    # Phi[k][l] = t_idx, Phi[l][k] = -t_idx
-                    # (Phi mat)[i][j] = sum_s Phi[i][s] mat[s][j]
-                    if i == k:
-                        row[idx] += mat[l][j]
-                    if i == l:
-                        row[idx] -= mat[k][j]
-                    # (mat^T Phi)[i][j] = sum_s mt[i][s] Phi[s][j]
-                    if j == l:
-                        row[idx] += mt[i][k]
-                    if j == k:
-                        row[idx] -= mt[i][l]
-                rows.append(row)
-    sols = rational_nullspace(rows) if rows else []
+        # Phi mat + mat^T Phi = Phi mat - (Phi mat)^T is skew for a skew
+        # Phi, so its entries (i, j) with i < j are all the equations.  An
+        # entry x = mat[s][c] puts x Phi[i][s] in (Phi mat)[i][c] and
+        # x Phi[s][j] in (mat^T Phi)[c][j].
+        eqs = {}
+        for s, r in enumerate(mat):
+            for c, x in enumerate(r):
+                if x:
+                    for i in range(c):
+                        if i != s:
+                            add(eqs.setdefault((i, c), {}), i, s, x)
+                    for j in range(c + 1, m):
+                        if j != s:
+                            add(eqs.setdefault((c, j), {}), s, j, x)
+        rows += eqs.values()
+    sols = rational_nullspace(rows, len(positions))
     basis = []
     for v in sols:
         phi = [[Fraction(0)] * m for _ in range(m)]

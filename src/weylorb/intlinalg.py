@@ -4,10 +4,16 @@ Everything here works on plain lists/tuples of ints or Fractions, or on numpy
 int64 stacks whose products are bound-checked first; no floating point.  The
 Smith normal form u m v = d also returns v^-1, built alongside v, because the
 callers need solution coordinates and a change of basis, not just invariant
-factors.  Over Q there is one elimination, `rref`: fraction-free
-Gauss-Jordan on primitive integer rows, with Fractions made only when the
-pivot rows are normalised at the end.  `rational_rank`, `rational_nullspace`
-and `solve_exact` are read off it.  Over Z, `echelon_pivots_stack` reduces a
+factors.  Over Q there is one elimination, `_echelon`: fraction-free
+Gauss-Jordan on sparse rows {column: nonzero entry}, kept as primitive
+integer rows, so a row's denominators, gcd and combinations cost its
+nonzero entries only; Fractions are made only when the pivot rows are
+normalised at the end.  `rref`, `rational_rank`, `rational_nullspace` and
+`solve_exact` are read off it.  They take a matrix as rows that are
+sequences of entries, or dicts of nonzero entries with the number of
+columns given; `_sparse_rows` checks and converts either once, at entry,
+and refuses ragged rows, columns out of range and entries that are not
+ints or Fractions.  Over Z, `echelon_pivots_stack` reduces a
 whole int64 stack of matrices at once when only the index of each row
 lattice is needed, and det(I + t m) comes off `det_i_plus_t_stack`.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -68,11 +75,19 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if len(b) else 0
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
+    """a @ b for matrices given as rows.
+
+    ValueError unless every row of a has len(b) entries and the rows of b
+    are of one length.
+    """
+    k, m = len(b), len(b[0]) if len(b) else 0
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError(
+            f"cannot multiply rows of lengths {sorted({len(row) for row in a})} "
+            f"by {k} rows of lengths {sorted({len(row) for row in b})}"
+        )
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
@@ -224,119 +239,199 @@ def invariant_factors(m):
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector."""
-    if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        return [x // g for x in vec] if g > 1 else list(vec)
-    row = [x if isinstance(x, int) else Fraction(x) for x in vec]
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    out = [0] * len(vec)
+    for j, x in _primitive({j: x for j, x in enumerate(vec) if x}).items():
+        out[j] = x
+    return out
 
 
-def _echelon(m):
-    """Fraction-free Gauss-Jordan: (primitive integer pivot rows, pivots).
+_INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
 
-    Each row is cleared of denominators and divided by its gcd, then every
-    pivot clears its column in all other rows by an integer combination,
-    and the result is made primitive again, so entries stay small without a
-    single Fraction.  Row i is a nonzero multiple of row i of the RREF.
+
+def _exact(x):
+    """x as an int or Fraction: numpy integers become ints, else ValueError."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, np.integer):
+        return int(x)
+    raise ValueError(f"entry {x!r} is not an int or a Fraction")
+
+
+def _sparse_rows(m, ncols=None):
+    """The rows of m as {column: nonzero int or Fraction}, and ncols.
+
+    A row is a sequence of ncols entries or a dict {column: entry} with its
+    columns in range(ncols); ncols is read off the first sequence row when
+    it is not given, and dict rows need it given.  Zero entries are
+    dropped.  ValueError for rows of other lengths, a column outside
+    range(ncols), or an entry that is not an int or a Fraction (a numpy
+    integer is taken as the int it holds).
     """
-    rows = [r for r in map(clear_denominators, m) if any(r)]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
+    if ncols is not None and (type(ncols) is not int or ncols < 0):
+        raise ValueError(f"ncols must be a nonnegative int, not {ncols!r}")
+    rows = []
+    for r in m:
+        if isinstance(r, dict):
+            if ncols is None:
+                raise ValueError("rows given as dicts need ncols")
+            if r and not (
+                _INT.issuperset(map(type, r)) and min(r) >= 0 and max(r) < ncols
+            ):
+                raise ValueError(f"row {r!r} has a column outside range({ncols})")
+            row = r
+        else:
+            if ncols is None:
+                ncols = len(r)
+            elif len(r) != ncols:
+                raise ValueError(f"row {r!r} has {len(r)} entries, not {ncols}")
+            row = dict(enumerate(r))
+        if not _EXACT.issuperset(map(type, row.values())):
+            row = {c: _exact(x) for c, x in row.items()}
+        if not all(row.values()):
+            row = {c: x for c, x in row.items() if x}
+        rows.append(row)
+    return rows, ncols or 0
+
+
+def _primitive(row):
+    """A nonzero rational row {column: entry} as a primitive integer row.
+
+    The denominators and the gcd are read off the nonzero entries the row
+    holds; the signs are kept.
+    """
+    values = row.values()
+    if not _INT.issuperset(map(type, values)):
+        den = lcm(*(x.denominator for x in values))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        values = row.values()
+    g = gcd(*values)
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _combine(row, prow, col):
+    """The primitive integer combination of row and prow with 0 at col."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, y in prow.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan on sparse rows: (primitive pivot rows, pivots).
+
+    rows are {column: nonzero int or Fraction}.  The rows are taken in
+    turn, each made a primitive integer row.  A row is combined with the
+    pivot rows that hold its pivot columns; if anything is left, its first
+    column is a new pivot, and the earlier pivot rows that hold that column
+    are combined with it.  Every combination is an integer one, made
+    primitive again, so entries stay small without a single Fraction.
+    The pivot rows, in pivot order, are nonzero multiples of the rows of
+    the RREF.
+    """
+    basis = {}
+    for row in rows:
+        if not row:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            c = row[col]
-            if c and i != rank:
-                g = gcd(p, c)
-                a, b = p // g, c // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
+        row = _primitive(row)
+        for c in [c for c in row if c in basis]:
+            row = _combine(row, basis[c], c)
+        if not row:
+            continue
+        col = min(row)
+        for c, prow in basis.items():
+            if col in prow:
+                basis[c] = _combine(prow, row, col)
+        basis[col] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-def rref(m):
+def rref(m, ncols=None):
     """Reduced row echelon form of a rational matrix: (nonzero rows, pivots).
 
-    The rows are lists of Fractions with 1 in each pivot column.  The RREF is
-    unique, so this is the same whatever the pivot order; the elimination
-    itself runs on Python ints (see _echelon) and only the final division by
-    the pivots makes Fractions.
+    m is a list of rows, each a sequence of entries or a dict of nonzero
+    entries {column: entry} (see _sparse_rows; dict rows need ncols).  The
+    rows returned are lists of ncols Fractions with 1 in each pivot column.
+    The RREF is unique, so this is the same whatever the pivot order; the
+    elimination itself runs on Python ints (see _echelon) and only the
+    final division by the pivots makes Fractions.
     """
-    rows, pivots = _echelon(m)
+    rows, ncols = _sparse_rows(m, ncols)
+    rows, pivots = _echelon(rows)
     zero = Fraction(0)  # Fractions are immutable; most entries share this one
-    return [
-        [Fraction(x, row[p]) if x else zero for x in row]
-        for row, p in zip(rows, pivots)
-    ], pivots
+    out = []
+    for row, p in zip(rows, pivots):
+        dense = [zero] * ncols
+        for c, x in row.items():
+            dense[c] = Fraction(x, row[p])
+        out.append(dense)
+    return out, pivots
 
 
-def rational_rank(m):
-    return len(_echelon(m)[1])
+def rational_rank(m, ncols=None):
+    """Rank over Q of m, given as rref takes it."""
+    return len(_echelon(_sparse_rows(m, ncols)[0])[1])
 
 
-def rational_nullspace(m):
+def rational_nullspace(m, ncols=None):
     """Basis of {x : m @ x = 0} over Q, as lists of Fractions.
 
-    One vector per free column f, with 1 at f and 0 at the other free
-    columns.
+    m is given as rref takes it.  One vector per free column f, with 1 at
+    f and 0 at the other free columns.
     """
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, ncols = _sparse_rows(m, ncols)
+    rows, pivots = _echelon(rows)
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f]
+            x = row.get(f)
+            if x:
+                vec[pc] = Fraction(-x, row[pc])
         basis.append(vec)
     return basis
 
 
-def solve_exact(a, b):
+def solve_exact(a, b, ncols=None):
     """Solve a @ x = b over Q; returns None if inconsistent.
 
-    b may be a vector or a matrix (list of columns is NOT assumed; b is a
-    list of rows like everything else).  All right-hand sides are reduced
-    in one RREF of [a | b]: the system is consistent exactly when no pivot
-    falls in the b columns.
+    a is given as rref takes it.  b may be a vector or a matrix (list of
+    columns is NOT assumed; b is a list of rows like everything else).
+    All right-hand sides are reduced in one RREF of [a | b]: the system is
+    consistent exactly when no pivot falls in the b columns.
     """
     if len(b) != len(a):
         raise ValueError(f"a has {len(a)} rows but b has {len(b)}")
     if not b:
         raise ValueError("solve_exact got the empty system, with no equations")
     vec = not isinstance(b[0], list)
-    bcols = [b] if vec else transpose(b)
-    ncols = len(a[0])
-    rows, pivots = rref(
-        [list(r) + [bc[i] for bc in bcols] for i, r in enumerate(a)]
+    arows, ncols = _sparse_rows(a, ncols)
+    brows, nb = _sparse_rows([[x] for x in b] if vec else b)
+    rows, pivots = _echelon(
+        [{**ra, **{ncols + t: x for t, x in rb.items()}} for ra, rb in zip(arows, brows)]
     )
     if pivots and pivots[-1] >= ncols:
         return None
-    sols = []
-    for j in range(ncols, ncols + len(bcols)):
-        x = [Fraction(0)] * ncols
-        for row, pc in zip(rows, pivots):
-            x[pc] = row[j]
-        sols.append(x)
-    if vec:
-        return sols[0]
-    return transpose(sols)
+    zero = Fraction(0)
+    sols = [[zero] * nb for _ in range(ncols)]
+    for row, pc in zip(rows, pivots):
+        for t in range(nb):
+            x = row.get(ncols + t)
+            if x:
+                sols[pc][t] = Fraction(x, row[pc])
+    return [x for x, in sols] if vec else sols
 
 
 def det(m):

@@ -20,6 +20,7 @@ from weylorb.hilbmatrix import (
     _generic_det,
     _Poly,
     _subspace_contains_invertible,
+    _sylvester_solution_space,
     dual,
     is_cyclic,
     make_pair,
@@ -27,7 +28,13 @@ from weylorb.hilbmatrix import (
     pair_from_ideal,
     symplectic_exists,
 )
-from weylorb.intlinalg import mat_mul, mat_vec, rational_rank, transpose
+from weylorb.intlinalg import (
+    mat_mul,
+    mat_vec,
+    rational_nullspace,
+    rational_rank,
+    transpose,
+)
 
 # the 3x3 spanning-but-not-cospanning example
 FOOTNOTE = (
@@ -428,6 +435,18 @@ class TestIdealConstruction:
             assert pair_from_ideal([generator, "x*y", "y**2"], 3) == fat_point
             assert time.perf_counter() - start < 0.1
 
+    def test_power_bound_counts_the_terms_of_the_power(self):
+        # 91 terms of degree <= 12, each carrying (2/3)**25000
+        generator = "(2/3 + x + y)**25000 - (2/3)**25000"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="constant term past 100000 bits"):
+            pair_from_ideal([generator, "x**9", "y**9"], 12)
+        assert time.perf_counter() - start < 0.5
+        # one variable: 13 terms
+        with pytest.raises(ValueError, match="constant term past 100000 bits"):
+            _generator_terms("(2/3 + x**2)**2000", 12)
+        assert len(_generator_terms("(2/3 + x**2)**1923", 12)) == 7
+
     def test_power_of_a_large_constant_term_is_refused_at_once(self):
         generator = "(2/3 + x)**1000000 - (2/3)**1000000"
         start = time.perf_counter()
@@ -558,6 +577,80 @@ class TestDuality:
         assert module_isomorphic(
             make_pair(*FOOTNOTE), make_pair(*REMARK)
         ) == (False, None)
+
+
+def literal_sylvester_rows(a, b):
+    """Every entry of P a_x - b_x P and P a_y - b_y P, over the entries of P."""
+    m = a.dim
+    rows = []
+    for ax, bx in ((a.mx, b.mx), (a.my, b.my)):
+        for i in range(m):
+            for j in range(m):
+                row = [0] * (m * m)
+                for l in range(m):
+                    row[i * m + l] += ax[l][j]
+                for k in range(m):
+                    row[k * m + j] -= bx[i][k]
+                rows.append(row)
+    return rows
+
+
+def literal_skew_rows(pair):
+    """Every entry of Phi M + M^T Phi, over Phi[k][l] = -Phi[l][k], k < l."""
+    m = pair.dim
+    positions = list(itertools.combinations(range(m), 2))
+    rows = []
+    for mat in (pair.mx, pair.my):
+        for i in range(m):
+            for j in range(m):
+                row = [0] * len(positions)
+                for idx, (k, l) in enumerate(positions):
+                    row[idx] += (i == k) * mat[l][j] - (i == l) * mat[k][j]
+                    row[idx] += (j == l) * mat[k][i] - (j == k) * mat[l][i]
+                rows.append(row)
+    return rows
+
+
+@st.composite
+def commuting_pairs(draw, dim):
+    """(m, c m^2 + d m + e I) for a small rational m, most entries 0."""
+    m = [[draw(_SMALL) if draw(st.booleans()) else 0 for _ in range(dim)]
+         for _ in range(dim)]
+    c, d, e = draw(_SMALL), draw(_SMALL), draw(_SMALL)
+    m2 = mat_mul(m, m)
+    return make_pair(m, [
+        [c * m2[i][j] + d * m[i][j] + e * (i == j) for j in range(dim)]
+        for i in range(dim)
+    ])
+
+
+class TestLinearSystems:
+    """The sparse equations give the nullspaces of the literal dense ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(commuting_pairs(n), commuting_pairs(n))))
+    def test_sylvester_solution_space(self, pairs):
+        a, b = pairs
+        m = a.dim
+        expected = [
+            [[v[i * m + j] for j in range(m)] for i in range(m)]
+            for v in rational_nullspace(literal_sylvester_rows(a, b))
+        ]
+        assert _sylvester_solution_space(a, b) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(commuting_pairs))
+    def test_skew_solution_space(self, pair):
+        m = pair.dim
+        positions = list(itertools.combinations(range(m), 2))
+        expected = []
+        for v in rational_nullspace(literal_skew_rows(pair)) if positions else []:
+            phi = [[0] * m for _ in range(m)]
+            for x, (k, l) in zip(v, positions):
+                phi[k][l], phi[l][k] = x, -x
+            expected.append(phi)
+        basis = [[list(r) for r in phi] for phi in symplectic_exists(pair).basis]
+        assert basis == expected
 
 
 class TestSymplectic:

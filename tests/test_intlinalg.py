@@ -182,6 +182,149 @@ class TestOneRref:
         assert solve_exact([[0, 0]], [1]) is None
 
 
+def dense(rows, ncols):
+    """Dict rows {column: entry} as lists of ncols entries."""
+    out = [[0] * ncols for _ in rows]
+    for row, r in zip(out, rows):
+        for c, x in r.items():
+            row[c] = x
+    return out
+
+
+@st.composite
+def sparse_matrices(draw, min_rows=0):
+    """Dict rows at density <= 10%, wider than tall, with zero and empty rows.
+
+    A row holds at most ncols // 20 entries, some of them stored zeros, so
+    the row that combines two others holds at most ncols // 10.
+    """
+    ncols = draw(st.integers(20, 60))
+    nrows = draw(st.integers(min_rows, 8))
+    cols = st.integers(0, ncols - 1)
+    m = [
+        draw(st.dictionaries(cols, _ENTRIES, max_size=ncols // 20))
+        for _ in range(nrows)
+    ]
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = draw(_ENTRIES), draw(_ENTRIES)
+        m.append({
+            c: a * m[0].get(c, 0) + b * m[1].get(c, 0) for c in m[0].keys() | m[1]
+        })
+    if draw(st.booleans()):
+        m.insert(draw(st.integers(0, len(m))), draw(st.sampled_from([{}, {0: 0}])))
+    return m, ncols
+
+
+class TestSparseRows:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_matrices())
+    def test_dict_rows_match_dense_rows_and_gauss_jordan(self, case):
+        m, ncols = case
+        full = dense(m, ncols)
+        reference = gauss_jordan(full)
+        if not m:
+            # no sequence row to read the width off
+            reference = ([], [])
+        assert rref(m, ncols) == rref(full) == reference
+        assert rational_rank(m, ncols) == rational_rank(full) == len(reference[1])
+        nullspace = rational_nullspace(m, ncols)
+        if m:
+            assert nullspace == rational_nullspace(full) == reference_nullspace(full)
+        else:
+            assert nullspace == [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(min_rows=1), st.data())
+    def test_solve_exact_on_dict_rows(self, case, data):
+        m, ncols = case
+        full = dense(m, ncols)
+        x = [0] * ncols
+        for c in data.draw(st.sets(st.integers(0, ncols - 1), max_size=4)):
+            x[c] = data.draw(_ENTRIES)
+        consistent = mat_vec(full, x)
+        other = data.draw(st.lists(_ENTRIES, min_size=len(m), max_size=len(m)))
+        for bcol in (consistent, other):
+            expected = reference_solve(full, bcol)
+            assert solve_exact(m, bcol, ncols) == solve_exact(full, bcol) == expected
+        both = [[u, v] for u, v in zip(consistent, other)]
+        got = solve_exact(m, both, ncols)
+        assert got == solve_exact(full, both)
+        if got is not None:
+            assert mat_vec(full, [r[0] for r in got]) == consistent
+
+    def test_back_elimination_reaches_earlier_pivot_rows(self):
+        # the third row's pivot, column 1, must be cleared from the first
+        m = [{0: 1, 1: 1, 2: 1}, {2: 1}, {1: 1}]
+        assert rref(m, 3) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+
+    def test_stored_zeros_are_not_entries(self):
+        # a zero left in a row would be taken for its pivot
+        m = [{0: 0, 1: 2}, {0: 0, 2: Fraction(0)}, {1: 0}]
+        assert rref(m, 3) == ([[0, 1, 0]], [1])
+        assert rational_rank(m, 3) == 1
+        assert rational_nullspace([{0: 0}], 1) == [[1]]
+
+    def test_numpy_integers_are_read_as_ints(self):
+        m = np.array([[2, 4], [1, 3]], dtype=np.int64)
+        assert rref(m) == rref(m.tolist())
+        assert rref([{0: np.int64(2)}], 2) == ([[1, 0]], [0])
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "m", [[[1], [3, 4]], [[1, 2], [3]], [[1, 2], [3, 4, 5]]], ids=str
+    )
+    def test_ragged_rows_are_refused(self, m):
+        for fn in (rref, rational_rank, rational_nullspace):
+            with pytest.raises(ValueError, match="entries"):
+                fn(m)
+        with pytest.raises(ValueError, match="entries"):
+            solve_exact(m, [1, 2])
+
+    def test_sequence_rows_of_another_width_than_ncols_are_refused(self):
+        with pytest.raises(ValueError, match="entries"):
+            rref([[1, 2]], 3)
+
+    @pytest.mark.parametrize("row", [{2: 1}, {-1: 1}, {1.0: 1}, {True: 1}, {"0": 1}])
+    def test_dict_columns_outside_the_range_are_refused(self, row):
+        for fn in (rref, rational_rank, rational_nullspace):
+            with pytest.raises(ValueError, match="column"):
+                fn([row], 2)
+        with pytest.raises(ValueError, match="column"):
+            solve_exact([row], [1], 2)
+
+    def test_dict_rows_need_ncols(self):
+        with pytest.raises(ValueError, match="ncols"):
+            rref([{0: 1}])
+        with pytest.raises(ValueError, match="ncols"):
+            rational_rank([{0: 1}], 2.0)
+
+    @pytest.mark.parametrize("entry", ["1", 1.0, 0.0, None, True, False, 1j])
+    def test_entries_other_than_int_and_fraction_are_refused(self, entry):
+        for m, ncols in (([[1, entry]], None), ([{0: 1, 1: entry}], 2)):
+            for fn in (rref, rational_rank, rational_nullspace):
+                with pytest.raises(ValueError, match="not an int or a Fraction"):
+                    fn(m, ncols)
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                solve_exact(m, [1], ncols)
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            solve_exact([[1, 0]], [entry])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1, 2, 3]], [[1], [2]]),
+            ([[1, 2]], [[1], [2], [3]]),
+            ([[1, 2], [3]], [[1], [2]]),
+            ([[1, 2]], [[1, 2], [3]]),
+        ],
+        ids=str,
+    )
+    def test_mat_mul_refuses_sizes_that_do_not_fit(self, a, b):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            mat_mul(a, b)
+
+
 class TestSmithNormalForm:
     def test_random_matrices_full_contract(self):
         rng = random.Random(20240811)

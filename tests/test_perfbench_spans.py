@@ -1,23 +1,27 @@
 """The benchmark's tracer wraps weylorb functions by name; every name must exist."""
 
 import importlib.util
+import json
 import os
 
 from weylorb import torsion
 from weylorb.rootdata import build_root_datum
 
-SPANS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "perfbench",
-    "spans.py",
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
 )
 
 
+def _load(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("spans")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -50,3 +54,24 @@ def test_torsion_hooks_read_the_reports():
     metrics = tracer.metrics()
     for name in ("torsion.schreier_generators", "torsion.orbit_points", "torsion.scan.codes"):
         assert metrics[name][0] > 0, name
+
+
+def test_a_matrix_lab_job_is_seen_by_the_rational_spans():
+    # hilbmatrix calls rational_rank and rational_nullspace through the
+    # names it bound at import, which the tracer replaces: is_cyclic on the
+    # pair and its dual, then symplectic_exists and module_isomorphic
+    spans, workloads = _load_spans(), _load("workloads")
+    with open(os.path.join(PERFBENCH, "goldens.json")) as fh:
+        goldens = json.load(fh)
+    inputs = workloads.make_inputs("matrix-lab", goldens, 1, 0)
+    _, job = workloads.make_jobs("matrix-lab", goldens, inputs)[0]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_repetition(0)
+        job()
+    finally:
+        tracer.uninstall()
+    calls = tracer.repetitions[0]["calls"]
+    assert calls["intlinalg.rational_rank"] == 2
+    assert calls["intlinalg.rational_nullspace"] == 2
