@@ -8,7 +8,7 @@ whether the module carries a compatible symplectic structure.
 An ideal is read once, by a recursive reader over Python's `ast` that
 accepts polynomials in x and y only and drops the terms its truncation never
 uses; its quotient data at truncations N and N + 1 come from one
-`intlinalg.rref` each.  Isomorphism and symplectic structure are linear
+`intlinalg.rref`, at N + 1.  Isomorphism and symplectic structure are linear
 systems, solved by the same elimination, followed by one question: does a
 span of matrices contain an invertible one?  Every linear system is built
 as sparse rows {column: nonzero entry}, straight from the nonzero terms of a
@@ -27,17 +27,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, transpose
 
 # entries of the linear system at truncation N + 1 that pair_from_ideal
 # builds at most: 10**6 allows N = 32 for three generators
 MAX_SYSTEM_ENTRIES = 10**6
-# exponent times the bit length of the constant term's numerator and
-# denominator times the number of terms the power can have, that a literal
-# power may reach: (2/3 + x)**25000 is read at truncation 0, where it has
-# one term, and (2/3 + x)**25001 is refused
+# bits times terms that a literal power (c + u)**e may reach (see _read):
+# (2/3 + x)**25000 is read at truncation 0, where it has one term, and
+# (2/3 + x)**25001 is refused
 MAX_POWER_BITS = 10**5
 
 
@@ -149,13 +148,13 @@ def _read(node, top):
     to an integer literal (ast has none below 0), integer literals, /
     between literals, x and y; anything else raises ValueError.  Reducing
     mod (x, y)^(top + 1) is a ring map, so terms above top are dropped as
-    soon as they appear, and ** squares and multiplies: one step per bit of
-    the exponent.  A constant term c of the base grows to c^exponent, and
-    every term of the power carries such a factor, so a power whose
-    exponent, times the bit length of c's numerator and denominator, times
-    the number of terms the power can have (the monomials of degree <= top
-    in the variables of the base) exceeds MAX_POWER_BITS raises ValueError,
-    unless c is 0 or +-1.
+    soon as they appear.  With c the constant term of its base and d the
+    lowest degree in u, a power (c + u)^e is the sum of C(e, k) c^(e - k)
+    u^k over k d <= top, in at most top + 1 steps (u^k has no term below
+    degree k d); for c = 0 only u^e is left.  Unless c = 0, ValueError if
+    e times the bits of c's numerator and denominator (for c = +-1, the
+    bits of the largest C(e, k) used), times the terms it can have (the
+    monomials of degree <= top in the variables of u), exceeds MAX_POWER_BITS.
     """
     op = getattr(node, "op", None)
     if isinstance(op, (ast.Add, ast.Sub)):
@@ -167,24 +166,25 @@ def _read(node, top):
         sign = 1 if isinstance(op, ast.UAdd) else -1
         return _plus({}, _read(node.operand, top), sign)
     if isinstance(op, ast.Pow) and type(getattr(node.right, "value", None)) is int:
-        base, exponent, power = _read(node.left, top), node.right.value, {(0, 0): 1}
-        c = base.get((0, 0), 0)
-        bits = abs(c.numerator).bit_length() + c.denominator.bit_length()
-        # the power's terms lie among the monomials of degree <= top in the
-        # variables its base holds
-        xs, ys = (any(m[k] for m in base) for k in (0, 1))
+        u, e = _read(node.left, top), node.right.value
+        c = u.pop((0, 0), 0)
+        steps = min(e, top // min((a + b for a, b in u), default=top + 1))
+        xs, ys = (any(m[k] for m in u) for k in (0, 1))
         terms = (top + 1) * (top + 2) // 2 if xs and ys else top + 1 if xs or ys else 1
-        if c not in (0, 1, -1) and exponent * bits * terms > MAX_POWER_BITS:
+        bits = e * (abs(c.numerator).bit_length() + c.denominator.bit_length())
+        if c in (1, -1):
+            bits = comb(e, min(steps, e // 2)).bit_length()
+        if c and bits * terms > MAX_POWER_BITS:
             raise ValueError(
                 f"{ast.unparse(node)!r} raises a constant term past "
                 f"{MAX_POWER_BITS} bits"
             )
-        while exponent:
-            if exponent & 1:
-                power = _times(power, base, top)
-            exponent >>= 1
-            if exponent:
-                base = _times(base, base, top)
+        power, u_k = {}, {(0, 0): 1}
+        for k in range(steps + 1):
+            if c or k == e:
+                factor = comb(e, k) * c ** (e - k)
+                power = _plus(power, {m: factor * v for m, v in u_k.items()}, 1)
+            u_k = _times(u_k, u, top)
         return power
     if getattr(node, "id", None) in ("x", "y"):
         return {(1, 0) if node.id == "x" else (0, 1): 1}
@@ -234,13 +234,16 @@ def pair_from_ideal(generators, truncation):
     """Multiplication matrices on C[x,y]/I, via the degree-truncated ring.
 
     The caller supplies a truncation N with (x,y)^N contained in I; this is
-    checked by requiring the colength to be the same at N and N + 1.  The
-    monomials off the pivot columns of the RREF at N are the basis of the
-    quotient, and a pivot monomial reduces to minus the rest of its row.
-    ValueError, before anything is built, unless N is a positive int and
-    the generators are strings whose system at N + 1 (one row per generator
-    and monomial, one column per monomial) has at most MAX_SYSTEM_ENTRIES
-    entries.
+    checked by requiring the colength to be the same at N and N + 1.  Both
+    come from one RREF at N + 1, whose first k = N(N + 1)/2 columns are the
+    monomials of degree < N: its pivot rows below k are the RREF at N, and
+    the colengths agree exactly when every monomial of degree N is a pivot.
+    The other monomials are the basis of the quotient, and a pivot monomial
+    reduces to minus the rest of its row, which is zero on the basis when
+    it has degree N.  ValueError, before anything is built, unless N is a
+    positive int and the generators are strings whose system at N + 1 (one
+    row per generator and monomial, one column per monomial) has at most
+    MAX_SYSTEM_ENTRIES entries.
     """
     if type(truncation) is not int or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, not {truncation!r}")
@@ -256,12 +259,12 @@ def pair_from_ideal(generators, truncation):
             f"truncation {truncation} with {len(generators)} generators needs a "
             f"system of {size} entries, more than {MAX_SYSTEM_ENTRIES}"
         )
-    # _quotient_data reads no term of degree > N, at N or at N + 1
+    # _quotient_data reads no term of degree > N
     terms = [_generator_terms(g, truncation) for g in generators]
-    monomials, rows, pivots = _quotient_data(terms, truncation)
-    monomials_next, _, pivots_next = _quotient_data(terms, truncation + 1)
-    colength = len(monomials) - len(pivots)
-    colength_next = len(monomials_next) - len(pivots_next)
+    monomials, rows, pivots = _quotient_data(terms, truncation + 1)
+    k = truncation * (truncation + 1) // 2
+    colength = k - sum(p < k for p in pivots)
+    colength_next = len(monomials) - len(pivots)
     if colength != colength_next:
         raise ValueError(
             f"colength not stabilized: {colength} at degree {truncation} "
@@ -277,13 +280,9 @@ def pair_from_ideal(generators, truncation):
         cols = []
         for i in basis:
             a, b = monomials[i]
-            target = index.get((a + dx, b + dy))
-            if target is None:
-                cols.append([0] * len(basis))
-            elif target in pivot_rows:
-                cols.append([-pivot_rows[target][k] for k in basis])
-            else:
-                cols.append([int(k == target) for k in basis])
+            target = index[a + dx, b + dy]
+            row = pivot_rows.get(target)
+            cols.append([-row[j] if row else int(j == target) for j in basis])
         mats.append(transpose(cols))
     return make_pair(*mats)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral, Number
 from operator import mul
 
 import numpy as np
@@ -91,7 +92,10 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+    """a @ v; ValueError unless every row of a has len(v) entries."""
+    if any(len(row) != len(v) for row in a):
+        raise ValueError(f"cannot multiply rows of lengths {_lengths(a)} by {len(v)}")
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_sub(a, b):
@@ -99,7 +103,28 @@ def mat_sub(a, b):
 
 
 def transpose(a):
+    """The transpose of a matrix as rows; ValueError for rows of other lengths."""
+    if len(_lengths(a)) > 1:
+        raise ValueError(f"cannot transpose rows of lengths {_lengths(a)}")
     return [list(col) for col in zip(*a)]
+
+
+def _lengths(a):
+    return sorted({len(row) for row in a})
+
+
+def _check_integers(rows, ring=False):
+    """ValueError for an entry that is a number but not an integer.
+
+    `//` would floor a Fraction or a float.  With ring, an entry that is no
+    number at all passes: det also runs on elements of a ring with exact
+    `//`, such as hilbmatrix._Poly.
+    """
+    for row in rows:
+        if not _INT.issuperset(map(type, row)):
+            for x in row:
+                if (isinstance(x, Number) or not ring) and not isinstance(x, Integral):
+                    raise ValueError(f"entry {x!r} is not an integer")
 
 
 def freeze(a):
@@ -113,9 +138,12 @@ def smith_normal_form(m):
     diagonal with d[0] | d[1] | ... (nonnegative), and v_inv @ v == I.  v_inv
     takes the inverse of each column operation on v as a row operation.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
+    if len(_lengths(d)) > 1:
+        raise ValueError(f"rows of lengths {_lengths(d)} are not a matrix")
+    _check_integers(d)
+    rows = len(d)
+    cols = len(d[0]) if rows else 0
     u = identity(rows)
     v = identity(cols)
     v_inv = identity(cols)
@@ -435,11 +463,16 @@ def solve_exact(a, b, ncols=None):
 
 
 def det(m):
-    """Exact determinant of a square integer matrix by fraction-free elimination."""
+    """Exact determinant of a square integer matrix by fraction-free elimination.
+
+    The entries may also lie in another ring with exact `//` (see
+    _check_integers); ValueError for a Fraction or a float.
+    """
     a = [list(row) for row in m]
     n, sign, prev = len(a), 1, 1
     if any(len(row) != n for row in a):
         raise ValueError("det needs a square matrix")
+    _check_integers(a, ring=True)
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:

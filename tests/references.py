@@ -8,6 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from weylorb.hilbmatrix import _generator_terms, _quotient_data, make_pair
 from weylorb.hodgepoly import BigradedPoly
 from weylorb.intlinalg import (
     clear_denominators,
@@ -164,3 +165,42 @@ def perturbed_candidates(embedding, p, fine_denominator, seed, count):
                     rows[i][t] += Fraction(a * b[i], f)
         out.append(TorsionPoint.from_fractions(rows))
     return out
+
+
+def pair_from_ideal_two_systems(generators, truncation):
+    """Multiplication matrices on C[x,y]/I from two eliminations, at N and N + 1.
+
+    The colength is required to be the same at both; the basis of the
+    quotient is the non-pivot monomials of the RREF at N, and a monomial of
+    degree N dies in the truncated ring.  Generators must be strings and N
+    a positive int.
+    """
+    terms = [_generator_terms(g, truncation) for g in generators]
+    monomials, rows, pivots = _quotient_data(terms, truncation)
+    monomials_next, _, pivots_next = _quotient_data(terms, truncation + 1)
+    colength = len(monomials) - len(pivots)
+    colength_next = len(monomials_next) - len(pivots_next)
+    if colength != colength_next:
+        raise ValueError(
+            f"colength not stabilized: {colength} at degree {truncation} "
+            f"but {colength_next} at degree {truncation + 1}; "
+            "increase the truncation or check that the ideal has finite "
+            "colength"
+        )
+    index = {m: i for i, m in enumerate(monomials)}
+    pivot_rows = dict(zip(pivots, rows))
+    basis = [i for i in range(len(monomials)) if i not in pivot_rows]
+    mats = []
+    for dx, dy in ((1, 0), (0, 1)):
+        cols = []
+        for i in basis:
+            a, b = monomials[i]
+            target = index.get((a + dx, b + dy))
+            if target is None:
+                cols.append([0] * len(basis))
+            elif target in pivot_rows:
+                cols.append([-pivot_rows[target][k] for k in basis])
+            else:
+                cols.append([int(k == target) for k in basis])
+        mats.append(transpose(cols))
+    return make_pair(*mats)

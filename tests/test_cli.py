@@ -348,6 +348,17 @@ class TestMatrixLab:
             "100000 bits\n"
         )
 
+    def test_power_of_a_unit_constant_term_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "matrix", "--ideal", "(1 + x + y)**" + str(10**100) + " - 1",
+            "x**9", "y**9", "--truncation", "12",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith("raises a constant term past 100000 bits\n")
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_pair_file_is_usage_error(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "matrix", "--pair-file", str(tmp_path / name))

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import ZZ
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -33,8 +33,11 @@ from weylorb.intlinalg import (
     mat_vec,
     rational_nullspace,
     rational_rank,
+    rref,
     transpose,
 )
+
+from references import pair_from_ideal_two_systems
 
 # the 3x3 spanning-but-not-cospanning example
 FOOTNOTE = (
@@ -460,6 +463,87 @@ class TestIdealConstruction:
         assert sorted(_generator_terms("(2/3 + x)**3", 3)) == [
             (0, 0, Fraction(8, 27)), (1, 0, Fraction(4, 3)), (2, 0, 2), (3, 0, 1)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["0", "1", "-1", "2/3", "-3"]),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)).filter(
+                lambda t: t[1] + t[2] > 0
+            ),
+            max_size=3,
+        ),
+        st.integers(0, 60),
+        st.integers(0, 8),
+    )
+    def test_powers_match_sympy(self, c, u_terms, exponent, top):
+        # (c + u)**exponent, with u free of constant terms
+        u = " + ".join(f"({k})*x**{a}*y**{b}" for k, a, b in u_terms) or "0"
+        text = f"({c} + {u})**{exponent}"
+        poly, x, y = ring("x,y", QQ)
+        base = poly(QQ(*map(int, c.split("/")))) + sum(
+            (k * x**a * y**b for k, a, b in u_terms), poly.zero
+        )
+        expected = {
+            (a, b): Fraction(v.numerator, v.denominator)
+            # the ring refuses 0**0, which the reader, like Python, takes as 1
+            for (a, b), v in (base**exponent if exponent else poly.one).terms()
+            if a + b <= top
+        }
+        assert {(a, b): v for a, b, v in _generator_terms(text, top)} == expected
+
+    def test_powers_with_a_unit_constant_term_are_bounded(self):
+        # C(10**100, 12) has 3,958 bits, in each of 91 terms of degree <= 12
+        for generators, truncation in (
+            (["(1 + x + y)**" + str(10**100) + " - 1", "x**9", "y**9"], 12),
+            (["(-1 + x + 2*y)**" + str(10**100) + " - 1", "x**5", "y**5"], 32),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="constant term past 100000 bits"):
+                pair_from_ideal(generators, truncation)
+            assert time.perf_counter() - start < 0.1
+        # C(2**8334, 3) has 25,000 bits and C(2**8335, 3) 25,003, in each of
+        # the 4 terms of degree <= 3 in x
+        assert len(_generator_terms(f"(-1 + x)**{2**8334}", 3)) == 4
+        with pytest.raises(ValueError, match="constant term past 100000 bits"):
+            _generator_terms(f"(1 + x)**{2**8335}", 3)
+
+    def test_one_elimination_per_ideal(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rref(*args)
+
+        monkeypatch.setattr(hilbmatrix, "rref", counted)
+        for generators, truncation in (
+            (["x**2", "x*y", "y**2"], 3),
+            (["y - x**2", "x**3"], 4),
+            (["x"], 2),
+            (["x**2", "y**2"], 2),
+        ):
+            calls.clear()
+            try:
+                pair_from_ideal(generators, truncation)
+            except ValueError as exc:
+                assert "colength not stabilized" in str(exc)
+            assert len(calls) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(polynomial_texts(), min_size=1, max_size=3),
+        st.lists(st.sampled_from(["x**2", "x**3", "y**2", "y**4", "x*y"]), max_size=2),
+        st.integers(1, 7),
+    )
+    def test_one_elimination_matches_two_systems(self, generators, extra, truncation):
+        # non-stabilized ideals and the unit ideal included: then both raise
+        outcomes = []
+        for build in (pair_from_ideal, pair_from_ideal_two_systems):
+            try:
+                outcomes.append(build(generators + extra, truncation))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("truncation", [2.5, True, "3", 0])
     def test_truncation_must_be_a_positive_int(self, truncation):

@@ -324,6 +324,42 @@ class TestInputContract:
         with pytest.raises(ValueError, match="cannot multiply"):
             mat_mul(a, b)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # // floors a Fraction: this used to return -1, not -1/2
+            lambda: det([[Fraction(1, 2), 1], [1, 1]]),
+            lambda: det([[2, 1], [1, 2.5]]),
+            lambda: smith_normal_form([[Fraction(1, 2)]]),
+            lambda: smith_normal_form([[1.5, 0], [0, 2]]),
+            lambda: smith_normal_form([[1, 2], [3]]),
+            lambda: transpose([[1, 2], [3]]),
+            lambda: mat_vec([[1, 2]], [1]),
+            lambda: mat_vec([[1]], [1, 2]),
+        ],
+        ids=[
+            "det-fraction",
+            "det-float",
+            "smith-fraction",
+            "smith-float",
+            "smith-ragged",
+            "transpose-ragged",
+            "mat_vec-short-vector",
+            "mat_vec-long-vector",
+        ],
+    )
+    def test_z_side_refuses_what_it_cannot_compute(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_z_side_keeps_its_exact_inputs(self):
+        half = Fraction(1, 2)
+        assert det([[2, 1], [1, 2]]) == 3
+        assert det([[np.int64(2), 1], [1, np.int64(2)]]) == 3
+        assert smith_normal_form(np.array([[2, 0], [0, 3]]))[0] == [[1, 0], [0, 6]]
+        assert transpose([[half, 1]]) == [[half], [1]]
+        assert mat_vec([[half, 1]], [2, half]) == [Fraction(3, 2)]
+
 
 class TestSmithNormalForm:
     def test_random_matrices_full_contract(self):
