@@ -338,8 +338,12 @@ def main(argv=None):
         return code
     # written only now, so a run that fails or ends with no report leaves
     # the file as it was
-    with open(args.out, "w") as fh:
-        print(body, file=fh)
+    try:
+        with open(args.out, "w") as fh:
+            print(body, file=fh)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

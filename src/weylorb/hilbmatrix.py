@@ -13,10 +13,14 @@ systems, solved by the same elimination, followed by one question: does a
 span of matrices contain an invertible one?  Every linear system is built
 as sparse rows {column: nonzero entry}, straight from the nonzero terms of a
 generator or the nonzero entries of a pair, and so are the rows whose rank
-decides cyclicity.  Whether a span holds an invertible matrix is decided by
-the determinant of the generic element, taken exactly in ZZ[t_0..t_k] by
-`intlinalg.det` on sparse polynomials; the witness is drawn from a seeded
-stream, so it is fixed by the seed.
+decides cyclicity.  Whether a span holds an invertible matrix is decided
+in this order: a skew span of odd size m holds none (det Phi = (-1)^m det
+Phi); ranks [M_x | M_y] and [M_x ; M_y], which similarity keeps, must agree
+between two conjugate pairs, and with each other for a pair similar by Phi
+to (-M_x^T, -M_y^T); a first seeded draw with nonzero determinant is a
+witness; only then is the determinant of the generic element taken, exactly
+in ZZ[t_0..t_k] by `intlinalg.det` on sparse polynomials.  Witnesses are
+drawn from a seeded stream, so they are fixed by the seed.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .intlinalg import det, mat_mul, rational_nullspace, rational_rank, rref, transpose
+from .intlinalg import det, rational_nullspace, rational_rank, rref, transpose
 
 # entries of the linear system at truncation N + 1 that pair_from_ideal
 # builds at most: 10**6 allows N = 32 for three generators
@@ -52,18 +56,17 @@ class MatrixPair:
         for name, m in (("mx", self.mx), ("my", self.my)):
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError(f"{name} is not a {self.dim}x{self.dim} matrix")
-        a = [list(r) for r in self.mx]
-        b = [list(r) for r in self.my]
-        if mat_mul(a, b) != mat_mul(b, a):
+        a, b = _rows(self.mx), _rows(self.my)
+        if _product(a, b) != _product(b, a):
             raise ValueError("matrices do not commute")
 
     def is_nilpotent(self):
-        """Whether m^dim = 0 for both matrices, by repeated squaring."""
+        """Whether m^dim = 0 for both matrices, squaring until a power is 0."""
         for m in (self.mx, self.my):
-            p, exponent = [list(r) for r in m], 1
-            while exponent < self.dim:
-                p, exponent = mat_mul(p, p), 2 * exponent
-            if any(x != 0 for row in p for x in row):
+            p, exponent = _rows(m), 1
+            while exponent < self.dim and any(p):
+                p, exponent = _product(p, p), 2 * exponent
+            if any(p):
                 return False
         return True
 
@@ -84,6 +87,23 @@ class MatrixPair:
             return cls(dim=d["dim"], mx=conv(d["mx"]), my=conv(d["my"]))
         except TypeError as exc:
             raise ValueError(f"malformed pair: {exc}") from None
+
+
+def _rows(m):
+    """The sparse rows {column: nonzero entry} of a matrix."""
+    return [{j: x for j, x in enumerate(r) if x} for r in m]
+
+
+def _product(a, b):
+    """The product of two matrices given as sparse rows, as sparse rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def _as_number(f):
@@ -295,10 +315,15 @@ def is_cyclic(pair):
     """
     if not pair.is_nilpotent():
         raise ValueError("cyclicity criterion requires a nilpotent pair")
-    stacked = [
-        {j: x for j, x in enumerate(rx + ry) if x} for rx, ry in zip(pair.mx, pair.my)
-    ]
-    return pair.dim - rational_rank(stacked, 2 * pair.dim) == 1
+    return pair.dim - _rank(pair.mx, pair.my) == 1
+
+
+def _rank(a, b, stacked=False):
+    """rank [a | b], or rank [a ; b] if stacked; both are kept when P a P^-1
+    and P b P^-1 replace a and b (multiply by P and by diag(P^-1, P^-1))."""
+    if stacked:
+        return rational_rank(_rows(a) + _rows(b), len(a))
+    return rational_rank(_rows(r + s for r, s in zip(a, b)), 2 * len(a))
 
 
 def dual(pair):
@@ -416,9 +441,9 @@ def _subspace_contains_invertible(basis, dim, seed=0):
     polynomial in the parameters; over an infinite field it vanishes
     identically iff the subspace has no invertible element.  It is taken
     fraction-free in the polynomial ring ZZ[t_0..t_k] (`_generic_det`),
-    after scaling the basis by a common denominator L.  When it is nonzero,
-    a witness is the first seeded integer draw of coefficients, with growing
-    bounds, whose combination has a nonzero (integer, L-scaled) determinant.
+    after scaling the basis by a common denominator L, only when the first
+    draw fails: a witness is the first seeded integer draw of coefficients,
+    with growing bounds, whose combination has a nonzero determinant.
     """
     if not basis:
         return False, None
@@ -427,24 +452,29 @@ def _subspace_contains_invertible(basis, dim, seed=0):
         [[x.numerator * (den // x.denominator) for x in row] for row in b]
         for b in basis
     ]
-    if not _generic_det(scaled, dim):
-        return False, None
     rng = random.Random(seed)
-    for bound in (1, 2, 3, 5, 9):
-        for _ in range(200):
-            coeffs = [rng.randint(-bound, bound) for _ in basis]
-            combination = [
-                [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
-                for i in range(dim)
-            ]
-            if det(combination):
-                return True, [[Fraction(x, den) for x in row] for row in combination]
+    bounds = (bound for bound in (1, 2, 3, 5, 9) for _ in range(200))
+    for n, bound in enumerate(bounds):
+        if n == 1 and not _generic_det(scaled, dim):
+            return False, None
+        coeffs = [rng.randint(-bound, bound) for _ in basis]
+        combination = [
+            [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        if det(combination):
+            return True, [[Fraction(x, den) for x in row] for row in combination]
     raise AssertionError("nonzero determinant but no witness found")
 
 
 def module_isomorphic(a, b, seed=0):
-    """Simultaneous-conjugacy test; returns (bool, witness P or None)."""
-    if a.dim != b.dim:
+    """Simultaneous-conjugacy test; returns (bool, witness P or None).
+
+    No system is solved when rank [x | y] or rank [x ; y] differ.
+    """
+    if a.dim != b.dim or any(
+        _rank(a.mx, a.my, s) != _rank(b.mx, b.my, s) for s in (False, True)
+    ):
         return False, None
     basis = _sylvester_solution_space(a, b)
     return _subspace_contains_invertible(basis, a.dim, seed)
@@ -461,7 +491,10 @@ def symplectic_exists(pair, seed=0):
     """All skew Phi with Phi M + M^T Phi = 0 for both matrices of the pair.
 
     contains_invertible reports whether the module is a symplectic
-    (self-minus-dual) one; when true a witness Phi is included.
+    (self-minus-dual) one; when true a witness Phi is included.  It is false
+    without a determinant when m is odd (det Phi = det Phi^T = (-1)^m det Phi)
+    or when rank [M_x | M_y] != rank [M_x ; M_y]: an invertible Phi makes
+    the pair similar to (-M_x^T, -M_y^T), whose rank [. | .] is the latter.
     """
     m = pair.dim
     positions = list(itertools.combinations(range(m), 2))
@@ -498,7 +531,9 @@ def symplectic_exists(pair, seed=0):
             phi[k][l] = v[idx]
             phi[l][k] = -v[idx]
         basis.append(phi)
-    ok, witness = _subspace_contains_invertible(basis, m, seed)
+    ok, witness = False, None
+    if m % 2 == 0 and _rank(pair.mx, pair.my) == _rank(pair.mx, pair.my, True):
+        ok, witness = _subspace_contains_invertible(basis, m, seed)
     return SkewSolutionSpace(
         basis=tuple(tuple(tuple(x for x in r) for r in b) for b in basis),
         contains_invertible=ok,

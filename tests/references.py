@@ -7,11 +7,19 @@ that a test can check a batched or closed-form route against it.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
-from weylorb.hilbmatrix import _generator_terms, _quotient_data, make_pair
+from weylorb.hilbmatrix import (
+    SkewSolutionSpace,
+    _generator_terms,
+    _generic_det,
+    _quotient_data,
+    make_pair,
+)
 from weylorb.hodgepoly import BigradedPoly
 from weylorb.intlinalg import (
     clear_denominators,
+    det,
     identity,
     mat_mul,
     rational_nullspace,
@@ -204,3 +212,95 @@ def pair_from_ideal_two_systems(generators, truncation):
                 cols.append([int(k == target) for k in basis])
         mats.append(transpose(cols))
     return make_pair(*mats)
+
+
+def literal_sylvester_rows(a, b):
+    """Every entry of P a_x - b_x P and P a_y - b_y P, over the entries of P."""
+    m = a.dim
+    rows = []
+    for ax, bx in ((a.mx, b.mx), (a.my, b.my)):
+        for i in range(m):
+            for j in range(m):
+                row = [0] * (m * m)
+                for l in range(m):
+                    row[i * m + l] += ax[l][j]
+                for k in range(m):
+                    row[k * m + j] -= bx[i][k]
+                rows.append(row)
+    return rows
+
+
+def literal_skew_rows(pair):
+    """Every entry of Phi M + M^T Phi, over Phi[k][l] = -Phi[l][k], k < l."""
+    m = pair.dim
+    positions = list(itertools.combinations(range(m), 2))
+    rows = []
+    for mat in (pair.mx, pair.my):
+        for i in range(m):
+            for j in range(m):
+                row = [0] * len(positions)
+                for idx, (k, l) in enumerate(positions):
+                    row[idx] += (i == k) * mat[l][j] - (i == l) * mat[k][j]
+                    row[idx] += (j == l) * mat[k][i] - (j == k) * mat[l][i]
+                rows.append(row)
+    return rows
+
+
+def subspace_contains_invertible_det_first(basis, dim, seed=0):
+    """Whether a span of matrices holds an invertible one, generic det first.
+
+    The determinant of sum t_k B_k, after scaling by a common denominator,
+    decides; only when it is nonzero are seeded integer combinations drawn,
+    with growing bounds, and the first with a nonzero determinant is the
+    witness.
+    """
+    if not basis:
+        return False, None
+    den = lcm(*(x.denominator for b in basis for row in b for x in row))
+    scaled = [
+        [[x.numerator * (den // x.denominator) for x in row] for row in b]
+        for b in basis
+    ]
+    if not _generic_det(scaled, dim):
+        return False, None
+    rng = random.Random(seed)
+    for bound in (1, 2, 3, 5, 9):
+        for _ in range(200):
+            coeffs = [rng.randint(-bound, bound) for _ in basis]
+            combination = [
+                [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
+                for i in range(dim)
+            ]
+            if det(combination):
+                return True, [[Fraction(x, den) for x in row] for row in combination]
+    raise AssertionError("nonzero determinant but no witness found")
+
+
+def module_isomorphic_det_first(a, b, seed=0):
+    """Simultaneous conjugacy: every P with P a = b P, then the span decides."""
+    if a.dim != b.dim:
+        return False, None
+    m = a.dim
+    basis = [
+        [[v[i * m + j] for j in range(m)] for i in range(m)]
+        for v in rational_nullspace(literal_sylvester_rows(a, b))
+    ]
+    return subspace_contains_invertible_det_first(basis, m, seed)
+
+
+def symplectic_exists_det_first(pair, seed=0):
+    """Every skew Phi with Phi M + M^T Phi = 0, then the span decides."""
+    m = pair.dim
+    positions = list(itertools.combinations(range(m), 2))
+    basis = []
+    for v in rational_nullspace(literal_skew_rows(pair)) if positions else []:
+        phi = [[Fraction(0)] * m for _ in range(m)]
+        for x, (k, l) in zip(v, positions):
+            phi[k][l], phi[l][k] = x, -x
+        basis.append(phi)
+    ok, witness = subspace_contains_invertible_det_first(basis, m, seed)
+    return SkewSolutionSpace(
+        basis=tuple(tuple(tuple(r) for r in b) for b in basis),
+        contains_invertible=ok,
+        witness=tuple(tuple(r) for r in witness) if witness else None,
+    )

@@ -496,6 +496,16 @@ def test_usage_error_is_one_line_exit_2(capsys, argv):
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+def test_unwritable_out_is_one_line_exit_2(capsys, tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    code, out, err = run(capsys, "table1", "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory"]
+
+
 class TestDeterminismAndOutput:
     def test_byte_identical_reports_per_seed(self, capsys):
         argv = [

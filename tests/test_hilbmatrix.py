@@ -37,7 +37,13 @@ from weylorb.intlinalg import (
     transpose,
 )
 
-from references import pair_from_ideal_two_systems
+from references import (
+    literal_skew_rows,
+    literal_sylvester_rows,
+    module_isomorphic_det_first,
+    pair_from_ideal_two_systems,
+    symplectic_exists_det_first,
+)
 
 # the 3x3 spanning-but-not-cospanning example
 FOOTNOTE = (
@@ -663,38 +669,6 @@ class TestDuality:
         ) == (False, None)
 
 
-def literal_sylvester_rows(a, b):
-    """Every entry of P a_x - b_x P and P a_y - b_y P, over the entries of P."""
-    m = a.dim
-    rows = []
-    for ax, bx in ((a.mx, b.mx), (a.my, b.my)):
-        for i in range(m):
-            for j in range(m):
-                row = [0] * (m * m)
-                for l in range(m):
-                    row[i * m + l] += ax[l][j]
-                for k in range(m):
-                    row[k * m + j] -= bx[i][k]
-                rows.append(row)
-    return rows
-
-
-def literal_skew_rows(pair):
-    """Every entry of Phi M + M^T Phi, over Phi[k][l] = -Phi[l][k], k < l."""
-    m = pair.dim
-    positions = list(itertools.combinations(range(m), 2))
-    rows = []
-    for mat in (pair.mx, pair.my):
-        for i in range(m):
-            for j in range(m):
-                row = [0] * len(positions)
-                for idx, (k, l) in enumerate(positions):
-                    row[idx] += (i == k) * mat[l][j] - (i == l) * mat[k][j]
-                    row[idx] += (j == l) * mat[k][i] - (j == k) * mat[l][i]
-                rows.append(row)
-    return rows
-
-
 @st.composite
 def commuting_pairs(draw, dim):
     """(m, c m^2 + d m + e I) for a small rational m, most entries 0."""
@@ -791,3 +765,122 @@ class TestSymplectic:
                     for i in range(4)
                 ]
                 assert rational_rank(combo) < 4
+
+
+PARTITIONS_TO_7 = [lam for n in range(1, 8) for lam in partitions(n)]
+_IDEAL_PAIRS = {}
+
+
+def ideal_pair(lam):
+    """C[x,y]/I_lambda, built once per partition."""
+    if lam not in _IDEAL_PAIRS:
+        _IDEAL_PAIRS[lam] = pair_from_ideal(*monomial_ideal(lam))
+    return _IDEAL_PAIRS[lam]
+
+
+def conjugate(pair, seed):
+    """U pair U^-1 for a seeded product U of transvections I +- e_ij."""
+    rng, n = random.Random(seed), pair.dim
+    mats = [[list(r) for r in m] for m in (pair.mx, pair.my)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for m in mats:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= c * row[i]
+    return make_pair(*mats)
+
+
+def direct_sum(a, b):
+    return make_pair(*(
+        [list(r) + [0] * b.dim for r in ma] + [[0] * a.dim + list(r) for r in mb]
+        for ma, mb in ((a.mx, b.mx), (a.my, b.my))
+    ))
+
+
+@st.composite
+def modules(draw):
+    """A nilpotent commuting pair: C[x,y]/I_lambda up to colength 7, its
+    dual, a direct sum of two of them of total size at most 5, a zero pair
+    or one of FOOTNOTE and REMARK; up to size 5, half the time conjugated by a unimodular integer
+    matrix (the det-first oracle takes up to a second on a conjugate of
+    size 7)."""
+    kind = draw(st.sampled_from(["ideal", "dual", "sum", "zero", "example"]))
+    if kind == "example":
+        pair = make_pair(*draw(st.sampled_from([FOOTNOTE, REMARK])))
+    elif kind == "zero":
+        n = draw(st.integers(1, 4))
+        pair = make_pair([[0] * n] * n, [[0] * n] * n)
+    elif kind == "sum":
+        lam = draw(st.sampled_from(PARTITIONS_TO_7[:7]))
+        mu = draw(st.sampled_from([m for m in PARTITIONS_TO_7 if sum(m) <= 5 - sum(lam)]))
+        pair = direct_sum(ideal_pair(lam), ideal_pair(mu))
+    else:
+        lam = draw(st.sampled_from(PARTITIONS_TO_7))
+        pair = ideal_pair(lam) if kind == "ideal" else dual(ideal_pair(lam))
+    if pair.dim <= 5 and draw(st.booleans()):
+        pair = conjugate(pair, draw(st.integers(0, 2**16)))
+    return pair
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestExactCertificates:
+    """Odd skew size and the ranks [x | y], [x ; y] decide before any
+    determinant, and a first draw that is a witness before the generic one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        modules(),
+        st.sampled_from(["conjugate", "dual", "other"]),
+        modules(),
+        st.integers(0, 2**16),
+        st.integers(0, 3),
+    )
+    def test_verdicts_match_det_first_oracle(self, a, relation, other, u, seed):
+        hide = (lambda p: conjugate(p, u)) if a.dim <= 5 else (lambda p: p)
+        b = {"conjugate": hide(a), "dual": hide(dual(a)), "other": other}[relation]
+        assert outcome(module_isomorphic, a, b, seed) == outcome(
+            module_isomorphic_det_first, a, b, seed
+        )
+        assert outcome(symplectic_exists, a, seed) == outcome(
+            symplectic_exists_det_first, a, seed
+        )
+
+    def test_generic_determinant_runs_on_few_spans(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _generic_det(*args)
+
+        monkeypatch.setattr(hilbmatrix, "_generic_det", counted)
+        lams = [lam for n in (6, 7) for lam in partitions(n)]
+        assert len(lams) == 26
+        for lam in lams:
+            pair = ideal_pair(lam)
+            d = dual(pair)
+            assert is_cyclic(pair) and is_cyclic(d) == (len(set(lam)) == 1)
+            symplectic_exists(pair)
+            module_isomorphic(pair, d)
+        # the det-first path takes 52
+        assert len(calls) <= 6
+
+    def test_odd_size_takes_no_determinant(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("generic determinant taken")
+
+        for lam in [(7,), (3, 2, 2), (2, 1)]:
+            pair = ideal_pair(lam)
+            expected = symplectic_exists_det_first(pair)
+            monkeypatch.setattr(hilbmatrix, "_generic_det", refused)
+            got = symplectic_exists(pair)
+            monkeypatch.undo()
+            assert got == expected and not got.contains_invertible
