@@ -111,26 +111,14 @@ def cmd_torsion_scan(args):
     datum = rootdata.build_root_datum(args.type, args.rank)
     group = rootdata.enumerate_group(datum, args.cap or GROUP_ORDER_CAP)
     points = torsion.find_minus_one_points(group, args.denominator_bound)
-    rows = []
-    csv_rows = [("representative", "stabilizer_order", "classification", "local_model")]
+    # every point found has stabilizer exactly {+-1}, so one report serves all
+    report = torsion.stabilizer(group, points[0]) if points else None
+    header = ("representative", "stabilizer_order", "classification", "local_model")
+    rows, csv_rows = [], [header]
     for p in points:
-        report = torsion.stabilizer(group, p)
-        rows.append(
-            {
-                "point": p.to_json(),
-                "stabilizer_order": report.order,
-                "classification": report.action_classification,
-                "local_model": report.local_model_label,
-            }
-        )
-        csv_rows.append(
-            (
-                ";".join(",".join(r) for r in p.to_json()),
-                report.order,
-                report.action_classification,
-                report.local_model_label,
-            )
-        )
+        fields = (report.order, report.action_classification, report.local_model_label)
+        rows.append({"point": p.to_json(), **dict(zip(header[1:], fields))})
+        csv_rows.append((";".join(",".join(r) for r in p.to_json()), *fields))
     payload = {
         "type": datum.dynkin_type,
         "orbit_count": len(points),

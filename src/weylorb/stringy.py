@@ -57,6 +57,9 @@ DEFAULT_ENGINE_CAP = 10**5
 # copies of its batch, and at 256 pairs those stay below the arrays of the
 # conjugacy-class step for W(A_5) and W(B_4)
 _PAIR_CHUNK = 256
+# verify_sp_theorem refuses n above this: the split-partition closed form
+# takes about 2 s at n = 16 and 12 s at n = 20
+MAX_VERIFY_SP_N = 16
 
 
 class LatticeAction:
@@ -308,15 +311,11 @@ def stringy_euler_commuting_pairs(action):
 
 
 def _split_partitions(n):
-    """Pairs of partitions (alpha_plus, alpha_minus) with sizes summing to n.
-
-    Both are multiplicity tuples padded to length n.
-    """
+    """Pairs of partitions (alpha_plus, alpha_minus), as multiplicity tuples,
+    with sizes summing to n."""
     for m in range(n + 1):
         for plus in partitions(m):
-            plus = tuple(plus) + (0,) * (n - len(plus))
             for minus in partitions(n - m):
-                minus = tuple(minus) + (0,) * (n - len(minus))
                 yield plus, minus
 
 
@@ -372,8 +371,11 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
 
     Compares the wreath closed form against goettsche(h(X), n), and, when
     engine is not disabled (default: run it for n <= 5), against the full
-    twisted-sector engine on (Z^n, hyperoctahedral W).
+    twisted-sector engine on (Z^n, hyperoctahedral W).  n above
+    MAX_VERIFY_SP_N raises ValueError before any work.
     """
+    if n > MAX_VERIFY_SP_N:
+        raise ValueError(f"n = {n} is above the Sp(n) check's bound {MAX_VERIFY_SP_N}")
     closed = stringy_hodge_wreath_closed_form(n)
     hilb = goettsche(kummer_k3(), n)
     polys = {"closed_form": closed, "goettsche": hilb}

@@ -7,7 +7,7 @@ that a test can check a batched or closed-form route against it.
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from weylorb.hilbmatrix import (
     SkewSolutionSpace,
@@ -16,7 +16,7 @@ from weylorb.hilbmatrix import (
     _quotient_data,
     make_pair,
 )
-from weylorb.hodgepoly import BigradedPoly
+from weylorb.hodgepoly import BigradedPoly, partitions
 from weylorb.intlinalg import (
     clear_denominators,
     det,
@@ -98,6 +98,49 @@ def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
     if any(Fraction(c).denominator != 1 for c in total.coeffs.values()):
         raise ValueError(f"non-integer coefficient in {total}")
     return BigradedPoly({k: int(c) for k, c in total.coeffs.items()})
+
+
+def sym_power_by_factors(h, l):
+    """Sym^l of h as the coefficient of T^l in one factor series per (p, q):
+
+    prod_{p+q even} (1 - x^p y^q T)^(-h^{p,q})
+    * prod_{p+q odd} (1 + x^p y^q T)^(h^{p,q}),
+
+    each factor expanded in full and multiplied into a fresh series.
+    """
+    if l < 0:
+        raise ValueError("negative symmetric power")
+    if any(c < 0 for c in h.coeffs.values()):
+        raise ValueError("sym_power requires nonnegative coefficients")
+    series = [BigradedPoly.one()] + [BigradedPoly.zero()] * l
+    for (p, q), c in h.coeffs.items():
+        mono = BigradedPoly.monomial(p, q)
+        if (p + q) % 2 == 0:
+            factor = [mono**j * comb(c - 1 + j, j) for j in range(l + 1)]
+        else:
+            factor = [mono**j * comb(c, j) for j in range(l + 1)]
+        new = [BigradedPoly.zero() for _ in range(l + 1)]
+        for a in range(l + 1):
+            for b in range(l + 1 - a):
+                new[a + b] = new[a + b] + series[a] * factor[b]
+        series = new
+    return series[l]
+
+
+def goettsche_partition_sum(h, n):
+    """Hodge polynomial of the Hilbert scheme of n points, as Goettsche's
+    partition sum: over partitions alpha of n with multiplicities a_i,
+    (xy)^(n - sum a_i) prod_i Sym^{a_i}(h), with Sym from the factor series.
+    """
+    syms = [sym_power_by_factors(h, a) for a in range(n + 1)]
+    xy = BigradedPoly.monomial(1, 1)
+    total = BigradedPoly.zero()
+    for alpha in partitions(n):
+        term = xy ** (n - sum(alpha))
+        for a in alpha:
+            term = term * syms[a]
+        total = total + term
+    return total
 
 
 def unimodular_inverse(m):

@@ -1,4 +1,4 @@
-"""End-to-end acceptance suite: the eleven headline checks with time budgets.
+"""End-to-end acceptance suite: the thirteen headline checks with time budgets.
 
 Each test asserts both the mathematical outcome and, where a budget is part
 of the contract, that the computation fits in it.
@@ -9,6 +9,7 @@ import time
 import pytest
 
 from weylorb.hodgepoly import (
+    MAX_SERIES_N,
     BigradedPoly,
     abelian_surface,
     generating_series,
@@ -22,6 +23,7 @@ from weylorb.rootdata import (
     highest_coroot_coefficients,
 )
 from weylorb.stringy import (
+    MAX_VERIFY_SP_N,
     LatticeAction,
     stringy_euler_commuting_pairs,
     stringy_hodge,
@@ -122,22 +124,50 @@ def test_05_special_unitary_case():
     assert t.elapsed < 120.0
 
 
+def eta_24_inverse(n_max):
+    """Coefficients of prod_m (1 - q^m)^(-24), one geometric series at a time."""
+    series = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        for _ in range(24):
+            for k in range(m, n_max + 1):
+                series[k] += series[k - m]
+    return series
+
+
 def test_06_euler_series():
     """Series 1, 24, 324, 3200 against an independent eta-product routine."""
-
-    def eta_24_inverse(n_max):
-        series = [1] + [0] * n_max
-        for m in range(1, n_max + 1):
-            for _ in range(24):
-                for k in range(m, n_max + 1):
-                    series[k] += series[k - m]
-        return series
-
     with Timer() as t:
         values = generating_series(kummer_k3(), 3, "euler")
     assert values == [1, 24, 324, 3200]
     assert values == eta_24_inverse(3)
     assert t.elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "surface,budget", [(abelian_surface, 4.0), (kummer_k3, 2.0)], ids=["abelian", "k3"]
+)
+def test_12_series_at_the_bound(surface, budget):
+    """The unspecialized series up to MAX_SERIES_N, within its budget: about
+    1 s on the abelian surface and 0.3 s on the K3, the two slowest, on a
+    2-vCPU machine.  Its Euler numbers are those of prod (1 - q^m)^(-e)."""
+    with Timer() as t:
+        values = generating_series(surface(), MAX_SERIES_N, None)
+    assert t.elapsed < budget
+    eulers = [v.specialize(-1, -1) for v in values]
+    if surface is kummer_k3:
+        assert eulers == eta_24_inverse(MAX_SERIES_N)
+    else:
+        assert eulers == [1] + [0] * MAX_SERIES_N
+
+
+def test_13_verify_sp_at_the_bound():
+    """verify_sp_theorem at MAX_VERIFY_SP_N (closed form against Goettsche's
+    formula, no engine), within 8 s: about 2 s on a 2-vCPU machine."""
+    with Timer() as t:
+        report = verify_sp_theorem(MAX_VERIFY_SP_N)
+    assert t.elapsed < 8.0
+    assert report.verdict, report.notes
+    assert "engine" not in report.polynomials
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,23 @@ class TestVerifiers:
         payload = json.loads(out)
         assert [r["value"] for r in payload["series"]] == [1, 24, 324, 3200]
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("series", "--n", "31", "--specialization", "none"), "series bound 30"),
+            (("series", "--n", str(10**9)), "series bound 30"),
+            (("verify-sp", "--n", "17"), "Sp(n) check's bound 16"),
+        ],
+        ids=["series", "series-huge", "verify-sp"],
+    )
+    def test_n_above_the_bound_is_usage_error(self, capsys, argv, bound):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n = ") and err.endswith(f" is above the {bound}\n")
+        assert len(err.splitlines()) == 1
+
     def test_series_unspecialized(self, capsys):
         code, out, _ = run(
             capsys,

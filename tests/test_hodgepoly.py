@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import goettsche_partition_sum, sym_power_by_factors
 from weylorb.hodgepoly import (
+    MAX_SERIES_N,
     BigradedPoly,
     abelian_surface,
     generating_series,
@@ -199,3 +201,55 @@ class TestGoettsche:
         vals = generating_series(kummer_k3(), 2, (1, 1))
         assert vals[0] == 1
         assert vals[1] == 24
+
+
+SURFACES = {
+    "kummer_k3": kummer_k3,
+    "abelian_surface": abelian_surface,
+    "kummer_singular": kummer_singular,
+    "two_torsion": two_torsion,
+}
+# even and odd classes of several dimensions, one at (0, 0) and one off the
+# diagonal, so that every branch and shift of a factor shows
+MIXED = BigradedPoly({(0, 0): 2, (1, 0): 3, (0, 1): 1, (2, 1): 2, (3, 3): 1})
+
+
+class TestGoettscheProduct:
+    """The truncated product against the factor series and partition sum."""
+
+    @pytest.mark.parametrize("name", sorted(SURFACES))
+    def test_product_matches_partition_sum(self, name):
+        h = SURFACES[name]()
+        expected = [goettsche_partition_sum(h, n) for n in range(13)]
+        assert [goettsche(h, n) for n in range(13)] == expected
+        assert generating_series(h, 12, None) == expected
+        assert generating_series(h, 12, "signature") == [
+            e.specialize(-1, 1) for e in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            abelian_surface(),
+            kummer_k3(),
+            two_torsion(),
+            MIXED,
+            BigradedPoly({(1, 0): 1}),
+            BigradedPoly({(2, 1): 5, (1, 1): 1}),
+        ],
+        ids=["abelian", "k3", "two_torsion", "mixed", "one_odd", "five_odd"],
+    )
+    def test_sym_power_matches_factor_series(self, h):
+        for l in range(9):
+            assert sym_power(h, l) == sym_power_by_factors(h, l)
+
+    def test_series_bound(self):
+        n = MAX_SERIES_N + 1
+        message = f"n = {n} is above the series bound {MAX_SERIES_N}"
+        with pytest.raises(ValueError, match=message):
+            generating_series(abelian_surface(), n, None)
+        with pytest.raises(ValueError, match=message):
+            goettsche(abelian_surface(), n)
+        # refused before any work, however large
+        with pytest.raises(ValueError, match="above the series bound"):
+            generating_series(kummer_k3(), 10**100)
