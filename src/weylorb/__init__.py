@@ -45,7 +45,6 @@ from .torsion import (
     StabilizerReport,
     TorsionPoint,
     find_minus_one_points,
-    point_from_ambient,
     propagate,
     stabilizer,
 )

@@ -53,10 +53,6 @@ class ExteriorF2Element:
     monomials: frozenset
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, frozenset())
-
-    @classmethod
     def one(cls, n):
         return cls(n, frozenset({()}))
 

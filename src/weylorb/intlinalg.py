@@ -98,10 +98,6 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def transpose(a):
     """The transpose of a matrix as rows; ValueError for rows of other lengths."""
     if len(_lengths(a)) > 1:

@@ -15,7 +15,6 @@ on the coroot basis by s_i(e_j) = e_j - cartan[i][j] e_i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -121,30 +120,6 @@ class RootDatum:
 
     def expected_order(self):
         return expected_weyl_order(self.letter, self.rank)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "type": self.dynkin_type,
-                "rank": self.rank,
-                "cartan": [list(r) for r in self.cartan],
-                "simple_coroots": [list(r) for r in self.simple_coroots],
-                "weyl_generators": [
-                    [list(r) for r in g] for g in self.weyl_generators
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            dynkin_type=d["type"],
-            rank=d["rank"],
-            cartan=freeze(d["cartan"]),
-            simple_coroots=freeze(d["simple_coroots"]),
-            weyl_generators=tuple(freeze(g) for g in d["weyl_generators"]),
-        )
 
 
 def _chain(count, width):

@@ -36,10 +36,8 @@ from .intlinalg import (
     freeze,
     identity,
     mat_mul,
-    mat_vec,
     max_abs,
     rational_nullspace,
-    smith_normal_form,
     transpose,
 )
 from .rootdata import (
@@ -68,11 +66,14 @@ class TorsionPoint:
     coords: tuple
 
     def __post_init__(self):
-        if self.den < 1:
-            raise ValueError("denominator must be positive")
+        # type(x) is int refuses bools, floats, Fractions and numpy integers
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"denominator must be a positive int, not {self.den!r}")
         for entry in self.coords:
-            if len(entry) != 4 or any(not 0 <= x < self.den for x in entry):
-                raise ValueError("coordinates must be 4-vectors mod den")
+            if len(entry) != 4 or any(
+                type(x) is not int or not 0 <= x < self.den for x in entry
+            ):
+                raise ValueError("coordinates must be 4-vectors of ints mod den")
 
     @property
     def rank(self):
@@ -109,24 +110,6 @@ class TorsionPoint:
             tuple(tuple(x // g for x in row) for row in self.coords),
         )
 
-    def is_zero(self):
-        return all(x == 0 for row in self.coords for x in row)
-
-    def add(self, other):
-        if other.rank != self.rank:
-            raise ValueError(
-                f"cannot add a point of rank {other.rank} to one of rank {self.rank}"
-            )
-        d = lcm(self.den, other.den)
-        a, b = d // self.den, d // other.den
-        return TorsionPoint(
-            d,
-            tuple(
-                tuple((x * a + y * b) % d for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.coords, other.coords)
-            ),
-        ).reduced()
-
     def apply(self, g):
         """Image under an integer matrix acting on the coroot coordinates."""
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
@@ -143,10 +126,6 @@ class TorsionPoint:
         return [
             [f"{Fraction(x, self.den)}" for x in row] for row in self.coords
         ]
-
-    @classmethod
-    def from_json(cls, rows):
-        return cls.from_fractions(rows)
 
 
 def _group_parts(action):
@@ -174,16 +153,6 @@ class StabilizerReport:
     local_model_label: str
     elements: tuple = None
     crepant: str = None
-
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "orbit_size": self.orbit_size,
-            "classification": self.action_classification,
-            "local_model": self.local_model_label,
-            "crepant": self.crepant,
-            "generators": [[list(r) for r in g] for g in self.generators],
-        }
 
 
 def _point_subgroup(table, point):
@@ -363,36 +332,6 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     return [
         _decode_two_torsion(code, rank) for code, size in reps if 2 * size == whole
     ]
-
-
-def point_from_ambient(datum, ambient_rows):
-    """Convert a point given in the ambient Z^m coordinates of the coroots.
-
-    ambient_rows is an m-list of 4-vectors of rationals.  Returns a
-    TorsionPoint y in coroot coordinates with C y = x modulo 1, where C has
-    the simple coroots as columns, or None when no solution exists.  The
-    solution is one representative; it is unique up to points killed by the
-    inclusion Lambda in Z^m.
-    """
-    cmat = transpose(datum.simple_coroots)  # m x r, columns are the coroots
-    m, r = len(cmat), len(cmat[0])
-    d, u, v, _ = smith_normal_form(cmat)
-    x = [[Fraction(val) % 1 for val in row] for row in ambient_rows]
-    ycols = []
-    for t in range(4):
-        xcol = [x[i][t] for i in range(m)]
-        ux = mat_vec(u, xcol)
-        z = [Fraction(0)] * r
-        for i in range(m):
-            di = d[i][i] if i < r else 0
-            if di == 0:
-                if ux[i] % 1 != 0:
-                    return None
-            else:
-                z[i] = ux[i] / di
-        ycols.append(mat_vec(v, z))
-    rows = [[ycols[t][j] for t in range(4)] for j in range(r)]
-    return TorsionPoint.from_fractions(rows)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -458,6 +459,50 @@ class TestOtherCommands:
                 else:
                     continue
                 assert not any(m.split(".")[0] == "sympy" for m in modules), name
+
+
+# every name listed under README's "Removed exports", as (module, dotted
+# path in that module)
+REMOVED_EXPORTS = [
+    ("hodgepoly", "specialize"),
+    ("hilbmatrix", "negate"),
+    ("rootdata", "positive_roots"),
+    ("stringy", "stringy_hodge_by_orbits"),
+    ("stringy", "_molien"),
+    ("torsion", "two_torsion_points"),
+    ("intlinalg", "charpoly"),
+    ("intlinalg", "finite_order_inverse"),
+    ("intlinalg", "unimodular_inverse"),
+    ("hilbmatrix", "skew_standard_form"),
+    ("rootdata", "coxeter_order"),
+    ("stringy", "LatticeAction.from_matrices"),
+    ("hodgepoly", "partition_size"),
+    ("hodgepoly", "BigradedPoly.has_integer_coeffs"),
+    ("hodgepoly", "BigradedPoly.to_int"),
+    ("hodgepoly", "BigradedPoly.max_degree"),
+    ("hodgepoly", "BigradedPoly.from_json_rows"),
+    ("torsion", "point_from_ambient"),
+    ("torsion", "TorsionPoint.add"),
+    ("torsion", "TorsionPoint.is_zero"),
+    ("torsion", "TorsionPoint.from_json"),
+    ("torsion", "StabilizerReport.to_dict"),
+    ("rootdata", "RootDatum.to_json"),
+    ("rootdata", "RootDatum.from_json"),
+    ("stringy", "FixedLocusData.component_count"),
+    ("intlinalg", "mat_sub"),
+    ("flatf2", "ExteriorF2Element.zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,path", REMOVED_EXPORTS, ids=[f"{m}.{p}" for m, p in REMOVED_EXPORTS]
+)
+def test_removed_export_stays_removed(module, path):
+    *scope, name = path.split(".")
+    for owner in (importlib.import_module(f"weylorb.{module}"), weylorb):
+        for part in scope:
+            owner = getattr(owner, part, None)
+        assert not hasattr(owner, name), f"{owner}.{name}"
 
 
 # the least arguments each subcommand runs with; the contract test below

@@ -23,7 +23,6 @@ from weylorb.intlinalg import (
     freeze,
     identity,
     mat_mul,
-    mat_sub,
     smith_normal_form,
 )
 from weylorb.rootdata import build_root_datum, enumerate_group
@@ -138,15 +137,16 @@ def _euler_commuting_pairs_reference(action):
     The Smith diagonal of (g - 1; h - 1) has r nonzero entries exactly when
     the common fixed locus is finite, and their product is its point count.
     """
+    def minus_one(m):
+        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
     r = action.rank
     total = 0
     for rep, size, centralizer in action.group.conjugacy_classes():
-        gm1 = mat_sub([list(row) for row in rep], identity(r))
+        gm1 = minus_one(rep)
         sub = 0
         for h in centralizer:
-            d = smith_normal_form(
-                gm1 + mat_sub([list(row) for row in h], identity(r))
-            )[0]
+            d = smith_normal_form(gm1 + minus_one(h))[0]
             diag = [d[i][i] for i in range(r)]
             if all(diag):
                 sub += prod(diag) ** 4

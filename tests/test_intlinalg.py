@@ -19,7 +19,6 @@ from weylorb.intlinalg import (
     identity,
     invariant_factors,
     mat_mul,
-    mat_sub,
     mat_vec,
     rational_nullspace,
     rational_rank,
@@ -694,6 +693,3 @@ class TestSmallHelpers:
         m = [[1, 2, 3], [4, 5, 6]]
         assert transpose(transpose(m)) == m
         assert freeze(m) == ((1, 2, 3), (4, 5, 6))
-
-    def test_mat_sub(self):
-        assert mat_sub([[3, 3]], [[1, 2]]) == [[2, 1]]

@@ -9,7 +9,6 @@ import pytest
 from weylorb.intlinalg import EntryBoundError, freeze, identity, mat_mul, transpose
 from weylorb.rootdata import (
     GroupOrderCapError,
-    RootDatum,
     build_root_datum,
     crepant_classification,
     embed_diagram,
@@ -142,10 +141,6 @@ class TestRootDatum:
                 [list(r) for r in d.cartan]
             )
             assert sum(row.count(-1) for row in d.cartan) == 2 * (rank - 1)
-
-    def test_json_roundtrip(self):
-        d = build_root_datum("F", 4)
-        assert RootDatum.from_json(d.to_json()) == d
 
 
 class TestPositiveRoots:

@@ -1,5 +1,7 @@
 """Stringy Hodge engine: fixed loci, two independent routes, closed forms."""
 
+from math import prod
+
 import pytest
 
 import weylorb.intlinalg
@@ -69,7 +71,7 @@ class TestFixedLocus:
         assert data.kernel_rank == 2
         assert data.shift == 0
         assert data.component_group == ()
-        assert data.component_count == 1
+        assert prod(data.component_group) ** 4 == 1
 
     def test_minus_one_on_z1(self):
         act = wreath_bn_action(1)
@@ -78,7 +80,7 @@ class TestFixedLocus:
         assert data.kernel_rank == 0
         assert data.shift == 1
         assert data.component_group == (2,)
-        assert data.component_count == 16
+        assert prod(data.component_group) ** 4 == 16
 
     def test_transposition_on_z2(self):
         act = symmetric_action(2)
@@ -262,3 +264,17 @@ class TestWreathClosedFormStructure:
             + xy**2 * sym_power(sixteen, 1)  # alpha- = (2)
         )
         assert stringy_hodge_wreath_closed_form(2) == expected
+
+    def test_each_symmetric_power_once(self, monkeypatch):
+        # Sym^1..Sym^12 of h(K) and of 16 once each; 3,934 calls when every
+        # split partition recomputed its own
+        calls = []
+        real = weylorb.stringy.sym_power
+
+        def counted(h, l):
+            calls.append(l)
+            return real(h, l)
+
+        monkeypatch.setattr(weylorb.stringy, "sym_power", counted)
+        assert stringy_hodge_wreath_closed_form(12) == goettsche(kummer_k3(), 12)
+        assert len(calls) <= 24
