@@ -240,6 +240,23 @@ class RootTable:
     def __init__(self, coeffs, forms, coroots):
         self.coeffs, self.forms, self.coroots = coeffs, forms, coroots
         self.order = weyl_order_from_heights(coeffs.sum(axis=1).tolist())
+        self._subgroups = {}  # simple rows -> their enumerated WeylGroup
+
+    def reflection_subgroup(self, simple, order_cap):
+        """The group of the reflections in simple rows of subsystem (trivial
+        for none), enumerated once and kept while the kept orders sum to at
+        most order_cap: one that would pass that is returned but not kept.
+        """
+        key = tuple(simple)
+        if key not in self._subgroups:
+            eye = np.eye(len(self.forms[0]), dtype=np.int64)
+            rows = list(key)
+            gens = eye - self.coroots[rows, :, None] * self.forms[rows, None, :]
+            sub = enumerate_group(gens if key else eye[None], order_cap=order_cap)
+            if sub.order + sum(g.order for g in self._subgroups.values()) > order_cap:
+                return sub
+            self._subgroups[key] = sub
+        return self._subgroups[key]
 
     def subsystem(self, mask):
         """Simple rows and Weyl order of the closed subsystem Psi in mask.

@@ -12,13 +12,13 @@ such roots; its order comes from root heights, and the W-orbit size is
 simple reflections of a root system whose coroots span the lattice, H is W
 itself.  The order cap bounds |H|.
 
-H is enumerated once with rootdata.enumerate_group into one int64 stack,
-and Stab(p) is the rows g of that stack with g p = p modulo the denominator,
-found in one batched product.  Its generators are taken greedily from those
-rows in stack order, each one outside the group the earlier ones generate,
-which is a boolean mask over the rows of H grown inside H's index.  Every
-int64 product is preceded by an entry-bound check that raises
-intlinalg.EntryBoundError.
+H is enumerated once per root table, which keeps it within the order cap
+(RootTable.reflection_subgroup), into one int64 stack.  Stab(p) is the rows
+g of that stack with g p = p modulo the denominator, found in one batched
+product; its generators are taken greedily from those rows in stack order,
+each one outside the group the earlier ones generate, a boolean mask over
+the rows of H grown inside H's index.  Every int64 product is preceded by
+an entry-bound check that raises intlinalg.EntryBoundError.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .intlinalg import (
     check_product,
     clear_denominators,
+    det,
     freeze,
     identity,
     mat_mul,
@@ -85,7 +86,12 @@ class TorsionPoint:
 
     @classmethod
     def from_fractions(cls, rows):
-        fracs = [[Fraction(x) % 1 for x in row] for row in rows]
+        """The reduced point of these entries mod 1, each an int or a Fraction."""
+        def exact(x):  # a float would be read by its binary value
+            if type(x) not in (int, Fraction):
+                raise ValueError(f"entry {x!r} is not an int or a Fraction")
+            return Fraction(x) % 1
+        fracs = [[exact(x) for x in row] for row in rows]
         den = lcm(*(f.denominator for row in fracs for f in row), 1)
         coords = tuple(
             tuple(int(f * den) for f in row) for row in fracs
@@ -156,26 +162,21 @@ class StabilizerReport:
 
 
 def _point_subgroup(table, point):
-    """Generators and order of a reflection subgroup H of W containing Stab(p).
+    """Simple rows and order of a reflection subgroup H of W containing Stab(p).
 
     For G simply connected, the lattice is the coroot lattice and the
     stabilizer of one coordinate x_t is the reflection group W(Phi_t) of
     Phi_t = {alpha : alpha(x_t) in Z} (Steinberg), so Stab(p) lies in each.
     H is W(Phi_t) for the column t with the fewest positive roots in Phi_t,
     the lowest t on ties, generated by the reflections in the simple roots
-    of Phi_t; the identity generates H when Phi_t is empty.
+    of Phi_t, rows of the table; its order comes from root heights.
     """
     den, rank = point.den, point.rank
     coords = np.array(point.coords, dtype=np.int64)
     check_product(rank, max_abs(table.forms), den - 1)
     integral = table.forms @ coords % den == 0
     t = int(np.argmin(integral.sum(axis=0)))
-    simple, order = table.subsystem(integral[:, t])
-    eye = np.eye(rank, dtype=np.int64)
-    if not simple:
-        return eye[None], 1
-    c, f = table.coroots[simple], table.forms[simple]
-    return eye - c[:, :, None] * f[:, None, :], order
+    return table.subsystem(integral[:, t])
 
 
 def stabilizer(action, point, order_cap=10**6):
@@ -185,28 +186,32 @@ def stabilizer(action, point, order_cap=10**6):
     coroots span the lattice (rootdata.root_table), H is the reflection
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
     |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
-    Otherwise H is W itself.  H is enumerated once, Stab(p) is the rows of
-    its stack that fix p, and its greedy generators must generate exactly
-    those rows.  order_cap bounds |H|: GroupOrderCapError before any
-    enumeration when |H| is known and exceeds it, and enumerate_group's own
-    refusal otherwise.  A point of another rank raises ValueError.
+    Otherwise H is W itself.  H is enumerated once per root table, Stab(p)
+    is the rows of its stack that fix p, and its greedy generators must
+    generate exactly those rows.  order_cap bounds |H| (and what the table
+    keeps): GroupOrderCapError before any enumeration when |H| is known and
+    exceeds it, and enumerate_group's own refusal otherwise.  A point of
+    another rank raises ValueError.
     """
     generators, order, table = _group_parts(action)
     rank = len(generators[0])
     if point.rank != rank:
         raise ValueError(f"point of rank {point.rank} for a group of rank {rank}")
     point = point.reduced()
-    gens, sub_order = generators, order
+    sub_order = order
     if table is not None:
         if order is not None and order != table.order:
             raise AssertionError("root heights disagree with the group order")
-        gens, sub_order = _point_subgroup(table, point)
+        simple, sub_order = _point_subgroup(table, point)
     if sub_order is not None and sub_order > order_cap:
         raise GroupOrderCapError(
             f"the subgroup searched has order {sub_order}, "
             f"which exceeds the cap {order_cap}"
         )
-    sub = enumerate_group(gens, order_cap=order_cap)
+    if table is None:
+        sub = enumerate_group(generators, order_cap=order_cap)
+    else:
+        sub = table.reflection_subgroup(simple, order_cap)
     if sub_order is not None and sub.order != sub_order:
         raise AssertionError("the subgroup searched has the wrong order")
     stack, den, bound = sub.stack, point.den, max_abs(sub.stack)
@@ -265,10 +270,10 @@ def _two_torsion_orbit_reps(generators, rank):
     A point is encoded as a 4*rank-bit integer whose j-th nibble is the mod-2
     coordinate 4-vector over the j-th simple coroot; a generator acts by
     XORing nibbles, which applies to every point at once as array shifts.
-    Each code starts labelled by itself; labels are pulled along every
-    generator and its inverse, then pointer-jumped (label <- label[label]),
-    until they stop changing, at which point each orbit carries its least
-    code.  Returns [(least_code, orbit_size)] in ascending code order.
+    A generator of even determinant raises ValueError; any other permutes
+    the codes, so pulling labels along the generators alone (least_orbit_
+    labels) leaves each orbit labelled by its least code.  Returns
+    [(least_code, orbit_size)] in ascending code order.
     """
     n = 1 << (4 * rank)
     # the narrowest unsigned type holding every code keeps the arrays small
@@ -276,6 +281,8 @@ def _two_torsion_orbit_reps(generators, rank):
     nibbles = [(idx >> (4 * j)) & 15 for j in range(rank)]
     moves = []
     for g in generators:
+        if det(g) % 2 == 0:
+            raise ValueError("generator is not invertible modulo 2")
         image = np.zeros_like(idx)
         for k in range(rank):
             ynib = np.zeros_like(idx)
@@ -283,21 +290,18 @@ def _two_torsion_orbit_reps(generators, rank):
                 if g[k][j] % 2:
                     ynib ^= nibbles[j]
             image |= ynib << (4 * k)
-        back = np.zeros_like(idx)
-        back[image] = idx
-        if not np.array_equal(image[back], idx):
-            raise ValueError("generator is not invertible modulo 2")
-        moves += [image, back]
+        moves.append(image)
     reps, counts = np.unique(least_orbit_labels(moves, idx), return_counts=True)
     return list(zip(reps.tolist(), counts.tolist()))
 
 
 def _decode_two_torsion(code, rank):
+    """The point of a nonzero code, reduced already: some entry is 1 mod 2."""
     coords = tuple(
         tuple((code >> (4 * j + t)) & 1 for t in range(4))
         for j in range(rank)
     )
-    return TorsionPoint(2, coords).reduced()
+    return TorsionPoint(2, coords)
 
 
 def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import weylorb.rootdata
 import weylorb.torsion
 from weylorb.intlinalg import (
     EntryBoundError,
@@ -24,6 +26,7 @@ from weylorb.rootdata import (
 from weylorb.torsion import (
     StabilizerReport,
     TorsionPoint,
+    _decode_two_torsion,
     _group_parts,
     _point_subgroup,
     _two_torsion_orbit_reps,
@@ -220,6 +223,14 @@ class TestTorsionPoint:
         with pytest.raises(ValueError, match="int"):
             TorsionPoint(den, (entry,))
 
+    @pytest.mark.parametrize(
+        "entry", [0.1, 0.5, True, "1/2", np.int64(1), np.float64(0.5)]
+    )
+    def test_from_fractions_refuses_inexact_entries(self, entry):
+        # a float is refused, not read by its binary value (2**55 for 0.1)
+        with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not")):
+            TorsionPoint.from_fractions([[0, 0, 0, 0], [entry, 0, 0, 0]])
+
     def test_two_torsion_count(self):
         pts = list(two_torsion_points(2))
         assert len(pts) == 256
@@ -331,17 +342,22 @@ class TestBatchedStabilizer:
 
     def test_subgroup_is_enumerated_once(self, monkeypatch):
         # the greedy generators are checked inside H's index, with no second
-        # enumeration of the growing group
+        # enumeration of the growing group, and a second call on the same
+        # root datum finds H kept on its root table
         calls = []
-        real = weylorb.torsion.enumerate_group
+        real = weylorb.rootdata.enumerate_group
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(weylorb.torsion, "enumerate_group", counted)
-        report = stabilizer(build_root_datum("F", 4), TorsionPoint.zero(4))
+        for module in (weylorb.rootdata, weylorb.torsion):
+            monkeypatch.setattr(module, "enumerate_group", counted)
+        datum = build_root_datum("F", 4)
+        report = stabilizer(datum, TorsionPoint.zero(4))
         assert (report.order, len(report.generators), len(calls)) == (1152, 4, 1)
+        assert stabilizer(datum, TorsionPoint.zero(4)) == report
+        assert len(calls) == 1
 
     def test_entry_bound_is_checked(self):
         p = TorsionPoint(2**62 + 1, ((1, 0, 0, 0), (0, 0, 0, 0)))
@@ -382,6 +398,41 @@ class TestBatchedStabilizer:
         # int64 conversion once truncated -1.5 to -1, the local model -1
         with pytest.raises(ValueError, match="not integers"):
             stabilizer([[[-1.5]]], TorsionPoint(2, ((1, 0, 0, 0),)))
+
+
+class TestSubgroupMemo:
+    """stabilizer() on a group whose root table keeps the subgroups it has
+    enumerated, against the same call on a freshly built group."""
+
+    @staticmethod
+    def cold(letter, rank, point):
+        return stabilizer(enumerate_group(build_root_datum(letter, rank)), point)
+
+    def test_every_d4_minus_one_point(self):
+        group = enumerate_group(build_root_datum("D", 4))
+        for p in find_minus_one_points(build_root_datum("D", 4)):
+            assert stabilizer(group, p) == self.cold("D", 4, p)
+        assert len(group.roots._subgroups) == 3
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
+    def test_seeded_points(self, letter, rank):
+        group = enumerate_group(build_root_datum(letter, rank))
+        points = _points_of_denominator(group, 6, 30, seed=rank)
+        for p in points:
+            assert stabilizer(group, p) == self.cold(letter, rank, p)
+        assert len(group.roots._subgroups) >= 2
+
+    def test_memo_is_bounded_by_the_cap(self):
+        # the D_4 minus-one points search 3 distinct subgroups of order 16;
+        # at a cap of 17 the first is kept and the others are not
+        group = enumerate_group(build_root_datum("D", 4))
+        table = group.roots
+        points = find_minus_one_points(build_root_datum("D", 4))
+        first = tuple(_point_subgroup(table, points[0])[0])
+        assert len({tuple(_point_subgroup(table, p)[0]) for p in points}) == 3
+        for p in points:
+            assert stabilizer(group, p, order_cap=17) == self.cold("D", 4, p)
+        assert list(table._subgroups) == [first]
 
 
 class TestSubgroupReduction:
@@ -501,8 +552,14 @@ class TestTwoTorsionOrbits:
         assert _two_torsion_orbit_reps(group.generators, rank) == expected
 
     def test_rejects_generator_singular_mod_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not invertible modulo 2"):
             _two_torsion_orbit_reps([((2, 1), (0, 1))], 2)
+
+    @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
+    def test_nonzero_codes_decode_reduced(self, letter, rank):
+        for code in range(1, 1 << (4 * rank)):
+            p = _decode_two_torsion(code, rank)
+            assert p == p.reduced()
 
 
 class TestMinusOneScan:
