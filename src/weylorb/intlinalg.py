@@ -61,14 +61,22 @@ def int64_generators(generators):
     for a in gens:
         if a.shape != (len(gens[0]),) * 2:
             raise ValueError(f"{a.tolist()} is not square of size {len(gens[0])}")
-        if a.dtype.kind != "i":
-            # ints beyond int64, or entries that are no ints at all
-            entries = a.ravel().tolist()
-            if any(type(x) is not int for x in entries):
-                raise ValueError(f"{a.tolist()} has entries that are not integers")
-            if max(map(abs, entries), default=0) > INT64_MAX:
-                raise EntryBoundError(f"{a.tolist()} has entries beyond int64")
-    return [a.astype(np.int64, copy=False) for a in gens]
+    return [_int64(a) for a in gens]
+
+
+def _int64(a, name=None):
+    """The integer array a as int64, with nothing rounded or wrapped: ValueError
+    naming its dtype unless that is an integer one or object holding ints,
+    and EntryBoundError for an entry beyond int64."""
+    if a.dtype.kind != "i":
+        # ints beyond int64, or entries that are no ints at all
+        entries = a.ravel().tolist() if a.dtype.kind in "uO" else None
+        name = f"{a.tolist() if name is None else name} of dtype {a.dtype}"
+        if entries is None or any(type(x) is not int for x in entries):
+            raise ValueError(f"{name} has entries that are not integers")
+        if max(map(abs, entries), default=0) > INT64_MAX:
+            raise EntryBoundError(f"{name} has entries beyond int64")
+    return a.astype(np.int64, copy=False)
 
 
 def identity(n):
@@ -217,39 +225,47 @@ def smith_normal_form(m):
 
 
 def echelon_pivots_stack(stack):
-    """Row-echelon pivots of every matrix of an (n, m, r) int64 stack, as (n, r).
+    """Row-echelon pivots of every matrix of an (n, m, r) integer stack, as (n, r).
 
     Integer row operations reduce each matrix column by column: Euclid on
     the column brings its smallest nonzero entry up as pivot and takes
     floor-division multiples of it off the rows below, until they are all
-    zero there.  Every step is one vectorized update of the whole stack (a
-    matrix whose column is done gets zero multiples), with the product bound
-    checked first.  The row lattice is
-    unchanged, so for a matrix of rank r the product of the |pivots| is its
-    index in Z^r, the product of the invariant factors.  A matrix whose
-    column has no pivot has rank < r: its pivot there is 0, it is dropped,
-    and its later pivots stay 0.
+    zero there.  A column's first step updates the whole stack, each later
+    one only the matrices with a remainder left below the pivot, and each
+    checks the product bound on the entries of the whole stack first.  The
+    row lattice is unchanged, so for a matrix of rank r the product of the
+    |pivots| is its index in Z^r, the product of the invariant factors.  A
+    matrix whose column has no pivot has rank < r: its pivot there is 0,
+    it is dropped, and its later pivots stay 0.  A stack of a dtype that
+    holds no integers raises ValueError, an entry beyond int64
+    EntryBoundError.
     """
-    n, m, r = stack.shape
+    a = _int64(np.asarray(stack), "a stack").copy()
+    n, m, r = a.shape
     pivots = np.zeros((n, r), dtype=np.int64)
     alive = np.arange(n)
-    a = np.array(stack, dtype=np.int64)
     for c in range(min(m, r)):
         # a is the trailing block of the live matrices; reduce its column 0
-        each = np.arange(len(a))
+        # on sub, the rows of a that still step, copied back after each step
+        sub, rows = a, np.arange(len(a))
         while True:
-            col = a[:, :, 0]
+            each = np.arange(len(sub))
+            col = sub[:, :, 0]
             best = np.where(col != 0, np.abs(col), INT64_MAX).argmin(axis=1)
-            top = a[each, best]
-            a[each, best] = a[:, 0]
-            a[:, 0] = top
+            top = sub[each, best]
+            sub[each, best] = sub[:, 0]
+            sub[:, 0] = top
             p = top[:, 0]
             # a nonzero entry below the smallest pivot has a nonzero multiple
-            q = a[:, 1:, 0] // np.where(p == 0, 1, p)[:, None]
-            if not q.any():
-                break
+            q = sub[:, 1:, 0] // np.where(p == 0, 1, p)[:, None]
             check_product(2, max_abs(q), max_abs(a))
-            a[:, 1:] -= q[:, :, None] * top[:, None, :]
+            sub[:, 1:] -= q[:, :, None] * top[:, None, :]
+            if sub is not a:
+                a[rows] = sub
+            left = sub[:, 1:, 0].any(axis=1)
+            if not left.any():
+                break
+            sub, rows = sub[left], rows[left]
         pivots[alive, c] = a[:, 0, 0]
         keep = a[:, 0, 0] != 0
         a, alive = a[keep, 1:, 1:], alive[keep]
@@ -495,8 +511,10 @@ def det_i_plus_t_stack(stack):
 
     Batched Faddeev-LeVerrier: step j gives the coefficient c of t^(k-j) in
     det(tI - m), and (-1)^j c is the coefficient of t^j in det(I + t m).
-    Each division by j is checked exact and each product bound.
+    Each division by j is checked exact and each product bound; the stack
+    is refused as in echelon_pivots_stack.
     """
+    stack = _int64(np.asarray(stack), "a stack")
     k = stack.shape[1]
     coeffs = np.ones((len(stack), k + 1), dtype=np.int64)
     stack_max = max_abs(stack)

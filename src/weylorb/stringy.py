@@ -12,14 +12,17 @@ A sector is integer work on the stacked centralizer: one Smith form of g - 1,
 one stacked product v^-1 h v that gives both the label action and the
 restriction to ker(g - 1), and a batched Faddeev-LeVerrier for
 det(I + t rho), all in numpy int64 with a bound check before every product
-and an exactness check on every division.  Equal rows are grouped and summed
-in Python ints, and the division by |C(g)| must come out exact per sector.
+and an exactness check on every division.  Equal rows are grouped, the
+distinct label blocks of the sector act on the labels in one stacked
+product, and the rows are summed in Python ints; the division by |C(g)|
+must come out exact per sector.
 
 Two independent shortcuts, the hyperoctahedral closed form and the
 commuting-pairs Euler number, serve as oracles for the engine.  The Euler
-oracle shares nothing with the sector code: per class {g} it stacks
-(g - 1; h - 1) over C(g) and reads each pair's fixed-point count off a
-batched integer row echelon form, as the index of its row lattice.
+oracle shares nothing with the sector code: it stacks (g - 1; h - 1) over
+every pair (g, h in C(g)) of the action, class after class, and reads each
+pair's fixed-point count off a batched integer row echelon form, as the
+index of its row lattice.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from .intlinalg import (
 from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
 
 DEFAULT_ENGINE_CAP = 10**5
-# commuting pairs echelonized per batch.  The identity sector of E_6 alone is
-# 51,840 pairs, one 51,840 x 12 x 6 int64 stack; the echelon keeps about three
-# copies of its batch, and at 256 pairs those stay below the arrays of the
-# conjugacy-class step for W(A_5) and W(B_4)
+# commuting pairs echelonized per batch; a batch runs on across classes, so
+# an action takes ceil(sum |C(g)| / _PAIR_CHUNK) echelons.  The identity
+# sector of E_6 alone is 51,840 pairs, one 51,840 x 12 x 6 int64 stack; the
+# echelon keeps about three copies of its batch, and at 256 pairs those stay
+# below the arrays of the conjugacy-class step for W(A_5) and W(B_4)
 _PAIR_CHUNK = 256
 # verify_sp_theorem refuses n above this: the split-partition closed form
 # takes about 0.8 s at n = 16 and 5 s at n = 20
@@ -192,9 +196,12 @@ def _labels(tors):
 
 
 def _label_images(labels, tors, block):
-    """Images of the (|T|, t) labels under tau -> block tau mod d."""
+    """Images of the (|T|, t) labels under tau -> block tau mod d, for one
+    (t, t) block or each block of an (m, t, t) stack."""
     check_product(len(tors), max_abs(labels), max_abs(block))
-    return labels @ block.T % tors
+    images = labels @ block.swapaxes(-1, -2)
+    images %= tors
+    return images
 
 
 def _det_squares(rho):
@@ -233,7 +240,8 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     orbit sum collapses (Burnside) to an average over C(g) weighted by the
     number of component labels h fixes.  Elements with the same label block
     and the same det(I + t rho)^2 contribute alike, so each distinct row is
-    counted once and its fixed labels once per distinct block.
+    counted once, and the fixed labels of all distinct blocks of a sector
+    are counted in one stacked product.
     """
     _check_cap(action, order_cap)
     total = {}
@@ -242,17 +250,17 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
         n, t = blocks.shape[:2]
         rows = np.concatenate([blocks.reshape(n, t * t), _det_squares(rho)], axis=1)
         labels = _labels(tors)
-        fixed = {}
         sector = {}
         distinct = Counter(rows.view(f"V{8 * rows.shape[1]}").ravel().tolist())
+        # the distinct label blocks, in first-seen order, mapped at once
+        keys = list(dict.fromkeys(key[:8 * t * t] for key in distinct))
+        stack = np.frombuffer(b"".join(keys), dtype=np.int64)
+        images = _label_images(labels, tors, stack.reshape(len(keys), t, t))
+        fixed = dict(zip(keys, np.all(images == labels, axis=2).sum(axis=1).tolist()))
         for key, mult in distinct.items():
-            row = np.frombuffer(key, dtype=np.int64)
-            block = key[:8 * t * t]
-            if block not in fixed:
-                images = _label_images(labels, tors, row[:t * t].reshape(t, t))
-                fixed[block] = int(np.all(images == labels, axis=1).sum())
-            if fixed[block]:
-                _add_outer(sector, row[t * t:].tolist(), mult * fixed[block] ** 4)
+            if f := fixed[key[:8 * t * t]]:
+                sq = np.frombuffer(key[8 * t * t:], dtype=np.int64)
+                _add_outer(sector, sq.tolist(), mult * f**4)
         for (p, q), c in sector.items():
             if c % n:
                 raise AssertionError(f"sector of {rep.tolist()} is not integral")
@@ -275,34 +283,48 @@ def stringy_euler_commuting_pairs(action):
     matrix M_h = (g - 1; h - 1): it is finite exactly when M_h has rank r,
     and then has [Z^r : row lattice of M_h] points, the product of the
     |pivots| of a row-echelon form; the four real copies raise that to the
-    fourth power.  Per conjugacy class {g} the M_h of all h in C(g) are
-    stacked and echelonized together, _PAIR_CHUNK at a time.  Summing class
+    fourth power.  The M_h of every pair are stacked class after class and
+    echelonized _PAIR_CHUNK at a time, each pair tagged with its class; the
+    pairs with equal class and pivots are counted together.  Summing class
     size times the sum over C(g) gives |W| times the answer.
     """
-    r = action.rank
-    eye = np.eye(r, dtype=np.int64)
+    classes = action.group.conjugacy_classes()
     total = 0
-    for rep, size, centralizer in action.group.conjugacy_classes():
-        gm1 = rep - eye
-        sub = 0
-        for start in range(0, len(centralizer), _PAIR_CHUNK):
-            chunk = centralizer[start:start + _PAIR_CHUNK]
-            stack = np.empty((len(chunk), 2 * r, r), dtype=np.int64)
-            stack[:, :r] = gm1
-            stack[:, r:] = chunk
-            stack[:, r:] -= eye
-            pivots = np.abs(echelon_pivots_stack(stack))
-            # a zero pivot means an infinite fixed locus, which contributes 0
-            pivots, counts = np.unique(
-                pivots[np.all(pivots, axis=1)], axis=0, return_counts=True
-            )
-            sub += sum(
-                prod(row) ** 4 * k for row, k in zip(pivots.tolist(), counts.tolist())
-            )
-        total += size * sub
+    for owner, stack in _pair_stacks(classes, action.rank):
+        pivots = np.abs(echelon_pivots_stack(stack))
+        # a zero pivot means an infinite fixed locus, and a product of 0
+        rows, counts = np.unique(
+            np.column_stack([owner, pivots]), axis=0, return_counts=True
+        )
+        total += sum(
+            classes[row[0]][1] * prod(row[1:]) ** 4 * k
+            for row, k in zip(rows.tolist(), counts.tolist())
+        )
     if total % action.group.order:
         raise AssertionError("commuting-pairs Euler number is not integral")
     return total // action.group.order
+
+
+def _pair_stacks(classes, r):
+    """(class index, M_h = (g - 1; h - 1)) of every pair (g, h in C(g)), class
+    after class, _PAIR_CHUNK pairs at a time; a chunk may span classes.  The
+    chunk arrays are reused, so each must be used up before the next."""
+    eye = np.eye(r, dtype=np.int64)
+    size = min(_PAIR_CHUNK, sum(len(c) for _, _, c in classes))
+    owner, fill = np.empty(size, dtype=np.int64), 0
+    stack = np.empty((size, 2 * r, r), dtype=np.int64)
+    for i, (rep, _, centralizer) in enumerate(classes):
+        while len(centralizer):
+            h, centralizer = centralizer[:size - fill], centralizer[size - fill:]
+            owner[fill:fill + len(h)] = i
+            stack[fill:fill + len(h), :r] = rep - eye
+            stack[fill:fill + len(h), r:] = h - eye
+            fill += len(h)
+            if fill == size:
+                yield owner, stack
+                fill = 0
+    if fill:
+        yield owner[:fill], stack[:fill]
 
 
 def _split_partitions(n):

@@ -10,7 +10,7 @@ Stab(p) lies in W(Phi_t), so H is W(Phi_t) for the column t with the fewest
 such roots; its order comes from root heights, and the W-orbit size is
 |W| / |Stab(p)|, reported but never walked.  When the generators are not the
 simple reflections of a root system whose coroots span the lattice, H is W
-itself.  The order cap bounds |H|.
+itself, whose stack a WeylGroup already holds.  The order cap bounds |H|.
 
 H is enumerated once per root table, which keeps it within the order cap
 (RootTable.reflection_subgroup), into one int64 stack.  Stab(p) is the rows
@@ -186,9 +186,10 @@ def stabilizer(action, point, order_cap=10**6):
     coroots span the lattice (rootdata.root_table), H is the reflection
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
     |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
-    Otherwise H is W itself.  H is enumerated once per root table, Stab(p)
-    is the rows of its stack that fix p, and its greedy generators must
-    generate exactly those rows.  order_cap bounds |H| (and what the table
+    Otherwise H is W itself: the stack of a WeylGroup given, or else
+    enumerated from the generators.  H is enumerated once per root table,
+    Stab(p) is the rows of its stack that fix p, and its greedy generators
+    must generate exactly those rows.  order_cap bounds |H| (and what the table
     keeps): GroupOrderCapError before any enumeration when |H| is known and
     exceeds it, and enumerate_group's own refusal otherwise.  A point of
     another rank raises ValueError.
@@ -208,7 +209,10 @@ def stabilizer(action, point, order_cap=10**6):
             f"the subgroup searched has order {sub_order}, "
             f"which exceeds the cap {order_cap}"
         )
-    if table is None:
+    group = getattr(action, "group", action)
+    if table is None and isinstance(group, WeylGroup):
+        sub = group
+    elif table is None:
         sub = enumerate_group(generators, order_cap=order_cap)
     else:
         sub = table.reflection_subgroup(simple, order_cap)

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from math import comb, lcm
 
+import numpy as np
+
 from weylorb.hilbmatrix import (
     SkewSolutionSpace,
     _generator_terms,
@@ -18,10 +20,13 @@ from weylorb.hilbmatrix import (
 )
 from weylorb.hodgepoly import BigradedPoly, partitions
 from weylorb.intlinalg import (
+    INT64_MAX,
+    check_product,
     clear_denominators,
     det,
     identity,
     mat_mul,
+    max_abs,
     rational_nullspace,
     smith_normal_form,
     transpose,
@@ -347,3 +352,35 @@ def symplectic_exists_det_first(pair, seed=0):
         contains_invertible=ok,
         witness=tuple(tuple(r) for r in witness) if witness else None,
     )
+
+
+def echelon_pivots_full_stack(stack):
+    """echelon_pivots_stack with every Euclid step on the whole stack.
+
+    A matrix whose column is done takes zero multiples, and each column
+    ends with one more pass that finds all of the multiples zero.
+    """
+    n, m, r = stack.shape
+    pivots = np.zeros((n, r), dtype=np.int64)
+    alive = np.arange(n)
+    a = np.array(stack, dtype=np.int64)
+    for c in range(min(m, r)):
+        # a is the trailing block of the live matrices; reduce its column 0
+        each = np.arange(len(a))
+        while True:
+            col = a[:, :, 0]
+            best = np.where(col != 0, np.abs(col), INT64_MAX).argmin(axis=1)
+            top = a[each, best]
+            a[each, best] = a[:, 0]
+            a[:, 0] = top
+            p = top[:, 0]
+            # a nonzero entry below the smallest pivot has a nonzero multiple
+            q = a[:, 1:, 0] // np.where(p == 0, 1, p)[:, None]
+            if not q.any():
+                break
+            check_product(2, max_abs(q), max_abs(a))
+            a[:, 1:] -= q[:, :, None] * top[:, None, :]
+        pivots[alive, c] = a[:, 0, 0]
+        keep = a[:, 0, 0] != 0
+        a, alive = a[keep, 1:, 1:], alive[keep]
+    return pivots

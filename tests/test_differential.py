@@ -165,13 +165,14 @@ def test_commuting_pairs_match_one_smith_form_per_pair(action):
 
 def test_commuting_pairs_match_on_whole_rank4_groups(monkeypatch):
     # the whole groups, whose sectors include mixed ones such as Z/2 + Z/4,
-    # in batches of 7 pairs, so that most centralizers end in a partial batch
-    monkeypatch.setattr(weylorb.stringy, "_PAIR_CHUNK", 7)
+    # in batches of one pair, of 7 pairs, so that batches start and end
+    # inside classes, and of every pair of the action at once
     rng = random.Random(4)
     for letter, rank in RANK4_TYPES:
         u, u_inv = _unimodular_pair(rng, rank)
         gens = [mat_mul(mat_mul(u, s), u_inv) for s in _weyl(letter, rank).generators]
         action = LatticeAction.from_generators(gens)
-        assert stringy_euler_commuting_pairs(
-            action
-        ) == _euler_commuting_pairs_reference(action)
+        expected = _euler_commuting_pairs_reference(action)
+        for chunk in (1, 7, 10**6):
+            monkeypatch.setattr(weylorb.stringy, "_PAIR_CHUNK", chunk)
+            assert stringy_euler_commuting_pairs(action) == expected

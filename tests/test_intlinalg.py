@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from weylorb.intlinalg import (
@@ -29,7 +29,7 @@ from weylorb.intlinalg import (
 )
 from weylorb.rootdata import build_root_datum
 
-from references import unimodular_inverse
+from references import echelon_pivots_full_stack, unimodular_inverse
 
 SIMPLE_TYPES = (
     [f"A_{n}" for n in range(1, 9)]
@@ -450,6 +450,24 @@ def _lattice_index(m, cols):
     return index
 
 
+@st.composite
+def int_stacks(draw):
+    """(n, m, r) int64 stacks with entries within +-20.
+
+    n <= 40, m <= 8 and r <= 5; each matrix is zero, sparse, rank-deficient
+    (its second column minus its first) or dense, drawn from a seeded rng.
+    """
+    n, m, r = draw(st.integers(0, 40)), draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(-20, 21, size=(n, m, r))
+    kind = rng.integers(0, 4, size=n)
+    stack[kind == 0] = 0
+    stack[kind == 1] *= rng.random((np.count_nonzero(kind == 1), m, r)) < 0.3
+    if r > 1:
+        stack[kind == 2, :, 1] = -stack[kind == 2, :, 0]
+    return stack
+
+
 class TestEchelonPivotsStack:
     def _random_stack(self, rng, n, rows, cols):
         stack = []
@@ -505,6 +523,57 @@ class TestEchelonPivotsStack:
         stack = np.array([[[3, 2**40], [2**62, 1]]], dtype=np.int64)
         with pytest.raises(EntryBoundError):
             echelon_pivots_stack(stack)
+
+    def test_entry_bound_covers_the_whole_stack(self):
+        # the second matrix alone takes a second step, with a multiple of 2;
+        # the first, done after one, still bounds it, as in a step of both
+        stack = np.array([[[1, 2**61], [0, 0]], [[2, 0], [3, 0]]], dtype=np.int64)
+        for fn in (echelon_pivots_full_stack, echelon_pivots_stack):
+            with pytest.raises(EntryBoundError):
+                fn(stack)
+        assert echelon_pivots_stack(stack[1:]).tolist() == [[1, 0]]
+
+    @seed(20)
+    @settings(max_examples=150, deadline=None)
+    @given(int_stacks())
+    def test_matches_the_full_stack_loop(self, stack):
+        # stepping only the matrices with a remainder left changes no pivot
+        assert np.array_equal(
+            echelon_pivots_stack(stack), echelon_pivots_full_stack(stack)
+        )
+
+
+@pytest.mark.parametrize("fn", [echelon_pivots_stack, det_i_plus_t_stack])
+class TestIntegerStacks:
+    # the dtype is checked first: the echelon once read 0.5 as 0, giving
+    # the pivot 2 for the first stack
+    @pytest.mark.parametrize(
+        "stack,error,dtype",
+        [
+            (np.array([[[0.5], [2.0]]]), ValueError, "float64"),
+            (np.array([[[1.0, 0.0], [0.0, 1.0]]]), ValueError, "float64"),
+            (np.array([[[True, False], [False, True]]]), ValueError, "bool"),
+            (np.array([[[Fraction(1, 2), 0], [0, 1]]]), ValueError, "object"),
+            (np.array([[[2**70, 0], [0, 1]]]), EntryBoundError, "object"),
+            (
+                np.array([[[2**63, 0], [0, 1]]], dtype=np.uint64),
+                EntryBoundError,
+                "uint64",
+            ),
+        ],
+        ids=["fraction-float", "integral-float", "bool", "Fraction", "2^70", "2^63"],
+    )
+    def test_refuses_what_int64_cannot_hold_exactly(self, fn, stack, error, dtype):
+        with pytest.raises(error, match=dtype):
+            fn(stack)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, object])
+    def test_other_integer_dtypes_are_read_as_int64(self, fn, dtype):
+        stack = np.array([[[2, 1], [4, 3]], [[0, -1], [1, 0]]])
+        if dtype is np.uint16:
+            stack = np.abs(stack)
+        got = fn(np.array(stack.tolist(), dtype=dtype))
+        assert np.array_equal(got, fn(stack))
 
 
 class TestRankNullspaceSolve:

@@ -204,6 +204,18 @@ class TestCommutingPairsEuler:
         act = LatticeAction.from_root_datum(build_root_datum("G", 2))
         assert stringy_euler_commuting_pairs(act) == 144
 
+    def test_shares_nothing_with_the_sector_code(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("sector code called")
+
+        act = LatticeAction.from_root_datum(build_root_datum("G", 2))
+        act.group.conjugacy_classes()
+        for name in ("smith_normal_form", "_sector"):
+            monkeypatch.setattr(weylorb.stringy, name, refused)
+        with pytest.raises(AssertionError, match="sector code"):
+            stringy_hodge(act)
+        assert stringy_euler_commuting_pairs(act) == 144
+
 
 class TestEngineStructuralProperties:
     @pytest.mark.parametrize(
@@ -246,6 +258,36 @@ class TestEngineStructuralProperties:
         assert calls == []
         stringy_hodge(action)
         assert len(calls) == len(classes) == 20
+
+    @pytest.mark.parametrize("letter,rank,pairs", [("B", 4, 1328), ("A", 5, 901)])
+    def test_one_echelon_per_pair_chunk_and_one_label_map_per_sector(
+        self, monkeypatch, letter, rank, pairs
+    ):
+        # the oracle stacks all pairs (g, h in C(g)) of the action, across
+        # classes, and the engine maps every label block of a sector at once
+        calls = {"echelon_pivots_stack": 0, "_label_images": 0}
+
+        def counted(name):
+            real = getattr(weylorb.stringy, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(weylorb.stringy, name, counted(name))
+        action = LatticeAction.from_root_datum(build_root_datum(letter, rank))
+        classes = action.group.conjugacy_classes()
+        assert sum(len(c) for _, _, c in classes) == pairs
+        stringy_hodge(action)
+        stringy_euler_commuting_pairs(action)
+        chunk = weylorb.stringy._PAIR_CHUNK
+        assert calls == {
+            "echelon_pivots_stack": -(-pairs // chunk),
+            "_label_images": len(classes),
+        }
 
 
 class TestWreathClosedFormStructure:

@@ -508,6 +508,29 @@ class TestSubgroupReduction:
             assert report.order == 3 and list(report.elements) == brute
         assert stabilizer(group, p).orbit_size == 2
 
+    def test_coweight_group_is_searched_in_its_own_stack(self, monkeypatch):
+        # with no root table H is W, which a WeylGroup already holds: the
+        # reports are those of W enumerated afresh from its generators
+        gens = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
+        group = enumerate_group(gens)
+        points = [
+            TorsionPoint(3, ((0, 0, 0, 1), (0, 0, 0, 1))),
+            TorsionPoint(5, ((1, 0, 0, 0), (2, 0, 0, 0))),
+            TorsionPoint.zero(2),
+        ]
+        expected = [stabilizer(gens, p) for p in points]
+        calls = []
+        real = weylorb.rootdata.enumerate_group
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (weylorb.rootdata, weylorb.torsion):
+            monkeypatch.setattr(module, "enumerate_group", counted)
+        assert [stabilizer(group, p) for p in points] == expected
+        assert calls == []
+
     @pytest.mark.parametrize("source", ["datum", "group", "coweight"])
     def test_orbit_cap_is_exact(self, source):
         if source == "coweight":
