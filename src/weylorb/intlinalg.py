@@ -43,6 +43,21 @@ def check_product(k, a_bound, b_bound):
         )
 
 
+def _check_each(k, a, b, index):
+    """check_product on each pair a[i], b[i] of two stacks, by their own
+    entries once the whole stacks fail it; names index[i] of the first."""
+    if k * max_abs(a) * max_abs(b) <= INT64_MAX:
+        return
+    a, b = (np.abs(x).reshape(len(x), -1).max(axis=1, initial=0) for x in (a, b))
+    over = np.flatnonzero(a > INT64_MAX // k // np.maximum(b, 1))
+    if len(over):
+        i = over[0]
+        raise EntryBoundError(
+            f"matrix {index[i]} of the stack: int64 product of {k}-term sums "
+            f"with entries up to {a[i]} and {b[i]} could overflow"
+        )
+
+
 def max_abs(a):
     """Largest absolute entry of an int64 array; 0 when it is empty."""
     return int(np.abs(a).max()) if a.size else 0
@@ -58,9 +73,10 @@ def int64_generators(generators):
     gens = [np.array(g) for g in generators]
     if not gens:
         raise ValueError("no generators")
+    size = len(gens[0]) if gens[0].ndim else None
     for a in gens:
-        if a.shape != (len(gens[0]),) * 2:
-            raise ValueError(f"{a.tolist()} is not square of size {len(gens[0])}")
+        if a.shape != (size, size):
+            raise ValueError(f"{a.tolist()} is not square of size {size}")
     return [_int64(a) for a in gens]
 
 
@@ -232,7 +248,8 @@ def echelon_pivots_stack(stack):
     floor-division multiples of it off the rows below, until they are all
     zero there.  A column's first step updates the whole stack, each later
     one only the matrices with a remainder left below the pivot, and each
-    checks the product bound on the entries of the whole stack first.  The
+    first bounds the products of each matrix by its own entries, so a stack
+    is refused exactly when one of its matrices would be alone.  The
     row lattice is unchanged, so for a matrix of rank r the product of the
     |pivots| is its index in Z^r, the product of the invariant factors.  A
     matrix whose column has no pivot has rank < r: its pivot there is 0,
@@ -258,7 +275,7 @@ def echelon_pivots_stack(stack):
             p = top[:, 0]
             # a nonzero entry below the smallest pivot has a nonzero multiple
             q = sub[:, 1:, 0] // np.where(p == 0, 1, p)[:, None]
-            check_product(2, max_abs(q), max_abs(a))
+            _check_each(2, q, sub, alive[rows])
             sub[:, 1:] -= q[:, :, None] * top[:, None, :]
             if sub is not a:
                 a[rows] = sub
@@ -511,17 +528,17 @@ def det_i_plus_t_stack(stack):
 
     Batched Faddeev-LeVerrier: step j gives the coefficient c of t^(k-j) in
     det(tI - m), and (-1)^j c is the coefficient of t^j in det(I + t m).
-    Each division by j is checked exact and each product bound; the stack
-    is refused as in echelon_pivots_stack.
+    Each division by j is checked exact and each product bound, per matrix
+    as in echelon_pivots_stack; the stack is refused as there.
     """
     stack = _int64(np.asarray(stack), "a stack")
     k = stack.shape[1]
     coeffs = np.ones((len(stack), k + 1), dtype=np.int64)
-    stack_max = max_abs(stack)
+    stack_max = np.abs(stack).max(axis=(1, 2), initial=0)[:, None]
     mk = np.broadcast_to(np.eye(k, dtype=np.int64), stack.shape).copy()
     diag = np.arange(k)
     for j in range(1, k + 1):
-        check_product(k, stack_max, max_abs(mk))
+        _check_each(k, stack_max, mk, range(len(stack)))
         mk = stack @ mk
         trace = np.trace(mk, axis1=1, axis2=2)
         if np.any(trace % j):

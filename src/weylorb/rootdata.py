@@ -7,6 +7,7 @@ simple coroots.  An enumerated group stores them once, as one int64 stack
 with one exact index from the bytes of each matrix to its position, and
 every module downstream works on that stack: classes, centralizers,
 twisted sectors, the commuting-pairs oracle and stabilizer membership.
+Classes and centralizers tell elements apart by their images of one regular v.
 
 Conventions.  cartan[i][j] = <alpha_i, alpha_j^vee> = 2(c_i, c_j)/(c_i, c_i)
 where c_i are the simple coroot vectors; the simple reflection s_i then acts
@@ -378,9 +379,9 @@ class WeylGroup:
     stack is the one store of the elements: an (order, r, r) int64 array in
     breadth-first order, the identity first.  index, the only element
     index, maps m.tobytes() of each matrix m of the stack to its position;
-    membership and the conjugation maps of the classes go through it, and
-    centralizers are sub-stacks.  elements is a tuple view built on first
-    use, for callers outside the batched paths.
+    membership and rows_of go through it, classes and centralizers through
+    the images of _regular.  elements is a tuple view built on first use,
+    for callers outside the batched paths.
     """
 
     def __init__(self, stack, generators, index):
@@ -418,12 +419,37 @@ class WeylGroup:
         """root_table of the generators, built on first use (may be None)."""
         return root_table(self.generators)
 
+    @cached_property
+    def _regular(self):
+        """(v, images): v = (1, t, ..., t^(r-1)) for the first t = -3, -4, ...
+        whose images w v over the rows w are distinct, so Stab(v) = 1; each
+        ker(w - 1), w != 1, holds at most r - 1 such v (Vandermonde).  The
+        last bound covers each product of an element and an image.
+        """
+        arr, t = self.stack, -3
+        r, bound = arr.shape[1], max_abs(arr)
+        while True:
+            check_product(r, bound, abs(t) ** (r - 1))
+            v = np.array([t**i for i in range(r)], dtype=np.int64)
+            images = arr @ v
+            ranked = images[np.lexsort(images.T)]
+            if not np.all(ranked[1:] == ranked[:-1], axis=1).any():
+                check_product(r, bound, max_abs(images))
+                return v, images
+            t -= 1
+
     def centralizer(self, g):
-        """All elements commuting with g, as an int64 sub-stack."""
-        arr = self.stack
+        """All elements commuting with g, as an int64 sub-stack in row order:
+        for g in the group, hg = gh exactly when h(g v) = g(h v), v regular,
+        first coordinates screening.  ValueError when g is not an element."""
+        if g not in self:
+            raise ValueError("g is not an element of the group")
+        (v, images), arr = self._regular, self.stack
         gm = np.asarray(g, dtype=np.int64)
-        check_product(len(gm), max_abs(arr), max_abs(gm))
-        return arr[np.all(arr @ gm == gm @ arr, axis=(1, 2))]
+        gv = gm @ v
+        rows = np.flatnonzero(arr[:, 0] @ gv == images @ gm[0])
+        rows = rows[np.all(arr[rows] @ gv == images[rows] @ gm.T, axis=1)]
+        return arr[rows]
 
     def rows_of(self, stack):
         """The row of self.stack holding each matrix of an int64 stack."""
@@ -435,35 +461,35 @@ class WeylGroup:
     def conjugacy_classes(self):
         """List of (representative, class_size, centralizer) on the stack.
 
-        Conjugation by each generator s is one batched product s E s^-1 over
-        the element stack E, s^-1 being the row of E where s E is the
-        identity; its matrices are looked up in the group's index to give an
-        index map of the elements.  Classes are the orbits of these maps,
-        each labelled by its least index, so a representative (a row of the
-        stack) is the first element of its class and classes come in that
-        order.  Centralizers are int64 sub-stacks.
+        Conjugation by a generator s takes w to s w s^-1, of image s(w(s^-1
+        v)) at the regular v; sorted, these must be the sorted images, and
+        pairing the two orders gives an index map.  Classes are the orbits of
+        these maps, labelled by least index, so a representative (a row of
+        the stack) is the first element of its class, in that order.
         """
         if self._classes is not None:
             return self._classes
-        arr = self.stack
-        n, r = arr.shape[:2]
-        # s, s E and s^-1 are all elements: one bound covers every product
-        check_product(r, bound := max_abs(arr), bound)
+        (v, images), arr = self._regular, self.stack
+        n, order = len(arr), np.lexsort(images.T)
         moves = []
         for s in self.generators:
-            left = np.array(s, dtype=np.int64) @ arr
-            s_inv = arr[np.flatnonzero((left == np.eye(r)).all(axis=(1, 2)))[0]]
-            moves.append(self.rows_of(left @ s_inv))
+            s = np.array(s, dtype=np.int64)
+            s_inv_v = images[np.flatnonzero((images @ s.T == v).all(axis=1))[0]]
+            conj = (arr @ s_inv_v) @ s.T
+            conj_order = np.lexsort(conj.T)
+            if not np.array_equal(conj[conj_order], images[order]):
+                raise AssertionError("conjugation does not permute the group")
+            moves.append(np.empty(n, dtype=np.int64))
+            moves[-1][conj_order] = order
         labels = least_orbit_labels(moves, np.arange(n))
         reps = np.flatnonzero(labels == np.arange(n))
         sizes = np.bincount(labels)[reps]
-        classes = []
-        for i, size in zip(reps.tolist(), sizes.tolist()):
-            rep = arr[i]
-            cent = self.centralizer(rep)
-            if len(cent) * size != self.order:
-                raise AssertionError("orbit-stabilizer mismatch in classes")
-            classes.append((rep, size, cent))
+        classes = [
+            (arr[i], size, self.centralizer(arr[i]))
+            for i, size in zip(reps.tolist(), sizes.tolist())
+        ]
+        if any(len(cent) * size != self.order for _, size, cent in classes):
+            raise AssertionError("orbit-stabilizer mismatch in classes")
         if sum(size for _, size, _ in classes) != self.order:
             raise AssertionError("conjugacy classes do not partition the group")
         self._classes = classes

@@ -13,9 +13,9 @@ one stacked product v^-1 h v that gives both the label action and the
 restriction to ker(g - 1), and a batched Faddeev-LeVerrier for
 det(I + t rho), all in numpy int64 with a bound check before every product
 and an exactness check on every division.  Equal rows are grouped, the
-distinct label blocks of the sector act on the labels in one stacked
-product, and the rows are summed in Python ints; the division by |C(g)|
-must come out exact per sector.
+label blocks of the distinct rows act on the labels in one stacked
+product, and the weighted rows are summed in one int64 product; the
+division by |C(g)| must come out exact on every entry of each sector.
 
 Two independent shortcuts, the hyperoctahedral closed form and the
 commuting-pairs Euler number, serve as oracles for the engine.  The Euler
@@ -160,33 +160,34 @@ def _sector(g, centralizer):
     g is an (r, r) int64 matrix and centralizer its (n, r, r) int64 stack.
     From one Smith form u (g - 1) v = D and W = v^-1 h v for all h in C(g)
     at once, returns (shift, tors, blocks, rho).  tors are the d_i > 1, so
-    the component labels form T = prod Z/d_i; blocks[h] is the torsion block
+    the component labels form T = prod Z/d_i; D runs ones, torsion, zeros
+    (else AssertionError), so blocks are slices.  blocks[h] is the torsion block
     of W, entry (i2, i1) scaled by d_i2 / d_i1 and reduced mod d_i2, acting
     by tau -> blocks[h] tau mod d; rho[h] = L h K is h on the kernel
     lattice, K being the kernel columns of v and L the same rows of v^-1.
     """
     r = len(g)
     diag, v, v_inv = _smith_of_g_minus_one(g)
+    a, k = diag.count(1), diag.count(0)
+    s = r - k
+    if diag[:a] != [1] * a or diag[s:] != [0] * k:
+        raise AssertionError(f"Smith diagonal {diag} is not ones, torsion, zeros")
     v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
     check_product(r, max_abs(v_inv), max_abs(centralizer))
     w = v_inv @ centralizer
     check_product(r, max_abs(w), max_abs(v))
     w = w @ v
-    kern = [i for i, x in enumerate(diag) if x == 0]
-    rest = [i for i, x in enumerate(diag) if x != 0]
     # h K = K rho holds exactly when W vanishes on the non-kernel rows of
     # the kernel columns, since v W = h v and v is invertible
-    if np.any(w[:, rest][:, :, kern]):
+    if np.any(w[:, :s, s:]):
         raise AssertionError("centralizer element does not preserve kernel")
-    rho = w[:, kern][:, :, kern]
-    tors_idx = [i for i, x in enumerate(diag) if x > 1]
-    tors = np.array([diag[i] for i in tors_idx], dtype=np.int64)
-    block = w[:, tors_idx][:, :, tors_idx]
+    tors = np.array(diag[a:s], dtype=np.int64)
+    block = w[:, a:s, a:s]
     check_product(1, max_abs(block), max_abs(tors))
     scaled = block * tors[:, None]
     if np.any(scaled % tors):
         raise AssertionError("component label action not integral")
-    return r - len(kern), tors, scaled // tors % tors[:, None], rho
+    return s, tors, scaled // tors % tors[:, None], w[:, s:, s:]
 
 
 def _labels(tors):
@@ -215,13 +216,11 @@ def _det_squares(rho):
     return sq
 
 
-def _add_outer(acc, sq, weight):
-    """acc[(p, q)] += weight * sq[p] * sq[q], in Python ints."""
-    for p, cp in enumerate(sq):
-        if cp:
-            for q, cq in enumerate(sq):
-                if cq:
-                    acc[(p, q)] = acc.get((p, q), 0) + weight * cp * cq
+def _sector_sum(squares, weights):
+    """sum_i weights[i] sq_i^T sq_i over the rows sq_i of an (m, L) int64
+    array, as one (L, L) int64 product, bound-checked first."""
+    check_product(len(squares), max(weights) * max_abs(squares), max_abs(squares))
+    return squares.T @ (np.array(weights, dtype=np.int64)[:, None] * squares)
 
 
 def _check_cap(action, order_cap):
@@ -240,33 +239,31 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     orbit sum collapses (Burnside) to an average over C(g) weighted by the
     number of component labels h fixes.  Elements with the same label block
     and the same det(I + t rho)^2 contribute alike, so each distinct row is
-    counted once, and the fixed labels of all distinct blocks of a sector
-    are counted in one stacked product.
+    counted once, and the fixed labels of all distinct rows of a sector are
+    counted in one stacked product and the sector summed in another.
     """
     _check_cap(action, order_cap)
-    total = {}
+    # total[p, q] in Python ints; p, q <= 2 rank
+    total = np.zeros((2 * action.rank + 1,) * 2, dtype=object)
     for rep, _size, centralizer in action.group.conjugacy_classes():
         shift, tors, blocks, rho = _sector(rep, centralizer)
         n, t = blocks.shape[:2]
         rows = np.concatenate([blocks.reshape(n, t * t), _det_squares(rho)], axis=1)
         labels = _labels(tors)
-        sector = {}
-        distinct = Counter(rows.view(f"V{8 * rows.shape[1]}").ravel().tolist())
-        # the distinct label blocks, in first-seen order, mapped at once
-        keys = list(dict.fromkeys(key[:8 * t * t] for key in distinct))
-        stack = np.frombuffer(b"".join(keys), dtype=np.int64)
-        images = _label_images(labels, tors, stack.reshape(len(keys), t, t))
-        fixed = dict(zip(keys, np.all(images == labels, axis=2).sum(axis=1).tolist()))
-        for key, mult in distinct.items():
-            if f := fixed[key[:8 * t * t]]:
-                sq = np.frombuffer(key[8 * t * t:], dtype=np.int64)
-                _add_outer(sector, sq.tolist(), mult * f**4)
-        for (p, q), c in sector.items():
-            if c % n:
-                raise AssertionError(f"sector of {rep.tolist()} is not integral")
-            key = (p + shift, q + shift)
-            total[key] = total.get(key, 0) + c // n
-    total = BigradedPoly(total)
+        width = rows.shape[1]
+        distinct = Counter(rows.view(f"V{8 * width}").ravel().tolist())
+        keys = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, width)
+        # every distinct label block mapped at once, and the det^2 rows
+        # weighted by multiplicity times (fixed labels)^4 summed at once
+        images = _label_images(labels, tors, keys[:, :t * t].reshape(len(keys), t, t))
+        fixed = np.all(images == labels, axis=2).sum(axis=1).tolist()
+        weights = [mult * f**4 for mult, f in zip(distinct.values(), fixed)]
+        sector = _sector_sum(keys[:, t * t:], weights)
+        if np.any(sector % n):
+            raise AssertionError(f"sector of {rep.tolist()} is not integral")
+        end = shift + len(sector)
+        total[shift:end, shift:end] += (sector // n).astype(object)
+    total = BigradedPoly(dict(np.ndenumerate(total)))
     if not total.is_hodge_symmetric():
         raise AssertionError("stringy Hodge output is not (p,q)-symmetric")
     if not total.is_centrally_symmetric(action.rank):

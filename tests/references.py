@@ -31,9 +31,9 @@ from weylorb.intlinalg import (
     smith_normal_form,
     transpose,
 )
+from weylorb.rootdata import least_orbit_labels
 from weylorb.stringy import (
     DEFAULT_ENGINE_CAP,
-    _add_outer,
     _check_cap,
     _det_squares,
     _label_images,
@@ -41,6 +41,56 @@ from weylorb.stringy import (
     _sector,
 )
 from weylorb.torsion import TorsionPoint
+
+
+def _add_outer(acc, sq, weight):
+    """acc[(p, q)] += weight * sq[p] * sq[q], in Python ints."""
+    for p, cp in enumerate(sq):
+        if cp:
+            for q, cq in enumerate(sq):
+                if cq:
+                    acc[(p, q)] = acc.get((p, q), 0) + weight * cp * cq
+
+
+def conjugacy_classes_by_products(group):
+    """List of (representative, class_size, centralizer) on the stack.
+
+    Conjugation by each generator s is one batched product s E s^-1 over
+    the element stack E, s^-1 being the row of E where s E is the
+    identity; its matrices are looked up in the group's index to give an
+    index map of the elements.  Classes are the orbits of these maps,
+    each labelled by its least index, so a representative (a row of the
+    stack) is the first element of its class and classes come in that
+    order.  Centralizers are int64 sub-stacks, from two-sided products.
+    """
+
+    def centralizer(g):
+        gm = np.asarray(g, dtype=np.int64)
+        check_product(len(gm), max_abs(arr), max_abs(gm))
+        return arr[np.all(arr @ gm == gm @ arr, axis=(1, 2))]
+
+    arr = group.stack
+    n, r = arr.shape[:2]
+    # s, s E and s^-1 are all elements: one bound covers every product
+    check_product(r, bound := max_abs(arr), bound)
+    moves = []
+    for s in group.generators:
+        left = np.array(s, dtype=np.int64) @ arr
+        s_inv = arr[np.flatnonzero((left == np.eye(r)).all(axis=(1, 2)))[0]]
+        moves.append(group.rows_of(left @ s_inv))
+    labels = least_orbit_labels(moves, np.arange(n))
+    reps = np.flatnonzero(labels == np.arange(n))
+    sizes = np.bincount(labels)[reps]
+    classes = []
+    for i, size in zip(reps.tolist(), sizes.tolist()):
+        rep = arr[i]
+        cent = centralizer(rep)
+        if len(cent) * size != group.order:
+            raise AssertionError("orbit-stabilizer mismatch in classes")
+        classes.append((rep, size, cent))
+    if sum(size for _, size, _ in classes) != group.order:
+        raise AssertionError("conjugacy classes do not partition the group")
+    return classes
 
 
 def molien_average(rho):

@@ -8,13 +8,15 @@ literal breadth-first reference.  The explicit orbit reference is only
 affordable up to rank 3; rank-4 examples, whose sectors can have mixed
 component groups such as Z/2 + Z/4, are checked against the commuting-pairs
 Euler number alone.  That oracle is itself checked against a literal loop
-with one Smith form per commuting pair.
+with one Smith form per commuting pair.  The classes are also compared, array
+for array, with the two-sided product route they replaced.
 """
 
 import random
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +34,18 @@ from weylorb.stringy import (
     stringy_hodge,
 )
 
-from references import stringy_hodge_by_orbits, unimodular_inverse
+from references import (
+    conjugacy_classes_by_products,
+    stringy_hodge_by_orbits,
+    unimodular_inverse,
+)
 
 WEYL_TYPES = (("G", 2), ("A", 3), ("B", 3), ("C", 3))
+UP_TO_RANK_5 = (
+    [("A", n) for n in range(1, 6)]
+    + [(letter, n) for letter in "BC" for n in range(2, 6)]
+    + [("D", 4), ("D", 5), ("G", 2), ("F", 4)]
+)
 RANK4_TYPES = (("B", 4), ("D", 4))
 _WEYL = {}
 
@@ -113,6 +124,33 @@ def test_conjugacy_classes_match_literal_walk(action):
         assert np.array_equal(cent, np.array(literal))
 
 
+def _assert_same_classes(group):
+    """The classes equal those of the product route, array for array."""
+    classes = group.conjugacy_classes()
+    reference = conjugacy_classes_by_products(group)
+    assert len(classes) == len(reference)
+    for (rep, size, cent), (ref_rep, ref_size, ref_cent) in zip(classes, reference):
+        assert np.array_equal(rep, ref_rep) and size == ref_size
+        assert cent.dtype == np.int64 and np.array_equal(cent, ref_cent)
+
+
+@pytest.mark.parametrize("letter,rank", UP_TO_RANK_5, ids=lambda x: str(x))
+def test_classes_match_the_product_route_on_every_weyl_type(letter, rank):
+    # in the coroot basis and, from rank 2, in a seeded unimodular basis
+    group = _weyl(letter, rank)
+    _assert_same_classes(enumerate_group(group.generators))
+    if rank > 1:
+        u, u_inv = _unimodular_pair(random.Random(rank), rank)
+        gens = [mat_mul(mat_mul(u, s), u_inv) for s in group.generators]
+        _assert_same_classes(enumerate_group(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES))
+def test_classes_match_the_product_route_on_random_subgroups(action):
+    _assert_same_classes(action.group)
+
+
 @settings(max_examples=25, deadline=None)
 @given(subgroup_actions())
 def test_engine_matches_orbits_and_commuting_pairs(action):
@@ -161,6 +199,19 @@ def test_commuting_pairs_match_one_smith_form_per_pair(action):
     assert stringy_euler_commuting_pairs(action) == _euler_commuting_pairs_reference(
         action
     )
+
+
+@settings(max_examples=15, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES))
+def test_commuting_pairs_do_not_depend_on_the_chunk(action):
+    # every bound of the echelon is per pair, so no chunk refuses a pair
+    # that another chunk takes
+    answers = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 7, 10**6):
+            mp.setattr(weylorb.stringy, "_PAIR_CHUNK", chunk)
+            answers.add(stringy_euler_commuting_pairs(action))
+    assert len(answers) == 1
 
 
 def test_commuting_pairs_match_on_whole_rank4_groups(monkeypatch):

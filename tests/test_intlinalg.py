@@ -468,6 +468,26 @@ def int_stacks(draw):
     return stack
 
 
+@st.composite
+def wide_stacks(draw, square):
+    """(n, m, r) int64 stacks, of n <= 12 square matrices of size <= 4 or of
+    m x r ones with m <= 6 and r <= 4.  Entries are within +-3 times 2^e,
+    for a seeded e below a seeded limit per matrix, of at most 30 for square
+    ones and 58 else, so that some matrices near the int64 bound are refused
+    and others pass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(0, 13))
+    if square:
+        m = r = int(rng.integers(1, 5))
+    else:
+        m, r = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    limit = rng.integers(1, 31 if square else 59, size=(n, 1, 1))
+    scale = 2 ** (rng.random((n, m, r)) * limit).astype(np.int64)
+    stack = rng.integers(-3, 4, size=(n, m, r)) * scale
+    stack[rng.random((n, m, r)) < 0.4] = 0
+    return stack
+
+
 class TestEchelonPivotsStack:
     def _random_stack(self, rng, n, rows, cols):
         stack = []
@@ -525,13 +545,18 @@ class TestEchelonPivotsStack:
             echelon_pivots_stack(stack)
 
     def test_entry_bound_covers_the_whole_stack(self):
-        # the second matrix alone takes a second step, with a multiple of 2;
-        # the first, done after one, still bounds it, as in a step of both
+        # each matrix is bounded by its own entries: the first needs no
+        # multiple, and the second's multiple of 2 is no overflow, although
+        # a bound over the whole stack, as in the full-stack loop, refuses it
         stack = np.array([[[1, 2**61], [0, 0]], [[2, 0], [3, 0]]], dtype=np.int64)
-        for fn in (echelon_pivots_full_stack, echelon_pivots_stack):
-            with pytest.raises(EntryBoundError):
-                fn(stack)
+        with pytest.raises(EntryBoundError):
+            echelon_pivots_full_stack(stack)
+        assert echelon_pivots_stack(stack).tolist() == [[1, 0], [1, 0]]
         assert echelon_pivots_stack(stack[1:]).tolist() == [[1, 0]]
+        # a matrix that is refused on its own is refused in any stack, by index
+        bad = np.array([[[3, 2**40], [2**62, 1]]], dtype=np.int64)
+        with pytest.raises(EntryBoundError, match="matrix 2 of the stack"):
+            echelon_pivots_stack(np.concatenate([stack, bad, bad]))
 
     @seed(20)
     @settings(max_examples=150, deadline=None)
@@ -566,6 +591,26 @@ class TestIntegerStacks:
     def test_refuses_what_int64_cannot_hold_exactly(self, fn, stack, error, dtype):
         with pytest.raises(error, match=dtype):
             fn(stack)
+
+    @seed(21)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_stack_is_refused_exactly_when_a_part_is(self, fn, data):
+        # every bound is per matrix, so splitting a stack anywhere changes
+        # nothing: it raises when some part raises, and else is their rows
+        stack = data.draw(wide_stacks(square=fn is det_i_plus_t_stack))
+        cuts = data.draw(st.lists(st.integers(0, len(stack)), max_size=3))
+        parts = []
+        for part in np.split(stack, sorted(cuts)):
+            try:
+                parts.append(fn(part))
+            except EntryBoundError:
+                parts.append(None)
+        if any(p is None for p in parts):
+            with pytest.raises(EntryBoundError):
+                fn(stack)
+        else:
+            assert np.array_equal(fn(stack), np.concatenate(parts))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, object])
     def test_other_integer_dtypes_are_read_as_int64(self, fn, dtype):
@@ -718,6 +763,20 @@ class TestCharpoly:
     def test_det_i_plus_t_stack_checks_entry_bound(self):
         stack = np.array([[[2**31, 0], [0, 1]]], dtype=np.int64)
         with pytest.raises(EntryBoundError):
+            det_i_plus_t_stack(stack)
+
+    def test_det_i_plus_t_stack_bounds_each_matrix_by_its_own_entries(self):
+        # x has the larger entries and y the larger third power; each alone
+        # passes, but 3 * max|x| * max|y^2| is beyond int64
+        x = [[0, 1_700_000_000, 0], [0, 0, 0], [0, 0, 0]]
+        y = [[0, 46341, 0], [0, 0, 46341], [46341, 0, 0]]
+        got = det_i_plus_t_stack(np.array([x, y], dtype=np.int64))
+        assert got.tolist() == [[1, 0, 0, 0], [1, 0, 0, 46341**3]]
+        # [[1, 2^40], [0, 1]] is refused on its own, at its second step, so
+        # the rotation beside it is refused with it, the error naming it
+        stack = np.array([[[0, -1], [1, 0]], [[1, 2**40], [0, 1]]], dtype=np.int64)
+        assert det_i_plus_t_stack(stack[:1]).tolist() == [[1, 0, 1]]
+        with pytest.raises(EntryBoundError, match="matrix 1 of the stack"):
             det_i_plus_t_stack(stack)
 
     def test_cayley_hamilton(self):

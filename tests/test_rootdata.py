@@ -359,6 +359,31 @@ class TestEnumeration:
         assert len(enumerate_group(build_root_datum("A", 3)).conjugacy_classes()) == 5
         assert len(enumerate_group(build_root_datum("B", 3)).conjugacy_classes()) == 10
 
+    def test_regular_vector_search_skips_a_fixed_vector(self):
+        # the order-2 element fixes (1, -3), so t = -3 gives equal images
+        group = enumerate_group([[[-2, -1], [3, 2]]])
+        assert mat_mul([[-2, -1], [3, 2]], [[1], [-3]]) == [[1], [-3]]
+        v, images = group._regular
+        assert v.tolist() == [1, -4]
+        assert images.tolist() == [[1, -4], [2, -5]]
+        classes = group.conjugacy_classes()
+        assert [(rep.tolist(), size) for rep, size, _ in classes] == [
+            ([[1, 0], [0, 1]], 1),
+            ([[-2, -1], [3, 2]], 1),
+        ]
+
+    @pytest.mark.parametrize(
+        "g",
+        [[[0, 1], [1, 0]], [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5],
+        ids=["diagram-swap", "not-unimodular", "3x3", "scalar"],
+    )
+    def test_centralizer_of_a_non_element_is_refused(self, g):
+        # h(g v) = g(h v) decides hg = gh only for g in the group
+        group = enumerate_group(build_root_datum("A", 2))
+        assert g not in group
+        with pytest.raises(ValueError, match="not an element"):
+            group.centralizer(g)
+
     @pytest.mark.parametrize(
         "rotation",
         [[[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]]],

@@ -1,7 +1,9 @@
 """Stringy Hodge engine: fixed loci, two independent routes, closed forms."""
 
+import random
 from math import prod
 
+import numpy as np
 import pytest
 
 import weylorb.intlinalg
@@ -29,7 +31,7 @@ from weylorb.stringy import (
     wreath_bn_action,
 )
 
-from references import stringy_hodge_by_orbits
+from references import _add_outer, stringy_hodge_by_orbits
 
 
 class TestLatticeAction:
@@ -288,6 +290,44 @@ class TestEngineStructuralProperties:
             "echelon_pivots_stack": -(-pairs // chunk),
             "_label_images": len(classes),
         }
+
+
+class TestSectorArithmetic:
+    def test_sector_sum_matches_the_python_double_loop(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            m, length = rng.randint(1, 12), rng.randint(1, 13)
+            rows = [[rng.randint(-50, 50) for _ in range(length)] for _ in range(m)]
+            weights = [rng.randint(1, 10**6) for _ in range(m)]
+            expected = {}
+            for row, w in zip(rows, weights):
+                _add_outer(expected, row, w)
+            got = weylorb.stringy._sector_sum(np.array(rows, dtype=np.int64), weights)
+            assert {
+                (p, q): c for (p, q), c in np.ndenumerate(got.tolist()) if c
+            } == {key: c for key, c in expected.items() if c}
+
+    @pytest.mark.parametrize("weight", [2**62 // 3, 2**62, 2**70])
+    def test_sector_sum_refuses_weights_near_the_int64_bound(self, weight):
+        # 2 rows with entries up to 3: 2 * (weight * 3) * 3 > 2^63 - 1
+        rows = np.array([[1, 3], [1, 2]], dtype=np.int64)
+        with pytest.raises(EntryBoundError):
+            weylorb.stringy._sector_sum(rows, [weight, 1])
+        assert weylorb.stringy._sector_sum(rows, [2**62 // 18 - 1, 1]).dtype == np.int64
+
+    def test_sector_refuses_a_smith_diagonal_out_of_order(self, monkeypatch):
+        # the label block and the kernel are read as slices of the diagonal
+        real = weylorb.stringy._smith_of_g_minus_one
+
+        def reordered(g):
+            diag, v, v_inv = real(g)
+            return diag[::-1], v, v_inv
+
+        monkeypatch.setattr(weylorb.stringy, "_smith_of_g_minus_one", reordered)
+        action = wreath_bn_action(2)
+        g = np.array([[-1, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(AssertionError, match="ones, torsion, zeros"):
+            weylorb.stringy._sector(g, action.group.centralizer(g))
 
 
 class TestWreathClosedFormStructure:
