@@ -12,13 +12,20 @@ such roots; its order comes from root heights, and the W-orbit size is
 simple reflections of a root system whose coroots span the lattice, H is W
 itself, whose stack a WeylGroup already holds.  The order cap bounds |H|.
 
-H is enumerated once per root table, which keeps it within the order cap
-(RootTable.reflection_subgroup), into one int64 stack.  Stab(p) is the rows
-g of that stack with g p = p modulo the denominator, found in one batched
-product; its generators are taken greedily from those rows in stack order,
-each one outside the group the earlier ones generate, a boolean mask over
-the rows of H grown inside H's index.  Every int64 product is preceded by
-an entry-bound check that raises intlinalg.EntryBoundError.
+The root table keeps H, within the order cap, in one memo keyed by the
+integrality mask of Phi_t: the simple rows, |H| from root heights and H
+enumerated into one int64 stack (RootTable.subgroup).  So the 560
+minus-one points of D_4, which give 3 masks, find simple rows 3 times and
+enumerate 3 groups.  Stab(p) is the rows g of that stack with g p = p
+modulo the denominator, found in one batched product; its generators are
+taken greedily from those rows in stack order, each one outside the group
+the earlier ones generate, a boolean mask over the rows of H grown inside
+H's index.  Every int64 product is preceded by an entry-bound check that
+raises intlinalg.EntryBoundError.
+
+The 2-torsion scan acts on bit codes of points.  The action is F_2-linear,
+so each generator's move on all 2^(4r) codes is built by doubling over the
+basis bits, one XOR pass per bit, in the narrowest unsigned code type.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -55,6 +63,12 @@ class PerturbationNotFoundError(ValueError):
     """Raised when propagate draws no perturbation that keeps the stabilizer."""
 
 
+def _require_int(name, value):
+    # type(x) is int refuses bools, floats and strings alike
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TorsionPoint:
     """A finite-order point of A tensor Lambda in simple-coroot coordinates.
@@ -67,14 +81,18 @@ class TorsionPoint:
     coords: tuple
 
     def __post_init__(self):
-        # type(x) is int refuses bools, floats, Fractions and numpy integers
-        if type(self.den) is not int or self.den < 1:
-            raise ValueError(f"denominator must be a positive int, not {self.den!r}")
-        for entry in self.coords:
-            if len(entry) != 4 or any(
-                type(x) is not int or not 0 <= x < self.den for x in entry
-            ):
-                raise ValueError("coordinates must be 4-vectors of ints mod den")
+        # type(x) is int refuses bools, floats, Fractions and numpy integers;
+        # the entries are read in C-level passes: lengths, types, min and max
+        den, rows = self.den, tuple(self.coords)
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be a positive int, not {den!r}")
+        flat = list(chain.from_iterable(rows))
+        if (
+            not set(map(len, rows)) <= {4}
+            or not set(map(type, flat)) <= {int}
+            or flat and not 0 <= min(flat) <= max(flat) < den
+        ):
+            raise ValueError("coordinates must be 4-vectors of ints mod den")
 
     @property
     def rank(self):
@@ -162,21 +180,25 @@ class StabilizerReport:
 
 
 def _point_subgroup(table, point):
-    """Simple rows and order of a reflection subgroup H of W containing Stab(p).
+    """(mask, order, simple rows, H or None) of a reflection subgroup H of W
+    containing Stab(p).
 
     For G simply connected, the lattice is the coroot lattice and the
     stabilizer of one coordinate x_t is the reflection group W(Phi_t) of
     Phi_t = {alpha : alpha(x_t) in Z} (Steinberg), so Stab(p) lies in each.
     H is W(Phi_t) for the column t with the fewest positive roots in Phi_t,
     the lowest t on ties, generated by the reflections in the simple roots
-    of Phi_t, rows of the table; its order comes from root heights.
+    of Phi_t, rows of the table; its order comes from root heights.  The
+    mask of Phi_t over the rows, a tuple of bools, keys the table's memo:
+    RootTable.subgroup gives the rest, H None when the table keeps none.
     """
     den, rank = point.den, point.rank
     coords = np.array(point.coords, dtype=np.int64)
     check_product(rank, max_abs(table.forms), den - 1)
     integral = table.forms @ coords % den == 0
     t = int(np.argmin(integral.sum(axis=0)))
-    return table.subsystem(integral[:, t])
+    mask = tuple(integral[:, t].tolist())
+    return (mask, *table.subgroup(mask))
 
 
 def stabilizer(action, point, order_cap=10**6):
@@ -187,35 +209,42 @@ def stabilizer(action, point, order_cap=10**6):
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
     |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
     Otherwise H is W itself: the stack of a WeylGroup given, or else
-    enumerated from the generators.  H is enumerated once per root table,
-    Stab(p) is the rows of its stack that fix p, and its greedy generators
-    must generate exactly those rows.  order_cap bounds |H| (and what the table
-    keeps): GroupOrderCapError before any enumeration when |H| is known and
-    exceeds it, and enumerate_group's own refusal otherwise.  A point of
-    another rank raises ValueError.
+    enumerated from the generators.  The root table keeps H under the
+    integrality mask of Phi_t, so H and its simple rows are found once per
+    mask; |H| from root heights is checked against the enumerated order on
+    every call.  Stab(p) is the rows of its stack that fix p, and its
+    greedy generators must generate exactly those rows.  order_cap bounds
+    |H| (and what the table keeps): GroupOrderCapError before any
+    enumeration when |H| is known and exceeds it, and enumerate_group's own
+    refusal otherwise.  A point that is not a TorsionPoint, or of another
+    rank, raises ValueError.
     """
+    if not isinstance(point, TorsionPoint):
+        raise ValueError(f"{point!r} is not a TorsionPoint")
     generators, order, table = _group_parts(action)
     rank = len(generators[0])
     if point.rank != rank:
         raise ValueError(f"point of rank {point.rank} for a group of rank {rank}")
     point = point.reduced()
-    sub_order = order
+    sub_order, sub = order, None
     if table is not None:
         if order is not None and order != table.order:
             raise AssertionError("root heights disagree with the group order")
-        simple, sub_order = _point_subgroup(table, point)
+        mask, sub_order, simple, sub = _point_subgroup(table, point)
     if sub_order is not None and sub_order > order_cap:
         raise GroupOrderCapError(
             f"the subgroup searched has order {sub_order}, "
             f"which exceeds the cap {order_cap}"
         )
     group = getattr(action, "group", action)
-    if table is None and isinstance(group, WeylGroup):
+    if sub is not None:
+        pass  # kept by the root table
+    elif table is not None:
+        sub = table.reflection_subgroup(mask, sub_order, simple, order_cap)
+    elif isinstance(group, WeylGroup):
         sub = group
-    elif table is None:
-        sub = enumerate_group(generators, order_cap=order_cap)
     else:
-        sub = table.reflection_subgroup(simple, order_cap)
+        sub = enumerate_group(generators, order_cap=order_cap)
     if sub_order is not None and sub.order != sub_order:
         raise AssertionError("the subgroup searched has the wrong order")
     stack, den, bound = sub.stack, point.den, max_abs(sub.stack)
@@ -245,11 +274,14 @@ def stabilizer(action, point, order_cap=10**6):
     whole = sub.order if table is None else table.order
     if whole % stab_order != 0:
         raise AssertionError("stabilizer order does not divide |W|")
+    elements = stack[fixed]
     crepant = None
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and np.array_equal(stack[fixed][1], -np.eye(rank)):
+    elif stab_order == 2 and np.array_equal(
+        elements[1], -np.eye(rank, dtype=np.int64)
+    ):
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
         # the +-1 quotient is resolvable only in one surface factor
@@ -263,49 +295,62 @@ def stabilizer(action, point, order_cap=10**6):
         orbit_size=whole // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(freeze(g) for g in stack[fixed].tolist())),
+        elements=tuple(sorted(freeze(g) for g in elements.tolist())),
         crepant=crepant,
     )
+
+
+def _two_torsion_moves(generators, rank):
+    """Each generator's action on the codes of all 2-torsion points.
+
+    A point is encoded as a 4*rank-bit integer whose j-th nibble is the mod-2
+    coordinate 4-vector over the j-th simple coroot, so bit 4j + t goes to
+    bit 4k + t for every k with g[k][j] odd.  The action is F_2-linear: the
+    image of a code is the XOR of the images of its bits, so the move is
+    built by doubling over the basis bits b, image[2^b:2^(b+1)] =
+    image[:2^b] ^ image(e_b), in place.  The narrowest unsigned type
+    holding every code keeps the arrays small.  A generator of even
+    determinant raises ValueError.
+    """
+    n = 1 << (4 * rank)
+    dtype = np.min_scalar_type(n - 1)
+    moves = []
+    for g in generators:
+        if det(g) % 2 == 0:
+            raise ValueError("generator is not invertible modulo 2")
+        image = np.zeros(n, dtype=dtype)
+        for b in range(4 * rank):
+            j, t = divmod(b, 4)
+            bit = sum(1 << (4 * k + t) for k in range(rank) if g[k][j] % 2)
+            half = 1 << b
+            np.bitwise_xor(image[:half], bit, out=image[half:2 * half])
+        moves.append(image)
+    return moves
 
 
 def _two_torsion_orbit_reps(generators, rank):
     """Orbit partition of all 2-torsion points, vectorized over bit codes.
 
-    A point is encoded as a 4*rank-bit integer whose j-th nibble is the mod-2
-    coordinate 4-vector over the j-th simple coroot; a generator acts by
-    XORing nibbles, which applies to every point at once as array shifts.
-    A generator of even determinant raises ValueError; any other permutes
-    the codes, so pulling labels along the generators alone (least_orbit_
-    labels) leaves each orbit labelled by its least code.  Returns
-    [(least_code, orbit_size)] in ascending code order.
+    The moves of _two_torsion_moves permute the codes, so pulling labels
+    along the generators alone (least_orbit_labels) leaves each orbit
+    labelled by its least code.  Returns [(least_code, orbit_size)] in
+    ascending code order.
     """
-    n = 1 << (4 * rank)
-    # the narrowest unsigned type holding every code keeps the arrays small
-    idx = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    nibbles = [(idx >> (4 * j)) & 15 for j in range(rank)]
-    moves = []
-    for g in generators:
-        if det(g) % 2 == 0:
-            raise ValueError("generator is not invertible modulo 2")
-        image = np.zeros_like(idx)
-        for k in range(rank):
-            ynib = np.zeros_like(idx)
-            for j in range(rank):
-                if g[k][j] % 2:
-                    ynib ^= nibbles[j]
-            image |= ynib << (4 * k)
-        moves.append(image)
-    reps, counts = np.unique(least_orbit_labels(moves, idx), return_counts=True)
+    moves = _two_torsion_moves(generators, rank)
+    codes = np.arange(1 << (4 * rank), dtype=moves[0].dtype)
+    reps, counts = np.unique(least_orbit_labels(moves, codes), return_counts=True)
     return list(zip(reps.tolist(), counts.tolist()))
+
+
+# the 4-vector of the bits of each nibble, lowest bit first
+_NIBBLES = tuple(tuple((x >> t) & 1 for t in range(4)) for x in range(16))
 
 
 def _decode_two_torsion(code, rank):
     """The point of a nonzero code, reduced already: some entry is 1 mod 2."""
-    coords = tuple(
-        tuple((code >> (4 * j + t)) & 1 for t in range(4))
-        for j in range(rank)
+    return TorsionPoint(
+        2, tuple(_NIBBLES[(code >> (4 * j)) & 15] for j in range(rank))
     )
-    return TorsionPoint(2, coords)
 
 
 def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
@@ -320,8 +365,10 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     that disagrees with this |W| raises AssertionError.
     Returns a list of TorsionPoint orbit representatives, each the orbit
     member with the least bit code, in ascending code order; [] when -1 is
-    not in W.
+    not in W.  A denominator bound that is not an int, or is a bool, raises
+    ValueError.
     """
+    _require_int("denominator bound", denominator_bound)
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
     generators, order, _ = _group_parts(action)
@@ -367,7 +414,11 @@ def propagate(
     genericity of q is replaced by a verification loop: draw q from a seeded
     generator and retry until the ambient stabilizer order matches the
     stabilizer of p; PerturbationNotFoundError when max_attempts draws fail.
+    A fine denominator or max_attempts that is not an int, or is a bool,
+    raises ValueError.
     """
+    _require_int("fine denominator", fine_denominator)
+    _require_int("max_attempts", max_attempts)
     sub, amb = embedding.sub, embedding.ambient
     f = fine_denominator
     if f < 1:

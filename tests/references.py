@@ -221,6 +221,67 @@ def two_torsion_points(rank):
         yield TorsionPoint(2, combo).reduced()
 
 
+def two_torsion_moves_by_nibbles(generators, rank):
+    """Each generator's move on the 2-torsion codes, nibble by nibble.
+
+    The j-th nibble of a code is the mod-2 4-vector over the j-th simple
+    coroot, and nibble k of the image is the XOR of the nibbles j with
+    g[k][j] odd, applied to every code at once as array shifts.  A generator
+    of even determinant raises ValueError.
+    """
+    n = 1 << (4 * rank)
+    idx = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    nibbles = [(idx >> (4 * j)) & 15 for j in range(rank)]
+    moves = []
+    for g in generators:
+        if det(g) % 2 == 0:
+            raise ValueError("generator is not invertible modulo 2")
+        image = np.zeros_like(idx)
+        for k in range(rank):
+            ynib = np.zeros_like(idx)
+            for j in range(rank):
+                if g[k][j] % 2:
+                    ynib ^= nibbles[j]
+            image |= ynib << (4 * k)
+        moves.append(image)
+    return moves
+
+
+def two_torsion_orbit_reps_by_nibbles(generators, rank):
+    """[(least_code, orbit_size)] of the nibble moves, in ascending code order.
+
+    Labels are pulled along every move until no label changes, with no
+    pointer jumping: the moves generate a finite group, so forward moves
+    reach every orbit.
+    """
+    moves = two_torsion_moves_by_nibbles(generators, rank)
+    labels = np.arange(1 << (4 * rank))
+    while True:
+        pulled = labels
+        for move in moves:
+            pulled = np.minimum(pulled, pulled[move.astype(np.intp)])
+        if np.array_equal(pulled, labels):
+            break
+        labels = pulled
+    reps, counts = np.unique(labels, return_counts=True)
+    return list(zip(reps.tolist(), counts.tolist()))
+
+
+def torsion_point_refuses(den, coords):
+    """Whether TorsionPoint(den, coords) is refused, entry by entry.
+
+    type(x) is int refuses bools, floats, Fractions and numpy integers; every
+    entry must be a 4-vector of ints in [0, den).
+    """
+    if type(den) is not int or den < 1:
+        return True
+    return any(
+        len(entry) != 4
+        or any(type(x) is not int or not 0 <= x < den for x in entry)
+        for entry in coords
+    )
+
+
 def positive_roots(cartan):
     """All roots of the system, in simple-root coordinates, via closure."""
     r = len(cartan)

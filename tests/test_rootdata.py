@@ -22,7 +22,7 @@ from weylorb.rootdata import (
 
 from weylorb.torsion import TorsionPoint, stabilizer
 
-from references import positive_roots
+from references import conjugacy_classes_by_products, positive_roots
 
 ALL_SMALL_TYPES = [
     ("A", 1),
@@ -371,6 +371,25 @@ class TestEnumeration:
             ([[1, 0], [0, 1]], 1),
             ([[-2, -1], [3, 2]], 1),
         ]
+
+    def test_regular_images_are_dropped_after_classes(self):
+        # the classes keep their centralizers; a later centralizer call
+        # rebuilds the images and answers as before
+        group = enumerate_group(build_root_datum("B", 3))
+        before = [group.centralizer(g) for g in group.stack[::7]]
+        classes = group.conjugacy_classes()
+        assert "_regular" not in vars(group)
+        reference = conjugacy_classes_by_products(
+            enumerate_group(build_root_datum("B", 3))
+        )
+        assert len(classes) == len(reference) == 10
+        for (rep, size, cent), (ref_rep, ref_size, ref_cent) in zip(classes, reference):
+            assert np.array_equal(rep, ref_rep) and size == ref_size
+            assert np.array_equal(cent, ref_cent)
+        after = [group.centralizer(g) for g in group.stack[::7]]
+        assert "_regular" in vars(group)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert group.conjugacy_classes() is classes
 
     @pytest.mark.parametrize(
         "g",

@@ -7,17 +7,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import weylorb.rootdata
 import weylorb.torsion
 from weylorb.intlinalg import (
     EntryBoundError,
+    det,
     freeze,
     identity,
     mat_mul,
 )
 from weylorb.rootdata import (
     GroupOrderCapError,
+    RootTable,
     build_root_datum,
     embed_diagram,
     enumerate_group,
@@ -29,13 +33,21 @@ from weylorb.torsion import (
     _decode_two_torsion,
     _group_parts,
     _point_subgroup,
+    _two_torsion_moves,
     _two_torsion_orbit_reps,
     find_minus_one_points,
     propagate,
     stabilizer,
 )
 
-from references import perturbed_candidates, two_torsion_points, unimodular_inverse
+from references import (
+    perturbed_candidates,
+    torsion_point_refuses,
+    two_torsion_moves_by_nibbles,
+    two_torsion_orbit_reps_by_nibbles,
+    two_torsion_points,
+    unimodular_inverse,
+)
 
 
 def minus_identity(rank):
@@ -231,6 +243,35 @@ class TestTorsionPoint:
         with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not")):
             TorsionPoint.from_fractions([[0, 0, 0, 0], [entry, 0, 0, 0]])
 
+    @seed(22)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refuses_what_the_entry_loop_refuses(self, data):
+        # valid rows, then at most one defect: a bad denominator, a bad
+        # entry or a row of length 3 or 5
+        den = data.draw(st.integers(1, 6))
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, den - 1), min_size=4, max_size=4), max_size=3)
+        )
+        defect = data.draw(st.sampled_from([None, "den", "entry", "length"]))
+        if defect == "den":
+            den = data.draw(st.sampled_from([0, -1, True, 2.0, Fraction(2), np.int64(2)]))
+        elif defect and rows:
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            if defect == "entry":
+                bad = [-1, den, den + 1, True, False, 1.0, Fraction(1), np.int64(1)]
+                row[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(bad))
+            else:
+                row[:] = row[:3] if data.draw(st.booleans()) else row + [0]
+        rows = tuple(map(tuple, rows))
+        try:
+            TorsionPoint(den, rows)
+        except ValueError:
+            refused = True
+        else:
+            refused = False
+        assert refused == torsion_point_refuses(den, rows)
+
     def test_two_torsion_count(self):
         pts = list(two_torsion_points(2))
         assert len(pts) == 256
@@ -422,6 +463,28 @@ class TestSubgroupMemo:
             assert stabilizer(group, p) == self.cold(letter, rank, p)
         assert len(group.roots._subgroups) >= 2
 
+    def test_subsystem_runs_once_per_mask(self, monkeypatch):
+        # the 560 points give 3 integrality masks; the memo of one table
+        # finds the simple rows of each once, and a fresh table again
+        calls = []
+        real = RootTable.subsystem
+
+        def counted(table, mask):
+            calls.append((table, mask))
+            return real(table, mask)
+
+        monkeypatch.setattr(RootTable, "subsystem", counted)
+        points = find_minus_one_points(build_root_datum("D", 4))
+        assert len(points) == 560
+        for _ in range(2):
+            calls.clear()
+            group = enumerate_group(build_root_datum("D", 4))
+            for p in points:
+                stabilizer(group, p)
+            assert len(calls) == 3
+            assert {table for table, _ in calls} == {group.roots}
+            assert len({mask for _, mask in calls}) == 3
+
     def test_memo_is_bounded_by_the_cap(self):
         # the D_4 minus-one points search 3 distinct subgroups of order 16;
         # at a cap of 17 the first is kept and the others are not
@@ -556,6 +619,33 @@ class TestSubgroupReduction:
             stabilizer(action, p, order_cap=n - 1)
 
 
+@st.composite
+def _odd_generator_lists(draw):
+    """One to three integer matrices of rank 1-4 with odd determinant: a
+    permuted product of unit lower and upper triangular 0/1 matrices, which
+    has determinant +-1 mod 2, plus twice a matrix with entries in [-1, 1].
+    """
+    rank = draw(st.integers(1, 4))
+    bits = st.integers(0, 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(rank)))
+        lower = [
+            [1 if i == j else draw(bits) if j < i else 0 for j in range(rank)]
+            for i in range(rank)
+        ]
+        upper = [
+            [1 if i == j else draw(bits) if j > i else 0 for j in range(rank)]
+            for i in range(rank)
+        ]
+        lu = mat_mul(lower, upper)
+        gens.append([
+            [lu[perm[i]][j] + 2 * draw(st.integers(-1, 1)) for j in range(rank)]
+            for i in range(rank)
+        ])
+    return gens
+
+
 class TestTwoTorsionOrbits:
     @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
     def test_partition_matches_brute_force(self, letter, rank):
@@ -577,6 +667,42 @@ class TestTwoTorsionOrbits:
     def test_rejects_generator_singular_mod_two(self):
         with pytest.raises(ValueError, match="not invertible modulo 2"):
             _two_torsion_orbit_reps([((2, 1), (0, 1))], 2)
+
+    @seed(22)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_moves_match_the_nibble_reference(self, data):
+        gens = data.draw(_odd_generator_lists())
+        rank = len(gens[0])
+        new = _two_torsion_moves(gens, rank)
+        old = two_torsion_moves_by_nibbles(gens, rank)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        reps = _two_torsion_orbit_reps(gens, rank)
+        assert reps == two_torsion_orbit_reps_by_nibbles(gens, rank)
+
+    @seed(22)
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_even_determinant_is_refused_like_the_reference(self, data):
+        gens = data.draw(_odd_generator_lists())
+        rank = len(gens[0])
+        even = [[2 * x for x in row] for row in gens[0]]
+        gens.insert(data.draw(st.integers(0, len(gens))), even)
+        assert det(even) % 2 == 0
+        for moves in (_two_torsion_moves, two_torsion_moves_by_nibbles):
+            with pytest.raises(ValueError, match="not invertible modulo 2"):
+                moves(gens, rank)
+
+    def test_decoding_reads_bit_4j_plus_t(self):
+        # coordinate t over the j-th simple coroot is bit 4j + t of the code
+        for code in range(1, 1 << 12):
+            coords = tuple(
+                tuple((code >> (4 * j + t)) & 1 for t in range(4)) for j in range(3)
+            )
+            assert _decode_two_torsion(code, 3) == TorsionPoint(2, coords)
 
     @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
     def test_nonzero_codes_decode_reduced(self, letter, rank):
@@ -717,3 +843,36 @@ class TestPropagation:
             result = propagate(emb, p, fine_denominator=f, seed=seed)
             candidates = perturbed_candidates(emb, p, f, seed, result.attempts)
             assert result.point == candidates[result.attempts - 1]
+
+
+class TestTypedRefusals:
+    """An argument of the wrong type is refused with ValueError before any
+    work, never with TypeError or AttributeError from deeper down."""
+
+    @staticmethod
+    def b3_into_f4():
+        emb = embed_diagram("B_3", "F_4", [1, 2, 3])
+        return emb, find_minus_one_points(build_root_datum("B", 3))[0]
+
+    @pytest.mark.parametrize("f", [3.0, True])
+    def test_fine_denominator_must_be_an_int(self, f):
+        # True was read as 1 and ran 40 attempts into PerturbationNotFoundError
+        emb, p = self.b3_into_f4()
+        with pytest.raises(ValueError, match="fine denominator must be an int"):
+            propagate(emb, p, fine_denominator=f)
+
+    @pytest.mark.parametrize("attempts", [2.5, True])
+    def test_max_attempts_must_be_an_int(self, attempts):
+        emb, p = self.b3_into_f4()
+        with pytest.raises(ValueError, match="max_attempts must be an int"):
+            propagate(emb, p, max_attempts=attempts)
+
+    @pytest.mark.parametrize("bound", [2.5, "3", True])
+    def test_denominator_bound_must_be_an_int(self, bound):
+        with pytest.raises(ValueError, match="denominator bound must be an int"):
+            find_minus_one_points(build_root_datum("G", 2), bound)
+
+    @pytest.mark.parametrize("point", ["x", ((1, 0, 0, 0), (0, 0, 0, 0)), None])
+    def test_stabilizer_needs_a_torsion_point(self, point):
+        with pytest.raises(ValueError, match="is not a TorsionPoint"):
+            stabilizer(build_root_datum("G", 2), point)
