@@ -8,19 +8,23 @@ whether the module carries a compatible symplectic structure.
 An ideal is read once, by a recursive reader over Python's `ast` that
 accepts polynomials in x and y only and drops the terms its truncation never
 uses; its quotient data at truncations N and N + 1 come from one
-`intlinalg.rref`, at N + 1.  Isomorphism and symplectic structure are linear
-systems, solved by the same elimination, followed by one question: does a
-span of matrices contain an invertible one?  Every linear system is built
+`intlinalg.echelon`, at N + 1, whose primitive integer pivot rows give the
+matrix entries, kept as ints where the pivot divides them.  Isomorphism
+and symplectic structure are linear systems, solved by the same
+elimination, followed by one question: does a span of matrices contain an
+invertible one?  Every linear system is built
 as sparse rows {column: nonzero entry}, straight from the nonzero terms of a
 generator or the nonzero entries of a pair, and so are the rows whose rank
 decides cyclicity.  Whether a span holds an invertible matrix is decided
 in this order: a skew span of odd size m holds none (det Phi = (-1)^m det
-Phi); ranks [M_x | M_y] and [M_x ; M_y], which similarity keeps, must agree
-between two conjugate pairs, and with each other for a pair similar by Phi
-to (-M_x^T, -M_y^T); a first seeded draw with nonzero determinant is a
-witness; only then is the determinant of the generic element taken, exactly
-in ZZ[t_0..t_k] by `intlinalg.det` on sparse polynomials.  Witnesses are
-drawn from a seeded stream, so they are fixed by the seed.
+Phi); `MatrixPair.ranks` [M_x | M_y] and [M_x ; M_y], which similarity
+keeps, must agree between two conjugate pairs, and with each other for a
+pair similar by Phi to (-M_x^T, -M_y^T); one of the first 8 seeded draws
+with nonzero determinant is a witness (by Schwartz-Zippel a nonzero
+determinant almost never vanishes at one); only then is the determinant of
+the generic element taken, exactly in ZZ[t_0..t_k] by `intlinalg.det` on
+sparse polynomials.  Witnesses are drawn from a seeded stream, so they are
+fixed by the seed.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 
-from .intlinalg import det, rational_nullspace, rational_rank, rref, transpose
+from .intlinalg import det, echelon, rational_nullspace, rational_rank, transpose
 
 # entries of the linear system at truncation N + 1 that pair_from_ideal
 # builds at most: 10**6 allows N = 32 for three generators
@@ -42,6 +47,9 @@ MAX_SYSTEM_ENTRIES = 10**6
 # (2/3 + x)**25000 is read at truncation 0, where it has one term, and
 # (2/3 + x)**25001 is refused
 MAX_POWER_BITS = 10**5
+# seeded draws that _subspace_contains_invertible takes before the generic
+# determinant, which only a span without an invertible element needs
+_DRAWS_BEFORE_GENERIC_DET = 8
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,14 @@ class MatrixPair:
         a, b = _rows(self.mx), _rows(self.my)
         if _product(a, b) != _product(b, a):
             raise ValueError("matrices do not commute")
+
+    @cached_property
+    def ranks(self):
+        """(rank [M_x | M_y], rank [M_x ; M_y]); both are kept when P M P^-1
+        replaces M (multiply by P and by diag(P^-1, P^-1))."""
+        side = _rows(r + s for r, s in zip(self.mx, self.my))
+        stacked = _rows(self.mx) + _rows(self.my)
+        return rational_rank(side, 2 * self.dim), rational_rank(stacked, self.dim)
 
     def is_nilpotent(self):
         """Whether m^dim = 0 for both matrices, squaring until a power is 0."""
@@ -228,12 +244,13 @@ def _generator_terms(generator, top):
 
 
 def _quotient_data(terms, truncation):
-    """RREF of the ideal inside the ring truncated at degree N.
+    """Echelon form of the ideal inside the ring truncated at degree N.
 
     Each generator is multiplied by each monomial of degree < N by shifting
     its terms; terms of degree >= N die in the truncated ring, so a row
     holds at most the generator's terms.  Returns the monomials and the
-    RREF (rows, pivot columns) of the multiples.
+    `intlinalg.echelon` (primitive integer pivot rows, pivot columns) of
+    the multiples.
     """
     monomials = _monomials(truncation)
     index = {m: i for i, m in enumerate(monomials)}
@@ -247,7 +264,7 @@ def _quotient_data(terms, truncation):
                     row[k] = c
             if row:
                 rows.append(row)
-    return (monomials, *rref(rows, len(monomials)))
+    return (monomials, *echelon(rows, len(monomials)))
 
 
 def pair_from_ideal(generators, truncation):
@@ -259,9 +276,9 @@ def pair_from_ideal(generators, truncation):
     monomials of degree < N: its pivot rows below k are the RREF at N, and
     the colengths agree exactly when every monomial of degree N is a pivot.
     The other monomials are the basis of the quotient, and a pivot monomial
-    reduces to minus the rest of its row, which is zero on the basis when
-    it has degree N.  ValueError, before anything is built, unless N is a
-    positive int and the generators are strings whose system at N + 1 (one
+    reduces to minus the rest of its RREF row, which is zero on the basis
+    when it has degree N.  ValueError, before anything is built, unless N is
+    a positive int and the generators are strings whose system at N + 1 (one
     row per generator and monomial, one column per monomial) has at most
     MAX_SYSTEM_ENTRIES entries.
     """
@@ -302,9 +319,18 @@ def pair_from_ideal(generators, truncation):
             a, b = monomials[i]
             target = index[a + dx, b + dy]
             row = pivot_rows.get(target)
-            cols.append([-row[j] if row else int(j == target) for j in basis])
+            if row is None:
+                cols.append([int(j == target) for j in basis])
+            else:  # minus the RREF row, row / row[target]
+                cols.append([_quotient(-row.get(j, 0), row[target]) for j in basis])
         mats.append(transpose(cols))
     return make_pair(*mats)
+
+
+def _quotient(a, b):
+    """a / b as an int when b divides a, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def is_cyclic(pair):
@@ -315,20 +341,16 @@ def is_cyclic(pair):
     """
     if not pair.is_nilpotent():
         raise ValueError("cyclicity criterion requires a nilpotent pair")
-    return pair.dim - _rank(pair.mx, pair.my) == 1
-
-
-def _rank(a, b, stacked=False):
-    """rank [a | b], or rank [a ; b] if stacked; both are kept when P a P^-1
-    and P b P^-1 replace a and b (multiply by P and by diag(P^-1, P^-1))."""
-    if stacked:
-        return rational_rank(_rows(a) + _rows(b), len(a))
-    return rational_rank(_rows(r + s for r, s in zip(a, b)), 2 * len(a))
+    return pair.dim - pair.ranks[0] == 1
 
 
 def dual(pair):
-    """The Ext-dual module: the transpose pair."""
-    return make_pair(transpose(pair.mx), transpose(pair.my))
+    """The Ext-dual module: the transpose pair, with the pair's ranks
+    swapped if known (rank [M_x^T | M_y^T] = rank [M_x ; M_y])."""
+    d = make_pair(transpose(pair.mx), transpose(pair.my))
+    if "ranks" in vars(pair):
+        vars(d)["ranks"] = pair.ranks[::-1]
+    return d
 
 
 def _sylvester_solution_space(a, b):
@@ -442,8 +464,9 @@ def _subspace_contains_invertible(basis, dim, seed=0):
     identically iff the subspace has no invertible element.  It is taken
     fraction-free in the polynomial ring ZZ[t_0..t_k] (`_generic_det`),
     after scaling the basis by a common denominator L, only when the first
-    draw fails: a witness is the first seeded integer draw of coefficients,
-    with growing bounds, whose combination has a nonzero determinant.
+    _DRAWS_BEFORE_GENERIC_DET draws fail: a witness is the first seeded
+    integer draw of coefficients, with growing bounds, whose combination has
+    a nonzero determinant (`_generic_det` takes no draw).
     """
     if not basis:
         return False, None
@@ -455,7 +478,7 @@ def _subspace_contains_invertible(basis, dim, seed=0):
     rng = random.Random(seed)
     bounds = (bound for bound in (1, 2, 3, 5, 9) for _ in range(200))
     for n, bound in enumerate(bounds):
-        if n == 1 and not _generic_det(scaled, dim):
+        if n == _DRAWS_BEFORE_GENERIC_DET and not _generic_det(scaled, dim):
             return False, None
         coeffs = [rng.randint(-bound, bound) for _ in basis]
         combination = [
@@ -472,9 +495,7 @@ def module_isomorphic(a, b, seed=0):
 
     No system is solved when rank [x | y] or rank [x ; y] differ.
     """
-    if a.dim != b.dim or any(
-        _rank(a.mx, a.my, s) != _rank(b.mx, b.my, s) for s in (False, True)
-    ):
+    if a.dim != b.dim or a.ranks != b.ranks:
         return False, None
     basis = _sylvester_solution_space(a, b)
     return _subspace_contains_invertible(basis, a.dim, seed)
@@ -532,7 +553,7 @@ def symplectic_exists(pair, seed=0):
             phi[l][k] = -v[idx]
         basis.append(phi)
     ok, witness = False, None
-    if m % 2 == 0 and _rank(pair.mx, pair.my) == _rank(pair.mx, pair.my, True):
+    if m % 2 == 0 and pair.ranks[0] == pair.ranks[1]:
         ok, witness = _subspace_contains_invertible(basis, m, seed)
     return SkewSolutionSpace(
         basis=tuple(tuple(tuple(x for x in r) for r in b) for b in basis),

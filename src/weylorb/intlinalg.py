@@ -8,7 +8,8 @@ factors.  Over Q there is one elimination, `_echelon`: fraction-free
 Gauss-Jordan on sparse rows {column: nonzero entry}, kept as primitive
 integer rows, so a row's denominators, gcd and combinations cost its
 nonzero entries only; Fractions are made only when the pivot rows are
-normalised at the end.  `rref`, `rational_rank`, `rational_nullspace` and
+normalised at the end.  `echelon` returns its primitive pivot rows as
+they are, and `rref`, `rational_rank`, `rational_nullspace` and
 `solve_exact` are read off it.  They take a matrix as rows that are
 sequences of entries, or dicts of nonzero entries with the number of
 columns given; `_sparse_rows` checks and converts either once, at entry,
@@ -410,6 +411,12 @@ def _echelon(rows):
     return [basis[c] for c in pivots], pivots
 
 
+def echelon(m, ncols=None):
+    """(pivot rows, pivot columns) of m, given as rref takes it; a pivot row
+    is a primitive {column: nonzero int}, its RREF row times row[pivot]."""
+    return _echelon(_sparse_rows(m, ncols)[0])
+
+
 def rref(m, ncols=None):
     """Reduced row echelon form of a rational matrix: (nonzero rows, pivots).
 
@@ -434,7 +441,7 @@ def rref(m, ncols=None):
 
 def rational_rank(m, ncols=None):
     """Rank over Q of m, given as rref takes it."""
-    return len(_echelon(_sparse_rows(m, ncols)[0])[1])
+    return len(echelon(m, ncols)[1])
 
 
 def rational_nullspace(m, ncols=None):

@@ -83,12 +83,18 @@ class TorsionPoint:
     def __post_init__(self):
         # type(x) is int refuses bools, floats, Fractions and numpy integers;
         # the entries are read in C-level passes: lengths, types, min and max
-        den, rows = self.den, tuple(self.coords)
+        den = self.den
         if type(den) is not int or den < 1:
             raise ValueError(f"denominator must be a positive int, not {den!r}")
-        flat = list(chain.from_iterable(rows))
+        try:
+            rows = tuple(self.coords)
+            flat = list(chain.from_iterable(rows))
+            lengths = set(map(len, rows))
+        except TypeError:  # coords or one of its rows is no sequence
+            lengths = None
         if (
-            not set(map(len, rows)) <= {4}
+            lengths is None
+            or not lengths <= {4}
             or not set(map(type, flat)) <= {int}
             or flat and not 0 <= min(flat) <= max(flat) < den
         ):

@@ -28,6 +28,7 @@ from weylorb.intlinalg import (
     mat_mul,
     max_abs,
     rational_nullspace,
+    rational_rank,
     smith_normal_form,
     transpose,
 )
@@ -270,13 +271,14 @@ def two_torsion_orbit_reps_by_nibbles(generators, rank):
 def torsion_point_refuses(den, coords):
     """Whether TorsionPoint(den, coords) is refused, entry by entry.
 
-    type(x) is int refuses bools, floats, Fractions and numpy integers; every
-    entry must be a 4-vector of ints in [0, den).
+    type(x) is int refuses bools, floats, Fractions and numpy integers; coords
+    must be iterable and every entry a 4-vector of ints in [0, den).
     """
-    if type(den) is not int or den < 1:
+    if type(den) is not int or den < 1 or not hasattr(coords, "__iter__"):
         return True
     return any(
-        len(entry) != 4
+        not hasattr(entry, "__len__")
+        or len(entry) != 4
         or any(type(x) is not int or not 0 <= x < den for x in entry)
         for entry in coords
     )
@@ -339,8 +341,9 @@ def pair_from_ideal_two_systems(generators, truncation):
 
     The colength is required to be the same at both; the basis of the
     quotient is the non-pivot monomials of the RREF at N, and a monomial of
-    degree N dies in the truncated ring.  Generators must be strings and N
-    a positive int.
+    degree N dies in the truncated ring.  A pivot row of the echelon form,
+    over its pivot, is the RREF row.  Generators must be strings and N a
+    positive int.
     """
     terms = [_generator_terms(g, truncation) for g in generators]
     monomials, rows, pivots = _quotient_data(terms, truncation)
@@ -366,11 +369,18 @@ def pair_from_ideal_two_systems(generators, truncation):
             if target is None:
                 cols.append([0] * len(basis))
             elif target in pivot_rows:
-                cols.append([-pivot_rows[target][k] for k in basis])
+                row = pivot_rows[target]
+                cols.append([Fraction(-row.get(k, 0), row[target]) for k in basis])
             else:
                 cols.append([int(k == target) for k in basis])
         mats.append(transpose(cols))
     return make_pair(*mats)
+
+
+def pair_ranks_literal(pair):
+    """(rank [M_x | M_y], rank [M_x ; M_y]) of the dense rows of a pair."""
+    mx, my = (list(map(list, m)) for m in (pair.mx, pair.my))
+    return rational_rank([r + s for r, s in zip(mx, my)]), rational_rank(mx + my)
 
 
 def literal_sylvester_rows(a, b):

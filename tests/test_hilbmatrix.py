@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -16,6 +16,7 @@ from sympy.polys.rings import ring
 from weylorb import hilbmatrix
 from weylorb.hilbmatrix import (
     MatrixPair,
+    _DRAWS_BEFORE_GENERIC_DET,
     _generator_terms,
     _generic_det,
     _Poly,
@@ -29,11 +30,12 @@ from weylorb.hilbmatrix import (
     symplectic_exists,
 )
 from weylorb.intlinalg import (
+    det,
+    echelon,
     mat_mul,
     mat_vec,
     rational_nullspace,
     rational_rank,
-    rref,
     transpose,
 )
 
@@ -42,6 +44,7 @@ from references import (
     literal_sylvester_rows,
     module_isomorphic_det_first,
     pair_from_ideal_two_systems,
+    pair_ranks_literal,
     symplectic_exists_det_first,
 )
 
@@ -519,9 +522,9 @@ class TestIdealConstruction:
 
         def counted(*args):
             calls.append(args)
-            return rref(*args)
+            return echelon(*args)
 
-        monkeypatch.setattr(hilbmatrix, "rref", counted)
+        monkeypatch.setattr(hilbmatrix, "echelon", counted)
         for generators, truncation in (
             (["x**2", "x*y", "y**2"], 3),
             (["y - x**2", "x**3"], 4),
@@ -870,8 +873,73 @@ class TestExactCertificates:
             assert is_cyclic(pair) and is_cyclic(d) == (len(set(lam)) == 1)
             symplectic_exists(pair)
             module_isomorphic(pair, d)
-        # the det-first path takes 52
-        assert len(calls) <= 6
+        # the det-first path takes 52; every span left after the rank
+        # certificates holds an invertible element, found by a draw
+        assert len(calls) == 0
+
+    def test_singular_span_takes_the_generic_determinant_after_the_draws(
+        self, monkeypatch
+    ):
+        # the skew 4x4 matrices whose first row and column are zero: an even
+        # span none of whose elements is invertible
+        basis = []
+        for k, l in itertools.combinations(range(1, 4), 2):
+            phi = [[0] * 4 for _ in range(4)]
+            phi[k][l], phi[l][k] = 1, -1
+            basis.append(phi)
+        events = []
+
+        def counted_det(m):
+            events.append("det")
+            return det(m)
+
+        def counted_generic(*args):
+            events.append("generic")
+            return _generic_det(*args)
+
+        monkeypatch.setattr(hilbmatrix, "det", counted_det)
+        monkeypatch.setattr(hilbmatrix, "_generic_det", counted_generic)
+        assert _subspace_contains_invertible(basis, 4, seed=3) == (False, None)
+        assert events.index("generic") == _DRAWS_BEFORE_GENERIC_DET == 8
+        assert events.count("generic") == 1
+
+    def test_conjugated_self_dual_pair_takes_no_generic_determinant(
+        self, monkeypatch
+    ):
+        # C[x,y]/(x^7, y) against its dual, each hidden by a unimodular
+        # conjugation: the generic determinant of this span takes 0.5-1 s,
+        # and its first seeded draw is singular
+        p = pair_from_ideal(["x**7", "y"], 7)
+        a, b = conjugate(p, 1), conjugate(dual(p), 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _generic_det(*args)
+
+        monkeypatch.setattr(hilbmatrix, "_generic_det", counted)
+        ok, witness = module_isomorphic(a, b)
+        assert ok and not calls
+        w = [list(r) for r in witness]
+        assert rational_rank(w) == 7
+        for ma, mb in ((a.mx, b.mx), (a.my, b.my)):
+            ma, mb = [list(r) for r in ma], [list(r) for r in mb]
+            assert mat_mul(w, ma) == mat_mul(mb, w)
+
+    @seed(23)
+    @settings(max_examples=80, deadline=None)
+    @given(modules(), st.booleans())
+    def test_ranks_match_the_literal_route(self, pair, ranks_first):
+        # dual(pair) swaps the pair's ranks when they are known and computes
+        # its own otherwise; both must be the dense-row ranks of the transpose
+        pair = make_pair(pair.mx, pair.my)
+        expected = pair_ranks_literal(pair)
+        if ranks_first:
+            assert pair.ranks == expected
+        d = dual(pair)
+        assert ("ranks" in vars(d)) == ranks_first
+        assert d.ranks == pair_ranks_literal(d) == expected[::-1]
+        assert pair.ranks == expected
 
     def test_odd_size_takes_no_determinant(self, monkeypatch):
         def refused(*args):

@@ -236,6 +236,13 @@ class TestTorsionPoint:
             TorsionPoint(den, (entry,))
 
     @pytest.mark.parametrize(
+        "coords", [5, None, (5,), ((0, 0, 0, 0), 7), (None,)], ids=repr
+    )
+    def test_refuses_coordinates_that_are_no_rows(self, coords):
+        with pytest.raises(ValueError, match="4-vectors"):
+            TorsionPoint(2, coords)
+
+    @pytest.mark.parametrize(
         "entry", [0.1, 0.5, True, "1/2", np.int64(1), np.float64(0.5)]
     )
     def test_from_fractions_refuses_inexact_entries(self, entry):
@@ -248,14 +255,23 @@ class TestTorsionPoint:
     @given(st.data())
     def test_refuses_what_the_entry_loop_refuses(self, data):
         # valid rows, then at most one defect: a bad denominator, a bad
-        # entry or a row of length 3 or 5
+        # entry, a row of length 3 or 5, a row that is no sequence, or
+        # coordinates that are none
         den = data.draw(st.integers(1, 6))
         rows = data.draw(
             st.lists(st.lists(st.integers(0, den - 1), min_size=4, max_size=4), max_size=3)
         )
-        defect = data.draw(st.sampled_from([None, "den", "entry", "length"]))
+        defect = data.draw(
+            st.sampled_from([None, "den", "entry", "length", "row", "coords"])
+        )
         if defect == "den":
             den = data.draw(st.sampled_from([0, -1, True, 2.0, Fraction(2), np.int64(2)]))
+        elif defect == "coords":
+            rows = data.draw(st.sampled_from([5, None, 2.0]))
+        elif defect == "row" and rows:
+            rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(
+                st.sampled_from([0, None, 1.5])
+            )
         elif defect and rows:
             row = rows[data.draw(st.integers(0, len(rows) - 1))]
             if defect == "entry":
@@ -263,7 +279,8 @@ class TestTorsionPoint:
                 row[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(bad))
             else:
                 row[:] = row[:3] if data.draw(st.booleans()) else row + [0]
-        rows = tuple(map(tuple, rows))
+        if isinstance(rows, list):
+            rows = tuple(r if type(r) is not list else tuple(r) for r in rows)
         try:
             TorsionPoint(den, rows)
         except ValueError:
