@@ -546,11 +546,12 @@ def symplectic_exists(pair, seed=0):
         rows += eqs.values()
     sols = rational_nullspace(rows, len(positions))
     basis = []
+    zero = Fraction(0)
     for v in sols:
-        phi = [[Fraction(0)] * m for _ in range(m)]
+        phi = [[zero] * m for _ in range(m)]
         for idx, (k, l) in enumerate(positions):
-            phi[k][l] = v[idx]
-            phi[l][k] = -v[idx]
+            if v[idx]:
+                phi[k][l], phi[l][k] = v[idx], -v[idx]
         basis.append(phi)
     ok, witness = False, None
     if m % 2 == 0 and pair.ranks[0] == pair.ranks[1]:

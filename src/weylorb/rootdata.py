@@ -430,6 +430,11 @@ class WeylGroup:
         return root_table(self.generators)
 
     @cached_property
+    def bound(self):
+        """The largest absolute entry of the stack, read once."""
+        return max_abs(self.stack)
+
+    @cached_property
     def _regular(self):
         """(v, images): v = (1, t, ..., t^(r-1)) for the first t = -3, -4, ...
         whose images w v over the rows w are distinct, so Stab(v) = 1; each
@@ -437,7 +442,7 @@ class WeylGroup:
         last bound covers each product of an element and an image.
         """
         arr, t = self.stack, -3
-        r, bound = arr.shape[1], max_abs(arr)
+        r, bound = arr.shape[1], self.bound
         while True:
             check_product(r, bound, abs(t) ** (r - 1))
             v = np.array([t**i for i in range(r)], dtype=np.int64)

@@ -15,14 +15,17 @@ det(I + t rho), all in numpy int64 with a bound check before every product
 and an exactness check on every division.  Equal rows are grouped, the
 label blocks of the distinct rows act on the labels in one stacked
 product, and the weighted rows are summed in one int64 product; the
-division by |C(g)| must come out exact on every entry of each sector.
+division by |C(g)| must come out exact on every entry of each sector.  A
+central sector (C(g) = W) runs over the class representatives of W
+instead, each weighted by its class size, since there each h enters only
+through its class.
 
 Two independent shortcuts, the hyperoctahedral closed form and the
 commuting-pairs Euler number, serve as oracles for the engine.  The Euler
 oracle shares nothing with the sector code: it stacks (g - 1; h - 1) over
-every pair (g, h in C(g)) of the action, class after class, and reads each
-pair's fixed-point count off a batched integer row echelon form, as the
-index of its row lattice.
+the pairs (g, h in C(g)) of the action, and over (g, class representative)
+for central g, class after class, and reads each pair's fixed-point count
+off a batched integer row echelon form, as the index of its row lattice.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate
 
 DEFAULT_ENGINE_CAP = 10**5
 # commuting pairs echelonized per batch; a batch runs on across classes, so
-# an action takes ceil(sum |C(g)| / _PAIR_CHUNK) echelons.  The identity
-# sector of E_6 alone is 51,840 pairs, one 51,840 x 12 x 6 int64 stack; the
-# echelon keeps about three copies of its batch, and at 256 pairs those stay
-# below the arrays of the conjugacy-class step for W(A_5) and W(B_4)
+# an action takes ceil(pairs / _PAIR_CHUNK) echelons, with |C(g)| pairs per
+# class, or k(W) for a central g.  The echelon keeps about three copies of
+# its batch, and at 256 pairs those stay below the arrays of the
+# conjugacy-class step for W(A_5) and W(B_4)
 _PAIR_CHUNK = 256
 # verify_sp_theorem refuses n above this: the split-partition closed form
 # takes about 0.8 s at n = 16 and 5 s at n = 20
@@ -241,17 +244,41 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     and the same det(I + t rho)^2 contribute alike, so each distinct row is
     counted once, and the fixed labels of all distinct rows of a sector are
     counted in one stacked product and the sector summed in another.
+    Central sectors run over the classes of W (_sectors).
     """
     _check_cap(action, order_cap)
     # total[p, q] in Python ints; p, q <= 2 rank
     total = np.zeros((2 * action.rank + 1,) * 2, dtype=object)
-    for rep, _size, centralizer in action.group.conjugacy_classes():
-        shift, tors, blocks, rho = _sector(rep, centralizer)
-        n, t = blocks.shape[:2]
-        rows = np.concatenate([blocks.reshape(n, t * t), _det_squares(rho)], axis=1)
+    for shift, sector in _sectors(action):
+        end = shift + len(sector)
+        total[shift:end, shift:end] += sector.astype(object)
+    total = BigradedPoly(dict(np.ndenumerate(total)))
+    if not total.is_hodge_symmetric():
+        raise AssertionError("stringy Hodge output is not (p,q)-symmetric")
+    if not total.is_centrally_symmetric(action.rank):
+        raise AssertionError("stringy Hodge output is not centrally symmetric")
+    return total
+
+
+def _sectors(action):
+    """(shift, int64 block) of each class {g}; block[p, q] adds to
+    h^{p + shift, q + shift}.  For central g, W acts on ker(g - 1) and on
+    coker(g - 1), so the row of h depends only on its class: the rows are
+    those of the class representatives, each counted with its class size,
+    and the sum is still divided by |C(g)| = |W|."""
+    classes = action.group.conjugacy_classes()
+    reps = np.array([rep for rep, _, _ in classes])
+    sizes = [size for _, size, _ in classes]
+    for rep, size, centralizer in classes:
+        shift, tors, blocks, rho = _sector(rep, reps if size == 1 else centralizer)
+        m, t = blocks.shape[:2]
+        rows = np.concatenate([blocks.reshape(m, t * t), _det_squares(rho)], axis=1)
         labels = _labels(tors)
         width = rows.shape[1]
-        distinct = Counter(rows.view(f"V{8 * width}").ravel().tolist())
+        rows = rows.view(f"V{8 * width}").ravel().tolist()
+        distinct = Counter(rows) if size > 1 else Counter()
+        for row, k in zip(rows, sizes if size == 1 else ()):
+            distinct[row] += k
         keys = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, width)
         # every distinct label block mapped at once, and the det^2 rows
         # weighted by multiplicity times (fixed labels)^4 summed at once
@@ -259,16 +286,10 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
         fixed = np.all(images == labels, axis=2).sum(axis=1).tolist()
         weights = [mult * f**4 for mult, f in zip(distinct.values(), fixed)]
         sector = _sector_sum(keys[:, t * t:], weights)
+        n = len(centralizer)
         if np.any(sector % n):
             raise AssertionError(f"sector of {rep.tolist()} is not integral")
-        end = shift + len(sector)
-        total[shift:end, shift:end] += (sector // n).astype(object)
-    total = BigradedPoly(dict(np.ndenumerate(total)))
-    if not total.is_hodge_symmetric():
-        raise AssertionError("stringy Hodge output is not (p,q)-symmetric")
-    if not total.is_centrally_symmetric(action.rank):
-        raise AssertionError("stringy Hodge output is not centrally symmetric")
-    return total
+        yield shift, sector // n
 
 
 def stringy_euler_commuting_pairs(action):
@@ -280,48 +301,50 @@ def stringy_euler_commuting_pairs(action):
     matrix M_h = (g - 1; h - 1): it is finite exactly when M_h has rank r,
     and then has [Z^r : row lattice of M_h] points, the product of the
     |pivots| of a row-echelon form; the four real copies raise that to the
-    fourth power.  The M_h of every pair are stacked class after class and
-    echelonized _PAIR_CHUNK at a time, each pair tagged with its class; the
-    pairs with equal class and pivots are counted together.  Summing class
-    size times the sum over C(g) gives |W| times the answer.
+    fourth power.  The M_h are stacked class after class and echelonized
+    _PAIR_CHUNK at a time, the pairs of equal index counted together.  For
+    central g the row lattice of (g - 1; w h w^-1 - 1) is that of M_h times
+    w^-1, so h runs over the class representatives of W.  With the weights
+    of _pair_stacks the sum is |W| times the answer.
     """
     classes = action.group.conjugacy_classes()
     total = 0
-    for owner, stack in _pair_stacks(classes, action.rank):
-        pivots = np.abs(echelon_pivots_stack(stack))
-        # a zero pivot means an infinite fixed locus, and a product of 0
-        rows, counts = np.unique(
-            np.column_stack([owner, pivots]), axis=0, return_counts=True
-        )
-        total += sum(
-            classes[row[0]][1] * prod(row[1:]) ** 4 * k
-            for row, k in zip(rows.tolist(), counts.tolist())
-        )
+    for weight, stack in _pair_stacks(classes, action.rank):
+        # weights summed per index = prod |pivots|, in Python ints; a zero
+        # pivot means an infinite fixed locus, and an index of 0
+        summed = Counter()
+        for k, pivots in zip(weight.tolist(), echelon_pivots_stack(stack).tolist()):
+            summed[abs(prod(pivots))] += k
+        total += sum(k * i**4 for i, k in summed.items())
     if total % action.group.order:
         raise AssertionError("commuting-pairs Euler number is not integral")
     return total // action.group.order
 
 
 def _pair_stacks(classes, r):
-    """(class index, M_h = (g - 1; h - 1)) of every pair (g, h in C(g)), class
-    after class, _PAIR_CHUNK pairs at a time; a chunk may span classes.  The
-    chunk arrays are reused, so each must be used up before the next."""
+    """(weight, M_h = (g - 1; h - 1)) of the pairs (g, h in C(g)) weighted
+    by |{g}|, or for central g (g, class representative h) weighted by
+    |{h}|; class after class, _PAIR_CHUNK pairs at a time, a chunk may span
+    classes.  The arrays are reused: use each up before the next."""
     eye = np.eye(r, dtype=np.int64)
-    size = min(_PAIR_CHUNK, sum(len(c) for _, _, c in classes))
-    owner, fill = np.empty(size, dtype=np.int64), 0
+    reps = np.array([rep for rep, _, _ in classes])
+    sizes = np.array([size for _, size, _ in classes], dtype=np.int64)
+    pairs = [(reps, sizes) if s == 1 else (c, np.full(len(c), s)) for _, s, c in classes]
+    size = min(_PAIR_CHUNK, sum(len(hs) for hs, _ in pairs))
+    weight, fill = np.empty(size, dtype=np.int64), 0
     stack = np.empty((size, 2 * r, r), dtype=np.int64)
-    for i, (rep, _, centralizer) in enumerate(classes):
-        while len(centralizer):
-            h, centralizer = centralizer[:size - fill], centralizer[size - fill:]
-            owner[fill:fill + len(h)] = i
-            stack[fill:fill + len(h), :r] = rep - eye
-            stack[fill:fill + len(h), r:] = h - eye
-            fill += len(h)
+    for (rep, _, _), (hs, ws) in zip(classes, pairs):
+        while len(hs):
+            k = min(len(hs), size - fill)
+            weight[fill:fill + k] = ws[:k]
+            stack[fill:fill + k, :r] = rep - eye
+            stack[fill:fill + k, r:] = hs[:k] - eye
+            hs, ws, fill = hs[k:], ws[k:], fill + k
             if fill == size:
-                yield owner, stack
+                yield weight, stack
                 fill = 0
     if fill:
-        yield owner[:fill], stack[:fill]
+        yield weight[:fill], stack[:fill]
 
 
 def _split_partitions(n):

@@ -185,7 +185,7 @@ class StabilizerReport:
     crepant: str = None
 
 
-def _point_subgroup(table, point):
+def _point_subgroup(table, den, coords):
     """(mask, order, simple rows, H or None) of a reflection subgroup H of W
     containing Stab(p).
 
@@ -197,10 +197,9 @@ def _point_subgroup(table, point):
     of Phi_t, rows of the table; its order comes from root heights.  The
     mask of Phi_t over the rows, a tuple of bools, keys the table's memo:
     RootTable.subgroup gives the rest, H None when the table keeps none.
+    The point is given by its denominator and its (rank, 4) int64 coords.
     """
-    den, rank = point.den, point.rank
-    coords = np.array(point.coords, dtype=np.int64)
-    check_product(rank, max_abs(table.forms), den - 1)
+    check_product(len(coords), max_abs(table.forms), den - 1)
     integral = table.forms @ coords % den == 0
     t = int(np.argmin(integral.sum(axis=0)))
     mask = tuple(integral[:, t].tolist())
@@ -232,11 +231,12 @@ def stabilizer(action, point, order_cap=10**6):
     if point.rank != rank:
         raise ValueError(f"point of rank {point.rank} for a group of rank {rank}")
     point = point.reduced()
+    den, coords = point.den, np.array(point.coords, dtype=np.int64)
     sub_order, sub = order, None
     if table is not None:
         if order is not None and order != table.order:
             raise AssertionError("root heights disagree with the group order")
-        mask, sub_order, simple, sub = _point_subgroup(table, point)
+        mask, sub_order, simple, sub = _point_subgroup(table, den, coords)
     if sub_order is not None and sub_order > order_cap:
         raise GroupOrderCapError(
             f"the subgroup searched has order {sub_order}, "
@@ -253,8 +253,7 @@ def stabilizer(action, point, order_cap=10**6):
         sub = enumerate_group(generators, order_cap=order_cap)
     if sub_order is not None and sub.order != sub_order:
         raise AssertionError("the subgroup searched has the wrong order")
-    stack, den, bound = sub.stack, point.den, max_abs(sub.stack)
-    coords = np.array(point.coords, dtype=np.int64)
+    stack, bound = sub.stack, sub.bound
     check_product(rank, bound, den - 1)
     fixed = (stack @ coords % den == coords).all(axis=(1, 2))
     stab_order = int(fixed.sum())

@@ -6,6 +6,7 @@ that a test can check a batched or closed-form route against it.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
@@ -40,6 +41,7 @@ from weylorb.stringy import (
     _label_images,
     _labels,
     _sector,
+    _sector_sum,
 )
 from weylorb.torsion import TorsionPoint
 
@@ -154,6 +156,32 @@ def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
     if any(Fraction(c).denominator != 1 for c in total.coeffs.values()):
         raise ValueError(f"non-integer coefficient in {total}")
     return BigradedPoly({k: int(c) for k, c in total.coeffs.items()})
+
+
+def sectors_by_full_centralizers(action):
+    """(shift, block) of each class, every sector run on its whole centralizer.
+
+    The engine's loop before central sectors were summed over the classes
+    of W: each distinct (label block, det^2) row of C(g) is counted with its
+    multiplicity, and the sector divided by |C(g)|.
+    """
+    for rep, _size, centralizer in action.group.conjugacy_classes():
+        shift, tors, blocks, rho = _sector(rep, centralizer)
+        n, t = blocks.shape[:2]
+        rows = np.concatenate([blocks.reshape(n, t * t), _det_squares(rho)], axis=1)
+        labels = _labels(tors)
+        width = rows.shape[1]
+        distinct = Counter(rows.view(f"V{8 * width}").ravel().tolist())
+        keys = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, width)
+        # every distinct label block mapped at once, and the det^2 rows
+        # weighted by multiplicity times (fixed labels)^4 summed at once
+        images = _label_images(labels, tors, keys[:, :t * t].reshape(len(keys), t, t))
+        fixed = np.all(images == labels, axis=2).sum(axis=1).tolist()
+        weights = [mult * f**4 for mult, f in zip(distinct.values(), fixed)]
+        sector = _sector_sum(keys[:, t * t:], weights)
+        if np.any(sector % n):
+            raise AssertionError(f"sector of {rep.tolist()} is not integral")
+        yield shift, sector // n
 
 
 def sym_power_by_factors(h, l):

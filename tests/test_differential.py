@@ -9,7 +9,9 @@ affordable up to rank 3; rank-4 examples, whose sectors can have mixed
 component groups such as Z/2 + Z/4, are checked against the commuting-pairs
 Euler number alone.  That oracle is itself checked against a literal loop
 with one Smith form per commuting pair.  The classes are also compared, array
-for array, with the two-sided product route they replaced.
+for array, with the two-sided product route they replaced, and the engine's
+sector blocks with the loop that ran each central sector on all of W, on
+every Weyl type up to rank 5 and on random subgroups, cyclic ones included.
 """
 
 import random
@@ -36,6 +38,7 @@ from weylorb.stringy import (
 
 from references import (
     conjugacy_classes_by_products,
+    sectors_by_full_centralizers,
     stringy_hodge_by_orbits,
     unimodular_inverse,
 )
@@ -70,11 +73,11 @@ def _unimodular_pair(rng, rank):
 
 
 @st.composite
-def subgroup_actions(draw, types=WEYL_TYPES):
+def subgroup_actions(draw, types=WEYL_TYPES, max_gens=3):
     letter, rank = draw(st.sampled_from(types))
     group = _weyl(letter, rank)
     picks = draw(
-        st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3)
+        st.lists(st.integers(0, group.order - 1), min_size=1, max_size=max_gens)
     )
     u, u_inv = _unimodular_pair(random.Random(draw(st.integers(0, 2**32))), rank)
     gens = [mat_mul(mat_mul(u, group.elements[i]), u_inv) for i in picks]
@@ -167,6 +170,47 @@ def test_engine_matches_orbits_and_commuting_pairs(action):
 def test_rank4_engine_matches_commuting_pairs(action):
     h = stringy_hodge(action)
     assert h.specialize(-1, -1) == stringy_euler_commuting_pairs(action)
+
+
+def _assert_same_sectors(action):
+    """Each sector block equals that of the full-centralizer loop, array for
+    array; the central sectors are the ones summed over the classes of W."""
+    got = list(weylorb.stringy._sectors(action))
+    expected = list(sectors_by_full_centralizers(action))
+    assert len(got) == len(expected) == len(action.group.conjugacy_classes())
+    for (shift, block), (ref_shift, ref_block) in zip(got, expected):
+        assert shift == ref_shift
+        assert block.dtype == ref_block.dtype == np.int64
+        assert np.array_equal(block, ref_block)
+
+
+@pytest.mark.parametrize("letter,rank", UP_TO_RANK_5, ids=lambda x: str(x))
+def test_sectors_match_the_full_centralizer_loop_on_every_weyl_type(letter, rank):
+    # in the coroot basis and, from rank 2, in a seeded unimodular basis
+    group = _weyl(letter, rank)
+    _assert_same_sectors(LatticeAction(group))
+    if rank > 1:
+        u, u_inv = _unimodular_pair(random.Random(rank), rank)
+        gens = [mat_mul(mat_mul(u, s), u_inv) for s in group.generators]
+        _assert_same_sectors(LatticeAction.from_generators(gens))
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES))
+def test_sectors_match_the_full_centralizer_loop_on_random_subgroups(action):
+    _assert_same_sectors(action)
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES, max_gens=1))
+def test_cyclic_subgroups_sum_every_sector_over_the_classes(action):
+    # a cyclic group is abelian: every class is central, and both routes
+    # run each sector on the class representatives alone
+    assert all(size == 1 for _, size, _ in action.group.conjugacy_classes())
+    _assert_same_sectors(action)
+    assert stringy_euler_commuting_pairs(action) == _euler_commuting_pairs_reference(
+        action
+    )
 
 
 def _euler_commuting_pairs_reference(action):

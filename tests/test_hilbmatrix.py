@@ -715,6 +715,15 @@ class TestLinearSystems:
 
 
 class TestSymplectic:
+    @pytest.mark.parametrize("lam", [(3, 2, 1), (4, 2), (2, 2, 1, 1)])
+    def test_basis_zeros_are_one_shared_fraction(self, lam):
+        # only the nonzero nullspace entries are placed and negated; every
+        # other entry is the one Fraction(0) the basis was filled with
+        basis = symplectic_exists(ideal_pair(lam)).basis
+        entries = [x for phi in basis for row in phi for x in row]
+        assert basis and all(type(x) is Fraction for x in entries)
+        assert len({id(x) for x in entries if not x}) == 1
+
     def test_remark_pair_has_no_invertible_skew(self):
         skew = symplectic_exists(make_pair(*REMARK))
         assert len(skew.basis) == 2

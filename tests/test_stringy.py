@@ -261,12 +261,16 @@ class TestEngineStructuralProperties:
         stringy_hodge(action)
         assert len(calls) == len(classes) == 20
 
-    @pytest.mark.parametrize("letter,rank,pairs", [("B", 4, 1328), ("A", 5, 901)])
+    @pytest.mark.parametrize(
+        "letter,rank,rows,pairs", [("B", 4, 1328, 600), ("A", 5, 901, 192)]
+    )
     def test_one_echelon_per_pair_chunk_and_one_label_map_per_sector(
-        self, monkeypatch, letter, rank, pairs
+        self, monkeypatch, letter, rank, rows, pairs
     ):
-        # the oracle stacks all pairs (g, h in C(g)) of the action, across
-        # classes, and the engine maps every label block of a sector at once
+        # the oracle stacks its pairs across classes: (g, h in C(g)) for
+        # non-central g, and (g, class representative) for the central g,
+        # whose C(g) = W is summed over the classes; the engine maps every
+        # label block of a sector at once
         calls = {"echelon_pivots_stack": 0, "_label_images": 0}
 
         def counted(name):
@@ -282,7 +286,8 @@ class TestEngineStructuralProperties:
             monkeypatch.setattr(weylorb.stringy, name, counted(name))
         action = LatticeAction.from_root_datum(build_root_datum(letter, rank))
         classes = action.group.conjugacy_classes()
-        assert sum(len(c) for _, _, c in classes) == pairs
+        assert sum(len(c) for _, _, c in classes) == rows
+        assert pairs == sum(len(classes) if size == 1 else len(c) for _, size, c in classes)
         stringy_hodge(action)
         stringy_euler_commuting_pairs(action)
         chunk = weylorb.stringy._PAIR_CHUNK

@@ -50,6 +50,11 @@ from references import (
 )
 
 
+def _subgroup_of(table, p):
+    """_point_subgroup of a TorsionPoint, as stabilizer calls it."""
+    return _point_subgroup(table, p.den, np.array(p.coords, dtype=np.int64))
+
+
 def minus_identity(rank):
     return freeze([[-1 if i == j else 0 for j in range(rank)] for i in range(rank)])
 
@@ -433,7 +438,7 @@ class TestBatchedStabilizer:
         datum = build_root_datum("B", 3)
         p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
         report = stabilizer(datum, p)
-        n = _point_subgroup(root_table(datum.weyl_generators), p)[1]
+        n = _subgroup_of(root_table(datum.weyl_generators), p)[1]
         assert (report.orbit_size, n) == (48, 4)
         assert stabilizer(datum, p, order_cap=n) == report
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
@@ -502,14 +507,35 @@ class TestSubgroupMemo:
             assert {table for table, _ in calls} == {group.roots}
             assert len({mask for _, mask in calls}) == 3
 
+    def test_each_kept_subgroup_bound_is_read_once(self, monkeypatch):
+        # a second pass over the 560 points reads no stack's entries again:
+        # each kept H holds its max_abs, and the coordinates are no stack
+        group = enumerate_group(build_root_datum("D", 4))
+        points = find_minus_one_points(build_root_datum("D", 4))
+        first = [stabilizer(group, p) for p in points]
+        reads = []
+        real = weylorb.rootdata.max_abs
+
+        def counted(a):
+            reads.append(a.ndim)
+            return real(a)
+
+        for module in (weylorb.rootdata, weylorb.torsion):
+            monkeypatch.setattr(module, "max_abs", counted)
+        assert [stabilizer(group, p) for p in points] == first
+        assert 3 not in reads
+        kept = [sub for _, _, sub in group.roots._subgroups.values()]
+        assert len(kept) == 3
+        assert all(sub.__dict__["bound"] == real(sub.stack) for sub in kept)
+
     def test_memo_is_bounded_by_the_cap(self):
         # the D_4 minus-one points search 3 distinct subgroups of order 16;
         # at a cap of 17 the first is kept and the others are not
         group = enumerate_group(build_root_datum("D", 4))
         table = group.roots
         points = find_minus_one_points(build_root_datum("D", 4))
-        first = tuple(_point_subgroup(table, points[0])[0])
-        assert len({tuple(_point_subgroup(table, p)[0]) for p in points}) == 3
+        first = tuple(_subgroup_of(table, points[0])[0])
+        assert len({tuple(_subgroup_of(table, p)[0]) for p in points}) == 3
         for p in points:
             assert stabilizer(group, p, order_cap=17) == self.cold("D", 4, p)
         assert list(table._subgroups) == [first]
@@ -549,7 +575,7 @@ class TestSubgroupReduction:
             fast = self.assert_same(group, result.point)
             assert (fast.order, fast.orbit_size) == (2, 25920)
             # the subgroup searched is far smaller than W(E_6)
-            assert _point_subgroup(group.roots, result.point)[1] < 100
+            assert _subgroup_of(group.roots, result.point)[1] < 100
 
     @pytest.mark.parametrize("letter,rank", [("B", 3), ("D", 4)])
     def test_seeded_basis(self, letter, rank):
@@ -629,7 +655,7 @@ class TestSubgroupReduction:
             n = report.orbit_size * report.order
             assert n == 6
         else:
-            n = _point_subgroup(table, p)[1]
+            n = _subgroup_of(table, p)[1]
         assert n > 1
         assert stabilizer(action, p, order_cap=n) == report
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
