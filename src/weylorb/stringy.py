@@ -8,14 +8,15 @@ computes invariant Hodge numbers of each component orbit by Molien averaging
 over the orbit stabilizer.  By Burnside the orbit sum is an average over
 C(g) weighted by the number of labels each element fixes.
 
-A sector is integer work on the stacked centralizer: one Smith form of g - 1,
-one stacked product v^-1 h v that gives both the label action and the
-restriction to ker(g - 1), and a batched Faddeev-LeVerrier for
-det(I + t rho), all in numpy int64 with a bound check before every product
-and an exactness check on every division.  Equal rows are grouped, the
-label blocks of the distinct rows act on the labels in one stacked
-product, and the weighted rows are summed in one int64 product; the
-division by |C(g)| must come out exact on every entry of each sector.  A
+A sector is integer work on the stacked centralizer: one Smith form of g - 1
+and one stacked product v^-1 h v that gives both the label action and the
+restriction to ker(g - 1), each bound-checked on the class's own entries.
+Whole classes run in batches of at most _SECTOR_ROWS rows, and a batch
+takes one batched Faddeev-LeVerrier for det(I + t rho) per kernel rank and
+one label action of the distinct label blocks per torsion type, all in
+numpy int64 with a bound check before every product and an exactness check
+on every division.  Each sector's weighted rows are summed in one int64
+product; the division by |C(g)| must come out exact on every entry.  A
 central sector (C(g) = W) runs over the class representatives of W
 instead, each weighted by its class size, since there each h enters only
 through its class.
@@ -46,6 +47,7 @@ from .hodgepoly import (
     sym_power,
 )
 from .intlinalg import (
+    EntryBoundError,
     check_product,
     det_i_plus_t_stack,
     echelon_pivots_stack,
@@ -57,12 +59,17 @@ from .intlinalg import (
 from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
 
 DEFAULT_ENGINE_CAP = 10**5
-# commuting pairs echelonized per batch; a batch runs on across classes, so
-# an action takes ceil(pairs / _PAIR_CHUNK) echelons, with |C(g)| pairs per
-# class, or k(W) for a central g.  The echelon keeps about three copies of
-# its batch, and at 256 pairs those stay below the arrays of the
-# conjugacy-class step for W(A_5) and W(B_4)
+# commuting pairs echelonized per batch; a batch runs on across classes
+# (the sectors batch whole classes instead, _SECTOR_ROWS), so an action
+# takes ceil(pairs / _PAIR_CHUNK) echelons, |C(g)| pairs per class or k(W)
+# for a central g.  The echelon keeps about three copies of its batch; at
+# 256 pairs they stay below the conjugacy-class arrays of W(A_5) and W(B_4)
 _PAIR_CHUNK = 256
+# rows per sector batch of whole classes (|C(g)| rows, or k(W) if g is
+# central); a larger class runs alone.  A batch keeps its (rows, r, r)
+# products: W(B_6)'s engine peaks at 7.1 MB traced at 1024 rows, as with
+# one class at a time, and at 16.5 MB (max RSS +8.6) with all in one batch
+_SECTOR_ROWS = 1024
 # verify_sp_theorem refuses n above this: the split-partition closed form
 # takes about 0.8 s at n = 16 and 5 s at n = 20
 MAX_VERIFY_SP_N = 16
@@ -157,42 +164,6 @@ def _smith_of_g_minus_one(g):
     return [d[i][i] for i in range(r)], v, v_inv
 
 
-def _sector(g, centralizer):
-    """Integer data of the twisted sector {g}, batched over C(g).
-
-    g is an (r, r) int64 matrix and centralizer its (n, r, r) int64 stack.
-    From one Smith form u (g - 1) v = D and W = v^-1 h v for all h in C(g)
-    at once, returns (shift, tors, blocks, rho).  tors are the d_i > 1, so
-    the component labels form T = prod Z/d_i; D runs ones, torsion, zeros
-    (else AssertionError), so blocks are slices.  blocks[h] is the torsion block
-    of W, entry (i2, i1) scaled by d_i2 / d_i1 and reduced mod d_i2, acting
-    by tau -> blocks[h] tau mod d; rho[h] = L h K is h on the kernel
-    lattice, K being the kernel columns of v and L the same rows of v^-1.
-    """
-    r = len(g)
-    diag, v, v_inv = _smith_of_g_minus_one(g)
-    a, k = diag.count(1), diag.count(0)
-    s = r - k
-    if diag[:a] != [1] * a or diag[s:] != [0] * k:
-        raise AssertionError(f"Smith diagonal {diag} is not ones, torsion, zeros")
-    v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
-    check_product(r, max_abs(v_inv), max_abs(centralizer))
-    w = v_inv @ centralizer
-    check_product(r, max_abs(w), max_abs(v))
-    w = w @ v
-    # h K = K rho holds exactly when W vanishes on the non-kernel rows of
-    # the kernel columns, since v W = h v and v is invertible
-    if np.any(w[:, :s, s:]):
-        raise AssertionError("centralizer element does not preserve kernel")
-    tors = np.array(diag[a:s], dtype=np.int64)
-    block = w[:, a:s, a:s]
-    check_product(1, max_abs(block), max_abs(tors))
-    scaled = block * tors[:, None]
-    if np.any(scaled % tors):
-        raise AssertionError("component label action not integral")
-    return s, tors, scaled // tors % tors[:, None], w[:, s:, s:]
-
-
 def _labels(tors):
     """Every component label of T = prod Z/d_i, as a (|T|, t) int64 array."""
     labels = itertools.product(*(range(d) for d in tors.tolist()))
@@ -219,11 +190,13 @@ def _det_squares(rho):
     return sq
 
 
-def _sector_sum(squares, weights):
+def _outer_sum(squares, weights):
     """sum_i weights[i] sq_i^T sq_i over the rows sq_i of an (m, L) int64
-    array, as one (L, L) int64 product, bound-checked first."""
-    check_product(len(squares), max(weights) * max_abs(squares), max_abs(squares))
-    return squares.T @ (np.array(weights, dtype=np.int64)[:, None] * squares)
+    array, as one (L, L) int64 product, bound-checked first; the weights are
+    exact ints, in a list or an int64 or object array."""
+    weights, top = np.asarray(weights), max_abs(squares)
+    check_product(len(squares), int(weights.max()) * top, top)
+    return squares.T @ (weights.astype(np.int64)[:, None] * squares)
 
 
 def _check_cap(action, order_cap):
@@ -240,11 +213,11 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     over centralizer orbits of components; since the character of h on a
     component depends only on its linear part on the kernel sublattice, the
     orbit sum collapses (Burnside) to an average over C(g) weighted by the
-    number of component labels h fixes.  Elements with the same label block
-    and the same det(I + t rho)^2 contribute alike, so each distinct row is
-    counted once, and the fixed labels of all distinct rows of a sector are
-    counted in one stacked product and the sector summed in another.
-    Central sectors run over the classes of W (_sectors).
+    number of component labels h fixes.  Sectors run in batches of whole
+    classes (_sectors): the fixed labels of the distinct label blocks of a
+    torsion type are counted in one stacked product, det(I + t rho)^2 is
+    taken once per kernel rank, and each sector is summed in one product.
+    Central sectors run over the classes of W.
     """
     _check_cap(action, order_cap)
     # total[p, q] in Python ints; p, q <= 2 rank
@@ -261,35 +234,82 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
 
 
 def _sectors(action):
-    """(shift, int64 block) of each class {g}; block[p, q] adds to
-    h^{p + shift, q + shift}.  For central g, W acts on ker(g - 1) and on
-    coker(g - 1), so the row of h depends only on its class: the rows are
-    those of the class representatives, each counted with its class size,
-    and the sum is still divided by |C(g)| = |W|."""
+    """(shift, int64 block) of each class {g}, in class order; block[p, q]
+    adds to h^{p + shift, q + shift}.  For central g, W acts on ker(g - 1)
+    and on coker(g - 1), so the row of h depends only on its class: the rows
+    are the class representatives, weighted by class size, and the sum is
+    still divided by |C(g)| = |W|.  Classes run in batches (_SECTOR_ROWS)."""
     classes = action.group.conjugacy_classes()
     reps = np.array([rep for rep, _, _ in classes])
-    sizes = [size for _, size, _ in classes]
+    sizes = np.array([size for _, size, _ in classes], dtype=object)
+    batch = []
     for rep, size, centralizer in classes:
-        shift, tors, blocks, rho = _sector(rep, reps if size == 1 else centralizer)
-        m, t = blocks.shape[:2]
-        rows = np.concatenate([blocks.reshape(m, t * t), _det_squares(rho)], axis=1)
-        labels = _labels(tors)
-        width = rows.shape[1]
-        rows = rows.view(f"V{8 * width}").ravel().tolist()
-        distinct = Counter(rows) if size > 1 else Counter()
-        for row, k in zip(rows, sizes if size == 1 else ()):
-            distinct[row] += k
-        keys = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, width)
-        # every distinct label block mapped at once, and the det^2 rows
-        # weighted by multiplicity times (fixed labels)^4 summed at once
-        images = _label_images(labels, tors, keys[:, :t * t].reshape(len(keys), t, t))
-        fixed = np.all(images == labels, axis=2).sum(axis=1).tolist()
-        weights = [mult * f**4 for mult, f in zip(distinct.values(), fixed)]
-        sector = _sector_sum(keys[:, t * t:], weights)
-        n = len(centralizer)
+        hs, mult = (reps, sizes) if size == 1 else (centralizer, 1)
+        if batch and sum(len(b[1]) for b in batch) + len(hs) > _SECTOR_ROWS:
+            yield from _sector_batch(batch)
+            batch = []
+        batch.append((rep, hs, mult, len(centralizer)))
+    yield from _sector_batch(batch)
+
+
+def _sector_batch(batch):
+    """(shift, block) of each (g, rows h, row weights, |C(g)|) of a batch.
+
+    Per class: one Smith form u (g - 1) v = D, whose diagonal must run ones,
+    torsion, zeros, and W = v^-1 h v, bound-checked on the class's own
+    entries, so a refusal names g whatever its batch.  Per kernel rank: one
+    kernel check and det(I + t rho)^2, rho = W on ker(g - 1).  Per torsion
+    type T = prod Z/d_i: the labels each distinct block of W fixes, entry
+    (i2, i1) scaled by d_i2 / d_i1, mod d_i2.  Per class: its det^2 rows
+    weighted by (fixed labels)^4, summed and divided exactly by |C(g)|."""
+    def per_class(rows, cs):  # the rows of the classes cs, stacked in order
+        return zip(cs, np.split(rows, np.cumsum([len(ws[c]) for c in cs[:-1]])))
+    r, ws, cut, ranks, kinds = len(batch[0][0]), [], [], {}, {}
+    for c, (rep, hs, _, _) in enumerate(batch):
+        diag, v, v_inv = _smith_of_g_minus_one(rep)
+        a, s = diag.count(1), r - diag.count(0)
+        if diag[:a] != [1] * a or diag[s:] != [0] * (r - s):
+            raise AssertionError(f"Smith diagonal {diag} is not ones, torsion, zeros")
+        v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
+        try:
+            check_product(r, max_abs(v_inv), max_abs(hs))
+            w = v_inv @ hs
+            check_product(r, max_abs(w), max_abs(v))
+        except EntryBoundError as err:
+            raise EntryBoundError(f"sector of {rep.tolist()}: {err}") from None
+        ws.append(w := w @ v)
+        cut.append(slice(a, s))
+        ranks.setdefault(s, []).append(c)
+        kinds.setdefault(tuple(diag[a:s]), []).append(c)
+    squares, fixed = {}, {c: np.ones(len(w), np.int64) for c, w in enumerate(ws)}
+    kinds.pop((), None)
+    for s, cs in ranks.items():
+        # h K = K rho holds exactly when W vanishes on the non-kernel rows of
+        # the kernel columns, since v W = h v and v is invertible
+        if any(np.any(ws[c][:, :s, s:]) for c in cs):
+            raise AssertionError("centralizer element does not preserve kernel")
+        rho = np.concatenate([ws[c][:, s:, s:] for c in cs])
+        squares.update(per_class(_det_squares(rho), cs))
+    for x, cs in kinds.items():
+        d = np.array(x, dtype=np.int64)
+        # column i1 read mod d_i1 first, which keeps d_i2 times it small
+        scaled = np.concatenate([ws[c][:, cut[c], cut[c]] for c in cs]) % d * d[:, None]
+        if np.any(scaled % d):
+            raise AssertionError("component label action not integral")
+        blocks = scaled // d % d[:, None]
+        # each block as one void key of its entries in the narrowest dtype
+        keys = blocks.astype(np.min_scalar_type(max(x) - 1)).reshape(len(blocks), -1)
+        keys = keys.view(f"V{keys.strides[0]}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        labels = _labels(d)
+        check_product(1, len(labels) ** 2, len(labels) ** 2)  # (fixed labels)^4
+        images = _label_images(labels, d, blocks[first])
+        fixed.update(per_class((images == labels).all(axis=2).sum(axis=1)[inverse], cs))
+    for c, (rep, _, mult, n) in enumerate(batch):
+        sector = _outer_sum(squares[c], fixed[c] ** 4 * mult)
         if np.any(sector % n):
             raise AssertionError(f"sector of {rep.tolist()} is not integral")
-        yield shift, sector // n
+        yield cut[c].stop, sector // n
 
 
 def stringy_euler_commuting_pairs(action):

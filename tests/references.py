@@ -40,8 +40,7 @@ from weylorb.stringy import (
     _det_squares,
     _label_images,
     _labels,
-    _sector,
-    _sector_sum,
+    _smith_of_g_minus_one,
 )
 from weylorb.torsion import TorsionPoint
 
@@ -94,6 +93,49 @@ def conjugacy_classes_by_products(group):
     if sum(size for _, size, _ in classes) != group.order:
         raise AssertionError("conjugacy classes do not partition the group")
     return classes
+
+
+def _sector(g, centralizer):
+    """Integer data of the twisted sector {g}, batched over C(g).
+
+    g is an (r, r) int64 matrix and centralizer its (n, r, r) int64 stack.
+    From one Smith form u (g - 1) v = D and W = v^-1 h v for all h in C(g)
+    at once, returns (shift, tors, blocks, rho).  tors are the d_i > 1, so
+    the component labels form T = prod Z/d_i; D runs ones, torsion, zeros
+    (else AssertionError), so blocks are slices.  blocks[h] is the torsion block
+    of W, entry (i2, i1) scaled by d_i2 / d_i1 and reduced mod d_i2, acting
+    by tau -> blocks[h] tau mod d; rho[h] = L h K is h on the kernel
+    lattice, K being the kernel columns of v and L the same rows of v^-1.
+    """
+    r = len(g)
+    diag, v, v_inv = _smith_of_g_minus_one(g)
+    a, k = diag.count(1), diag.count(0)
+    s = r - k
+    if diag[:a] != [1] * a or diag[s:] != [0] * k:
+        raise AssertionError(f"Smith diagonal {diag} is not ones, torsion, zeros")
+    v, v_inv = np.array(v, dtype=np.int64), np.array(v_inv, dtype=np.int64)
+    check_product(r, max_abs(v_inv), max_abs(centralizer))
+    w = v_inv @ centralizer
+    check_product(r, max_abs(w), max_abs(v))
+    w = w @ v
+    # h K = K rho holds exactly when W vanishes on the non-kernel rows of
+    # the kernel columns, since v W = h v and v is invertible
+    if np.any(w[:, :s, s:]):
+        raise AssertionError("centralizer element does not preserve kernel")
+    tors = np.array(diag[a:s], dtype=np.int64)
+    block = w[:, a:s, a:s]
+    check_product(1, max_abs(block), max_abs(tors))
+    scaled = block * tors[:, None]
+    if np.any(scaled % tors):
+        raise AssertionError("component label action not integral")
+    return s, tors, scaled // tors % tors[:, None], w[:, s:, s:]
+
+
+def _sector_sum(squares, weights):
+    """sum_i weights[i] sq_i^T sq_i over the rows sq_i of an (m, L) int64
+    array, as one (L, L) int64 product, bound-checked first."""
+    check_product(len(squares), max(weights) * max_abs(squares), max_abs(squares))
+    return squares.T @ (np.array(weights, dtype=np.int64)[:, None] * squares)
 
 
 def molien_average(rho):

@@ -444,6 +444,24 @@ class TestOtherCommands:
         )
         assert proc.stderr.strip() == "0 False False"
 
+    def test_engine_and_scans_leave_numpy_ma_unloaded(self):
+        # np.unique with no return_* flag goes through np.ma.is_masked, which
+        # imports numpy.ma: about 1.2 MB of max RSS that nothing here needs
+        src = os.path.dirname(os.path.dirname(weylorb.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from weylorb import *; "
+            "b4 = LatticeAction.from_root_datum(build_root_datum('B', 4)); "
+            "stringy_hodge(b4); stringy_euler_commuting_pairs(b4); "
+            "d4 = build_root_datum('D', 4); "
+            "p = find_minus_one_points(d4)[0]; "
+            "propagate(embed_diagram(d4, build_root_datum('E', 6), [3, 4, 5, 2]), p); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stderr.strip() == "False"
+
     def test_no_source_file_imports_sympy(self):
         package = os.path.dirname(weylorb.__file__)
         for name in sorted(os.listdir(package)):

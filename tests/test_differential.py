@@ -11,19 +11,22 @@ Euler number alone.  That oracle is itself checked against a literal loop
 with one Smith form per commuting pair.  The classes are also compared, array
 for array, with the two-sided product route they replaced, and the engine's
 sector blocks with the loop that ran each central sector on all of W, on
-every Weyl type up to rank 5 and on random subgroups, cyclic ones included.
+every Weyl type up to rank 5 and on random subgroups, cyclic ones included,
+and at sector batches of 1, 7 and 10^6 rows.
 """
 
 import random
+import re
 from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import weylorb.stringy
 from weylorb.intlinalg import (
+    EntryBoundError,
     freeze,
     identity,
     mat_mul,
@@ -34,6 +37,7 @@ from weylorb.stringy import (
     LatticeAction,
     stringy_euler_commuting_pairs,
     stringy_hodge,
+    wreath_bn_action,
 )
 
 from references import (
@@ -211,6 +215,54 @@ def test_cyclic_subgroups_sum_every_sector_over_the_classes(action):
     assert stringy_euler_commuting_pairs(action) == _euler_commuting_pairs_reference(
         action
     )
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_sectors_do_not_depend_on_the_batch(monkeypatch, rows):
+    # batches of one class each, of 7 rows, so that small classes share a
+    # batch and larger ones run alone, and of every class at once
+    monkeypatch.setattr(weylorb.stringy, "_SECTOR_ROWS", rows)
+    rng = random.Random(25)
+    for letter, rank in (("B", 4), ("A", 5)):
+        u, u_inv = _unimodular_pair(rng, rank)
+        gens = [mat_mul(mat_mul(u, s), u_inv) for s in _weyl(letter, rank).generators]
+        _assert_same_sectors(LatticeAction.from_generators(gens))
+    _assert_same_sectors(wreath_bn_action(4))
+
+
+@seed(25)
+@settings(max_examples=20, deadline=None)
+@given(subgroup_actions(WEYL_TYPES + RANK4_TYPES))
+def test_sectors_do_not_depend_on_the_batch_on_random_subgroups(action):
+    with pytest.MonkeyPatch.context() as mp:
+        for rows in (1, 7, 10**6):
+            mp.setattr(weylorb.stringy, "_SECTOR_ROWS", rows)
+            _assert_same_sectors(action)
+
+
+def test_a_refused_sector_names_its_class_whatever_its_batch(monkeypatch):
+    # one class's v and v^-1 sheared by 2^31: its product v^-1 h v is
+    # refused on its own entries, alone or in a batch with every class
+    action = wreath_bn_action(3)
+    bad = action.group.conjugacy_classes()[5][0]
+    shear, unshear = np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)
+    shear[0, 2], unshear[0, 2] = 2**31, -(2**31)
+    real = weylorb.stringy._smith_of_g_minus_one
+
+    def sheared(g):
+        diag, v, v_inv = real(g)
+        if np.array_equal(g, bad):
+            v, v_inv = (np.array(v) @ shear).tolist(), (unshear @ np.array(v_inv)).tolist()
+        return diag, v, v_inv
+
+    monkeypatch.setattr(weylorb.stringy, "_smith_of_g_minus_one", sheared)
+    messages = set()
+    for rows in (1, 10**6):
+        monkeypatch.setattr(weylorb.stringy, "_SECTOR_ROWS", rows)
+        with pytest.raises(EntryBoundError, match=re.escape(f"sector of {bad.tolist()}:")) as err:
+            stringy_hodge(action)
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def _euler_commuting_pairs_reference(action):

@@ -212,7 +212,7 @@ class TestCommutingPairsEuler:
 
         act = LatticeAction.from_root_datum(build_root_datum("G", 2))
         act.group.conjugacy_classes()
-        for name in ("smith_normal_form", "_sector"):
+        for name in ("smith_normal_form", "_sector_batch"):
             monkeypatch.setattr(weylorb.stringy, name, refused)
         with pytest.raises(AssertionError, match="sector code"):
             stringy_hodge(act)
@@ -262,16 +262,20 @@ class TestEngineStructuralProperties:
         assert len(calls) == len(classes) == 20
 
     @pytest.mark.parametrize(
-        "letter,rank,rows,pairs", [("B", 4, 1328, 600), ("A", 5, 901, 192)]
+        "letter,rank,rows,pairs,label_maps,dets",
+        [("B", 4, 1328, 600, 4, 5), ("A", 5, 901, 192, 3, 6)],
     )
     def test_one_echelon_per_pair_chunk_and_one_label_map_per_sector(
-        self, monkeypatch, letter, rank, rows, pairs
+        self, monkeypatch, letter, rank, rows, pairs, label_maps, dets
     ):
         # the oracle stacks its pairs across classes: (g, h in C(g)) for
         # non-central g, and (g, class representative) for the central g,
-        # whose C(g) = W is summed over the classes; the engine maps every
-        # label block of a sector at once
-        calls = {"echelon_pivots_stack": 0, "_label_images": 0}
+        # whose C(g) = W is summed over the classes; the engine's classes
+        # fit one batch of _SECTOR_ROWS rows, which maps the label blocks of
+        # each nontrivial torsion type at once (B_4: Z/2, (Z/2)^2, Z/2 + Z/4,
+        # (Z/2)^4; A_5: Z/2, Z/3, Z/6) and takes one det(I + t rho) stack
+        # per kernel rank 0..rank
+        calls = {"echelon_pivots_stack": 0, "_label_images": 0, "det_i_plus_t_stack": 0}
 
         def counted(name):
             real = getattr(weylorb.stringy, name)
@@ -288,12 +292,14 @@ class TestEngineStructuralProperties:
         classes = action.group.conjugacy_classes()
         assert sum(len(c) for _, _, c in classes) == rows
         assert pairs == sum(len(classes) if size == 1 else len(c) for _, size, c in classes)
+        assert pairs <= weylorb.stringy._SECTOR_ROWS
         stringy_hodge(action)
         stringy_euler_commuting_pairs(action)
         chunk = weylorb.stringy._PAIR_CHUNK
         assert calls == {
             "echelon_pivots_stack": -(-pairs // chunk),
-            "_label_images": len(classes),
+            "_label_images": label_maps,
+            "det_i_plus_t_stack": dets,
         }
 
 
@@ -307,18 +313,20 @@ class TestSectorArithmetic:
             expected = {}
             for row, w in zip(rows, weights):
                 _add_outer(expected, row, w)
-            got = weylorb.stringy._sector_sum(np.array(rows, dtype=np.int64), weights)
+            got = weylorb.stringy._outer_sum(np.array(rows, dtype=np.int64), weights)
             assert {
                 (p, q): c for (p, q), c in np.ndenumerate(got.tolist()) if c
             } == {key: c for key, c in expected.items() if c}
 
     @pytest.mark.parametrize("weight", [2**62 // 3, 2**62, 2**70])
     def test_sector_sum_refuses_weights_near_the_int64_bound(self, weight):
-        # 2 rows with entries up to 3: 2 * (weight * 3) * 3 > 2^63 - 1
+        # 2 rows with entries up to 3: 2 * (weight * 3) * 3 > 2^63 - 1, as
+        # Python ints and as the object weights of a central sector
         rows = np.array([[1, 3], [1, 2]], dtype=np.int64)
-        with pytest.raises(EntryBoundError):
-            weylorb.stringy._sector_sum(rows, [weight, 1])
-        assert weylorb.stringy._sector_sum(rows, [2**62 // 18 - 1, 1]).dtype == np.int64
+        for weights in ([weight, 1], np.array([weight, 1], dtype=object)):
+            with pytest.raises(EntryBoundError):
+                weylorb.stringy._outer_sum(rows, weights)
+        assert weylorb.stringy._outer_sum(rows, [2**62 // 18 - 1, 1]).dtype == np.int64
 
     def test_sector_refuses_a_smith_diagonal_out_of_order(self, monkeypatch):
         # the label block and the kernel are read as slices of the diagonal
@@ -329,10 +337,8 @@ class TestSectorArithmetic:
             return diag[::-1], v, v_inv
 
         monkeypatch.setattr(weylorb.stringy, "_smith_of_g_minus_one", reordered)
-        action = wreath_bn_action(2)
-        g = np.array([[-1, 0], [0, 1]], dtype=np.int64)
         with pytest.raises(AssertionError, match="ones, torsion, zeros"):
-            weylorb.stringy._sector(g, action.group.centralizer(g))
+            stringy_hodge(wreath_bn_action(2))
 
 
 class TestWreathClosedFormStructure:
