@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from numbers import Integral
 
 
 class BigradedPoly:
@@ -31,6 +32,10 @@ class BigradedPoly:
         for key, val in (coeffs or {}).items():
             if val:
                 p, q = key
+                if not type(p) is type(q) is int and not all(
+                    isinstance(x, Integral) and type(x) is not bool for x in key
+                ):
+                    raise ValueError(f"bidegree {key!r} is not a pair of ints")
                 if p < 0 or q < 0:
                     raise ValueError(f"negative bidegree {key}")
                 c[(int(p), int(q))] = val

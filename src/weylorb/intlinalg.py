@@ -9,14 +9,14 @@ Gauss-Jordan on sparse rows {column: nonzero entry}, kept as primitive
 integer rows, so a row's denominators, gcd and combinations cost its
 nonzero entries only; Fractions are made only when the pivot rows are
 normalised at the end.  `echelon` returns its primitive pivot rows as
-they are, and `rref`, `rational_rank`, `rational_nullspace` and
-`solve_exact` are read off it.  They take a matrix as rows that are
-sequences of entries, or dicts of nonzero entries with the number of
-columns given; `_sparse_rows` checks and converts either once, at entry,
-and refuses ragged rows, columns out of range and entries that are not
-ints or Fractions.  Over Z, `echelon_pivots_stack` reduces a
-whole int64 stack of matrices at once when only the index of each row
-lattice is needed, and det(I + t m) comes off `det_i_plus_t_stack`.
+they are, and `rational_rank`, `rational_nullspace` and `solve_exact` are
+read off it.  They take a matrix as rows that are sequences of entries, or
+dicts of nonzero entries with the number of columns given; `_sparse_rows`
+checks and converts either once, at entry, and refuses ragged rows,
+columns out of range and entries that are not ints or Fractions.  Over Z,
+`echelon_pivots_stack` reduces a whole int64 stack of matrices at once
+when only the index of each row lattice is needed, and det(I + t m) comes
+off `det_i_plus_t_stack`.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ def mat_mul(a, b):
         )
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def mat_vec(a, v):
-    """a @ v; ValueError unless every row of a has len(v) entries."""
-    if any(len(row) != len(v) for row in a):
-        raise ValueError(f"cannot multiply rows of lengths {_lengths(a)} by {len(v)}")
-    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a):
@@ -412,42 +405,23 @@ def _echelon(rows):
 
 
 def echelon(m, ncols=None):
-    """(pivot rows, pivot columns) of m, given as rref takes it; a pivot row
-    is a primitive {column: nonzero int}, its RREF row times row[pivot]."""
+    """(pivot rows, pivot columns) of a rational matrix m, a list of rows,
+    each a sequence of entries or a dict {column: nonzero entry} (dict rows
+    need ncols; see _sparse_rows).  A pivot row is a primitive {column:
+    nonzero int}, its RREF row times row[pivot]; the RREF is unique, so
+    this is the same whatever the pivot order."""
     return _echelon(_sparse_rows(m, ncols)[0])
 
 
-def rref(m, ncols=None):
-    """Reduced row echelon form of a rational matrix: (nonzero rows, pivots).
-
-    m is a list of rows, each a sequence of entries or a dict of nonzero
-    entries {column: entry} (see _sparse_rows; dict rows need ncols).  The
-    rows returned are lists of ncols Fractions with 1 in each pivot column.
-    The RREF is unique, so this is the same whatever the pivot order; the
-    elimination itself runs on Python ints (see _echelon) and only the
-    final division by the pivots makes Fractions.
-    """
-    rows, ncols = _sparse_rows(m, ncols)
-    rows, pivots = _echelon(rows)
-    zero = Fraction(0)  # Fractions are immutable; most entries share this one
-    out = []
-    for row, p in zip(rows, pivots):
-        dense = [zero] * ncols
-        for c, x in row.items():
-            dense[c] = Fraction(x, row[p])
-        out.append(dense)
-    return out, pivots
-
-
 def rational_rank(m, ncols=None):
-    """Rank over Q of m, given as rref takes it."""
+    """Rank over Q of m, given as echelon takes it."""
     return len(echelon(m, ncols)[1])
 
 
 def rational_nullspace(m, ncols=None):
     """Basis of {x : m @ x = 0} over Q, as lists of Fractions.
 
-    m is given as rref takes it.  One vector per free column f, with 1 at
+    m is given as echelon takes it.  One vector per free column f, with 1 at
     f and 0 at the other free columns.
     """
     rows, ncols = _sparse_rows(m, ncols)
@@ -471,7 +445,7 @@ def rational_nullspace(m, ncols=None):
 def solve_exact(a, b, ncols=None):
     """Solve a @ x = b over Q; returns None if inconsistent.
 
-    a is given as rref takes it.  b may be a vector or a matrix (list of
+    a is given as echelon takes it.  b may be a vector or a matrix (list of
     columns is NOT assumed; b is a list of rows like everything else).
     All right-hand sides are reduced in one RREF of [a | b]: the system is
     consistent exactly when no pivot falls in the b columns.

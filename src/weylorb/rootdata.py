@@ -60,6 +60,9 @@ def expected_weyl_order(letter, rank):
 
 def parse_type(type_label, rank=None):
     """Normalize 'G_2', 'G2', ('G', 2) style input to (letter, rank)."""
+    # type(x) is int refuses bools and floats, which int() would truncate
+    if rank is not None and type(rank) is not int:
+        raise ValueError(f"rank must be an int, not {rank!r}")
     s = str(type_label).strip().upper().replace("_", "")
     if not s:
         raise ValueError(f"invalid Dynkin type {type_label!r}")
@@ -72,7 +75,7 @@ def parse_type(type_label, rank=None):
     if rank is None:
         raise ValueError(f"no rank given for type {type_label}")
     _validate_type(letter, rank)
-    return letter, int(rank)
+    return letter, rank
 
 
 def _validate_type(letter, rank):
@@ -241,31 +244,35 @@ class RootTable:
     def __init__(self, coeffs, forms, coroots):
         self.coeffs, self.forms, self.coroots = coeffs, forms, coroots
         self.order = weyl_order_from_heights(coeffs.sum(axis=1).tolist())
-        # integrality mask -> (Weyl order, simple rows, enumerated WeylGroup)
+        # integrality mask -> W(Psi), enumerated
         self._subgroups = {}
 
-    def subgroup(self, mask):
-        """(Weyl order, simple rows, group) of the closed subsystem in mask, a
-        tuple of bools over the rows: the entry kept for mask, or else the
-        order and rows that subsystem finds, with None for the group.
+    def subgroup(self, mask, order_cap):
+        """W(Psi) of the closed subsystem Psi in mask, a tuple of bools over
+        the rows, generated by the reflections in its simple rows.  Its Weyl
+        order from root heights, kept group or not, is refused above
+        order_cap before any enumeration (GroupOrderCapError) and must be
+        the enumerated order.  The group is kept under mask while the kept
+        orders sum to at most order_cap: one that would pass is not kept.
         """
-        kept = self._subgroups.get(mask)
-        if kept is not None:
-            return kept
-        simple, order = self.subsystem(mask)
-        return order, simple, None
-
-    def reflection_subgroup(self, mask, order, simple, order_cap):
-        """The group of the reflections in the simple rows (trivial for none)
-        of the subsystem in mask, whose Weyl order is order, enumerated and
-        kept under mask while the kept orders sum to at most order_cap: one
-        that would pass that is returned but not kept.
-        """
-        eye = np.eye(len(self.forms[0]), dtype=np.int64)
-        gens = eye - self.coroots[simple, :, None] * self.forms[simple, None, :]
-        sub = enumerate_group(gens if simple else eye[None], order_cap=order_cap)
-        if sub.order + sum(g.order for _, _, g in self._subgroups.values()) <= order_cap:
-            self._subgroups[mask] = order, simple, sub
+        sub = self._subgroups.get(mask)
+        if sub is None:
+            simple, order = self.subsystem(mask)
+        else:
+            order = sub.order
+        if order > order_cap:
+            raise GroupOrderCapError(
+                f"the subgroup searched has order {order}, "
+                f"which exceeds the cap {order_cap}"
+            )
+        if sub is None:
+            eye = np.eye(len(self.forms[0]), dtype=np.int64)
+            gens = eye - self.coroots[simple, :, None] * self.forms[simple, None, :]
+            sub = enumerate_group(gens if simple else eye[None], order_cap=order_cap)
+            if sub.order != order:
+                raise AssertionError("the subgroup searched has the wrong order")
+            if sub.order + sum(g.order for g in self._subgroups.values()) <= order_cap:
+                self._subgroups[mask] = sub
         return sub
 
     def subsystem(self, mask):
@@ -390,8 +397,7 @@ class WeylGroup:
     index, maps m.tobytes() of each matrix m of the stack to its position;
     membership and rows_of go through it, classes and centralizers through
     the images of _regular, which conjugacy_classes drops once its classes
-    are built.  elements is a tuple view built on first use, for callers
-    outside the batched paths.
+    are built.
     """
 
     def __init__(self, stack, generators, index):
@@ -399,15 +405,7 @@ class WeylGroup:
         self.generators = list(generators)
         self.order = len(stack)
         self.index = index
-        self._elements = None
         self._classes = None
-
-    @property
-    def elements(self):
-        """The elements as nested tuples, in stack order, built on first use."""
-        if self._elements is None:
-            self._elements = [freeze(m) for m in self.stack.tolist()]
-        return self._elements
 
     def __contains__(self, m):
         """Whether m is an element; False for any other input.
@@ -420,9 +418,6 @@ class WeylGroup:
         except ValueError:
             return False
         return m.shape == self.stack.shape[1:] and m.tobytes() in self.index
-
-    def __iter__(self):
-        return iter(self.elements)
 
     @cached_property
     def roots(self):

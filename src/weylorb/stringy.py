@@ -445,7 +445,7 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
         notes.append("closed form disagrees with the Hilbert-scheme formula")
     run_engine = engine if engine is not None else n <= 5
     if run_engine:
-        eng = stringy_hodge(wreath_bn_action(n), order_cap)
+        eng = stringy_hodge(wreath_bn_action(n, order_cap), order_cap)
         polys["engine"] = eng
         if eng != closed:
             ok = False

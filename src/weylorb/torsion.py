@@ -12,9 +12,9 @@ such roots; its order comes from root heights, and the W-orbit size is
 simple reflections of a root system whose coroots span the lattice, H is W
 itself, whose stack a WeylGroup already holds.  The order cap bounds |H|.
 
-The root table keeps H, within the order cap, in one memo keyed by the
-integrality mask of Phi_t: the simple rows, |H| from root heights and H
-enumerated into one int64 stack (RootTable.subgroup).  So the 560
+RootTable.subgroup owns W(Phi_t): it finds the simple rows, refuses an
+order above the cap, enumerates H into one int64 stack and keeps it, within
+the cap, in one memo keyed by the integrality mask of Phi_t.  So the 560
 minus-one points of D_4, which give 3 masks, find simple rows 3 times and
 enumerate 3 groups.  Stab(p) is the rows g of that stack with g p = p
 modulo the denominator, found in one batched product; its generators are
@@ -52,10 +52,9 @@ from .intlinalg import (
 from .rootdata import (
     DiagramEmbedding,
     GroupOrderCapError,
+    RootDatum,
     WeylGroup,
-    enumerate_group,
     least_orbit_labels,
-    root_table,
 )
 
 
@@ -159,19 +158,21 @@ class TorsionPoint:
 
 
 def _group_parts(action):
-    """Accept a WeylGroup, a LatticeAction, or a RootDatum-like source.
+    """(generators, |W|, root table or None) of a WeylGroup, a LatticeAction
+    or a RootDatum, each of which keeps its root table.
 
-    Returns (generators, order_or_None, root_table_or_None); a WeylGroup or
-    a RootDatum keeps its root table, and root_table refuses an empty or
-    malformed generator list with ValueError.
+    Any other source, a bare generator list among them, raises ValueError,
+    and so does a RootDatum whose generators give no root table.
     """
     group = getattr(action, "group", action)
     if isinstance(group, WeylGroup):
         return group.generators, group.order, group.roots
-    if hasattr(group, "weyl_generators"):
+    if isinstance(group, RootDatum) and group.roots is not None:
         return list(group.weyl_generators), group.expected_order(), group.roots
-    generators = list(group)
-    return generators, None, root_table(generators)
+    raise ValueError(
+        "the group must be a WeylGroup, a LatticeAction or a RootDatum "
+        f"with a root table, not {type(action).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,8 @@ class StabilizerReport:
     crepant: str = None
 
 
-def _point_subgroup(table, den, coords):
-    """(mask, order, simple rows, H or None) of a reflection subgroup H of W
-    containing Stab(p).
+def _point_subgroup(table, den, coords, order_cap):
+    """A reflection subgroup H of W containing Stab(p).
 
     For G simply connected, the lattice is the coroot lattice and the
     stabilizer of one coordinate x_t is the reflection group W(Phi_t) of
@@ -195,15 +195,14 @@ def _point_subgroup(table, den, coords):
     H is W(Phi_t) for the column t with the fewest positive roots in Phi_t,
     the lowest t on ties, generated by the reflections in the simple roots
     of Phi_t, rows of the table; its order comes from root heights.  The
-    mask of Phi_t over the rows, a tuple of bools, keys the table's memo:
-    RootTable.subgroup gives the rest, H None when the table keeps none.
-    The point is given by its denominator and its (rank, 4) int64 coords.
+    mask of Phi_t over the rows, a tuple of bools, keys the table's memo,
+    and RootTable.subgroup gives H, or refuses it above order_cap.  The
+    point is given by its denominator and its (rank, 4) int64 coords.
     """
     check_product(len(coords), max_abs(table.forms), den - 1)
     integral = table.forms @ coords % den == 0
     t = int(np.argmin(integral.sum(axis=0)))
-    mask = tuple(integral[:, t].tolist())
-    return (mask, *table.subgroup(mask))
+    return table.subgroup(tuple(integral[:, t].tolist()), order_cap)
 
 
 def stabilizer(action, point, order_cap=10**6):
@@ -212,17 +211,14 @@ def stabilizer(action, point, order_cap=10**6):
     When the generators are the simple reflections of a root system whose
     coroots span the lattice (rootdata.root_table), H is the reflection
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
-    |H| comes from root heights, and the orbit size is |W| / |Stab(p)|.
-    Otherwise H is W itself: the stack of a WeylGroup given, or else
-    enumerated from the generators.  The root table keeps H under the
-    integrality mask of Phi_t, so H and its simple rows are found once per
-    mask; |H| from root heights is checked against the enumerated order on
-    every call.  Stab(p) is the rows of its stack that fix p, and its
-    greedy generators must generate exactly those rows.  order_cap bounds
-    |H| (and what the table keeps): GroupOrderCapError before any
-    enumeration when |H| is known and exceeds it, and enumerate_group's own
-    refusal otherwise.  A point that is not a TorsionPoint, or of another
-    rank, raises ValueError.
+    |H| comes from root heights, and the table keeps H under the
+    integrality mask of Phi_t.  Otherwise H is W itself, the stack of the
+    WeylGroup given.  The orbit size is |W| / |Stab(p)|.  Stab(p) is the
+    rows of H's stack that fix p, and its greedy generators must generate
+    exactly those rows.  order_cap bounds |H| (and what the table keeps):
+    GroupOrderCapError before any enumeration.  A source that is not a
+    WeylGroup, a LatticeAction or a RootDatum, or a point that is not a
+    TorsionPoint of the group's rank, raises ValueError.
     """
     if not isinstance(point, TorsionPoint):
         raise ValueError(f"{point!r} is not a TorsionPoint")
@@ -232,27 +228,17 @@ def stabilizer(action, point, order_cap=10**6):
         raise ValueError(f"point of rank {point.rank} for a group of rank {rank}")
     point = point.reduced()
     den, coords = point.den, np.array(point.coords, dtype=np.int64)
-    sub_order, sub = order, None
     if table is not None:
-        if order is not None and order != table.order:
+        if order != table.order:
             raise AssertionError("root heights disagree with the group order")
-        mask, sub_order, simple, sub = _point_subgroup(table, den, coords)
-    if sub_order is not None and sub_order > order_cap:
+        sub = _point_subgroup(table, den, coords, order_cap)
+    elif order > order_cap:
         raise GroupOrderCapError(
-            f"the subgroup searched has order {sub_order}, "
+            f"the subgroup searched has order {order}, "
             f"which exceeds the cap {order_cap}"
         )
-    group = getattr(action, "group", action)
-    if sub is not None:
-        pass  # kept by the root table
-    elif table is not None:
-        sub = table.reflection_subgroup(mask, sub_order, simple, order_cap)
-    elif isinstance(group, WeylGroup):
-        sub = group
     else:
-        sub = enumerate_group(generators, order_cap=order_cap)
-    if sub_order is not None and sub.order != sub_order:
-        raise AssertionError("the subgroup searched has the wrong order")
+        sub = getattr(action, "group", action)  # a WeylGroup, by _group_parts
     stack, bound = sub.stack, sub.bound
     check_product(rank, bound, den - 1)
     fixed = (stack @ coords % den == coords).all(axis=(1, 2))
@@ -276,8 +262,7 @@ def stabilizer(action, point, order_cap=10**6):
             group |= fresh
     if not np.array_equal(group, fixed):
         raise AssertionError("the fixed rows are not a group")
-    whole = sub.order if table is None else table.order
-    if whole % stab_order != 0:
+    if order % stab_order != 0:
         raise AssertionError("stabilizer order does not divide |W|")
     elements = stack[fixed]
     crepant = None
@@ -297,7 +282,7 @@ def stabilizer(action, point, order_cap=10**6):
     return StabilizerReport(
         generators=tuple(freeze(g.tolist()) for g in found),
         order=stab_order,
-        orbit_size=whole // stab_order,
+        orbit_size=order // stab_order,
         action_classification=cls,
         local_model_label=label,
         elements=tuple(sorted(freeze(g) for g in elements.tolist())),
@@ -366,8 +351,8 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     -1 fixes every 2-torsion point, so the stabilizer of the first nonzero
     orbit representative settles whether -1 lies in W, and times that
     orbit's size it gives |W|; when -1 lies in W, an orbit has stabilizer
-    exactly {+-1} exactly when its size is |W| / 2.  A known group order
-    that disagrees with this |W| raises AssertionError.
+    exactly {+-1} exactly when its size is |W| / 2.  A group order that
+    disagrees with this |W| raises AssertionError.
     Returns a list of TorsionPoint orbit representatives, each the orbit
     member with the least bit code, in ascending code order; [] when -1 is
     not in W.  A denominator bound that is not an int, or is a bool, raises
@@ -384,7 +369,7 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     first, first_size = reps[0]
     report = stabilizer(action, _decode_two_torsion(first, rank), order_cap=order_cap)
     whole = report.order * first_size
-    if order is not None and order != whole:
+    if order != whole:
         raise AssertionError("orbit-stabilizer count disagrees with the group order")
     minus = freeze([[-x for x in row] for row in identity(rank)])
     if minus not in report.elements:

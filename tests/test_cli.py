@@ -509,6 +509,11 @@ REMOVED_EXPORTS = [
     ("stringy", "FixedLocusData.component_count"),
     ("intlinalg", "mat_sub"),
     ("flatf2", "ExteriorF2Element.zero"),
+    ("intlinalg", "rref"),
+    ("intlinalg", "mat_vec"),
+    ("rootdata", "WeylGroup.elements"),
+    ("rootdata", "WeylGroup.__iter__"),
+    ("rootdata", "RootTable.reflection_subgroup"),
 ]
 
 

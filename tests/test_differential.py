@@ -84,7 +84,7 @@ def subgroup_actions(draw, types=WEYL_TYPES, max_gens=3):
         st.lists(st.integers(0, group.order - 1), min_size=1, max_size=max_gens)
     )
     u, u_inv = _unimodular_pair(random.Random(draw(st.integers(0, 2**32))), rank)
-    gens = [mat_mul(mat_mul(u, group.elements[i]), u_inv) for i in picks]
+    gens = [mat_mul(mat_mul(u, group.stack[i].tolist()), u_inv) for i in picks]
     return LatticeAction.from_generators(gens)
 
 
@@ -95,9 +95,10 @@ def _classes_reference(group):
     which is also the representative.
     """
     pairs = [(s, unimodular_inverse(s)) for s in group.generators]
+    elements = [freeze(m) for m in group.stack.tolist()]
     assigned = set()
     classes = []
-    for rep in group.elements:
+    for rep in elements:
         if rep in assigned:
             continue
         orbit = {rep}
@@ -112,7 +113,7 @@ def _classes_reference(group):
                         nxt.append(y)
             frontier = nxt
         assigned |= orbit
-        cent = [h for h in group.elements if mat_mul(h, rep) == mat_mul(rep, h)]
+        cent = [h for h in elements if mat_mul(h, rep) == mat_mul(rep, h)]
         classes.append((rep, len(orbit), cent))
     return classes
 

@@ -33,7 +33,6 @@ from weylorb.intlinalg import (
     det,
     echelon,
     mat_mul,
-    mat_vec,
     rational_nullspace,
     rational_rank,
     transpose,
@@ -78,12 +77,12 @@ def brute_is_cyclic(pair):
             continue
         vecs = []
         for a, b in monoms:
-            v = list(entries)
+            v = [[x] for x in entries]  # a column, for mat_mul
             for _ in range(a):
-                v = mat_vec(mx, v)
+                v = mat_mul(mx, v)
             for _ in range(b):
-                v = mat_vec(my, v)
-            vecs.append(v)
+                v = mat_mul(my, v)
+            vecs.append([x for (x,) in v])
         if rational_rank(vecs) == n:
             return True
     return False

@@ -1,8 +1,10 @@
 """Bigraded polynomial ring and Hilbert-scheme series, with brute oracles."""
 
 import itertools
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,19 @@ class TestRingLaws:
     def test_negative_bidegree_rejected(self):
         with pytest.raises(ValueError):
             BigradedPoly({(-1, 0): 1})
+
+    @pytest.mark.parametrize(
+        "key", [(0.5, 0), (0, 1.0), (Fraction(1), 0), (True, 0)], ids=repr
+    )
+    def test_bidegree_that_is_no_int_rejected(self, key):
+        # int() once read (0.5, 0) as the constant term
+        with pytest.raises(ValueError, match="not a pair of ints"):
+            BigradedPoly({key: 1})
+
+    def test_numpy_integer_bidegree_accepted(self):
+        p = BigradedPoly({(np.int64(1), np.int32(2)): 3})
+        assert p == BigradedPoly.monomial(1, 2, 3)
+        assert all(type(x) is int for key in p.coeffs for x in key)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="negative exponent -1"):

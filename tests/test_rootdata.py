@@ -66,6 +66,12 @@ class TestParseType:
         with pytest.raises(ValueError):
             parse_type(bad)
 
+    @pytest.mark.parametrize("rank", [1.5, 1.0, True, "1"], ids=repr)
+    def test_rank_that_is_no_int_is_refused(self, rank):
+        # int() once read 1.5 and True as 1, building A_1 without an error
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build_root_datum("A", rank)
+
     @pytest.mark.parametrize("bad", ["", "_", " "])
     def test_empty_label(self, bad):
         with pytest.raises(ValueError, match="invalid Dynkin type"):
@@ -256,7 +262,7 @@ class TestRootTable:
         group = enumerate_group(triangle)
         assert group.order == 24
         p = TorsionPoint(2, ((1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)))
-        brute = sorted(g for g in group if p.apply(g) == p)
+        brute = sorted(freeze(g) for g in group.stack.tolist() if p.apply(g) == p)
         assert list(stabilizer(group, p).elements) == brute
 
     def test_order_from_heights(self):
@@ -412,7 +418,7 @@ class TestEnumeration:
         # the rotation alone (abelian), and with a reflection (dihedral)
         for gens in ([rotation], [rotation, [[0, 1], [1, 0]]]):
             group = enumerate_group(gens)
-            elements = group.elements
+            elements = [freeze(m) for m in group.stack.tolist()]
             inverse = {
                 x: next(y for y in elements if mat_mul(x, y) == identity(2))
                 for x in elements

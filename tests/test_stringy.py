@@ -94,7 +94,7 @@ class TestFixedLocus:
 
     def test_kernel_basis_is_fixed(self):
         act = wreath_bn_action(3)
-        for g in act.group:
+        for g in act.group.stack.tolist():
             data = fixed_locus(act, g)
             for vec in data.kernel_basis:
                 image = [
@@ -162,6 +162,25 @@ class TestEngineOracles:
     def test_su_rejects_n1(self):
         with pytest.raises(ValueError):
             verify_su_case(1)
+
+    def test_su_rejects_a_rank_that_is_no_int(self):
+        # 2.0 once passed as SU(2), with n = 2.0 in the report
+        with pytest.raises(ValueError, match="rank must be an int"):
+            verify_su_case(2.0)
+
+    def test_sp_engine_gets_the_cap(self, monkeypatch):
+        # the hyperoctahedral group was built at the default cap, whatever
+        # order_cap the check was given
+        caps = []
+        real = weylorb.stringy.wreath_bn_action
+
+        def recorded(n, order_cap=weylorb.stringy.DEFAULT_ENGINE_CAP):
+            caps.append(order_cap)
+            return real(n, order_cap)
+
+        monkeypatch.setattr(weylorb.stringy, "wreath_bn_action", recorded)
+        assert verify_sp_theorem(2, engine=True, order_cap=123).verdict
+        assert caps == [123]
 
     def test_closed_form_rejects_n0(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from weylorb.rootdata import (
     enumerate_group,
     root_table,
 )
+from weylorb.stringy import LatticeAction
 from weylorb.torsion import (
     StabilizerReport,
     TorsionPoint,
@@ -50,9 +51,15 @@ from references import (
 )
 
 
-def _subgroup_of(table, p):
+def _subgroup_of(table, p, order_cap=10**6):
     """_point_subgroup of a TorsionPoint, as stabilizer calls it."""
-    return _point_subgroup(table, p.den, np.array(p.coords, dtype=np.int64))
+    coords = np.array(p.coords, dtype=np.int64)
+    return _point_subgroup(table, p.den, coords, order_cap)
+
+
+def _elements(group):
+    """The elements of a WeylGroup as nested tuples, in stack order."""
+    return [freeze(m) for m in group.stack.tolist()]
 
 
 def minus_identity(rank):
@@ -100,7 +107,7 @@ def _stabilizer_reference(action, point, element_cap=10**5):
                     witness[y] = freeze(mat_mul(s, witness[x]))
                     nxt.append(y)
         frontier = nxt
-    expected = None if order is None else order // len(witness)
+    expected = order // len(witness)
     gens = []
     elements = {ident}
     for x, ux in witness.items():
@@ -155,7 +162,7 @@ def assert_same_stabilizer(report, reference):
     )
     rank = len(report.elements[0])
     if report.generators:
-        closed = enumerate_group(report.generators).elements
+        closed = _elements(enumerate_group(report.generators))
     else:
         closed = [freeze(identity(rank))]
     assert sorted(closed) == list(report.elements)
@@ -179,7 +186,7 @@ def _points_of_denominator(group, den, count, seed):
             tuple(rng.randrange(den) for _ in range(4)) if j in rows else (0,) * 4
             for j in range(rank)
         ))
-        points.append(p.apply(rng.choice(group.elements)))
+        points.append(p.apply(rng.choice(_elements(group))))
     return points
 
 
@@ -384,7 +391,7 @@ class TestBatchedStabilizer:
     def test_zero_point_is_whole_group(self, letter, rank):
         group = enumerate_group(build_root_datum(letter, rank))
         report = self.assert_same(group, TorsionPoint.zero(rank))
-        assert set(report.elements) == set(group.elements)
+        assert set(report.elements) == set(_elements(group))
 
     @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
     def test_elements_by_brute_force(self, letter, rank):
@@ -392,7 +399,7 @@ class TestBatchedStabilizer:
         points = _points_of_denominator(group, 2, 6, seed=rank)
         points += _points_of_denominator(group, 6, 6, seed=rank)
         for p in points + find_minus_one_points(group)[:5]:
-            brute = sorted(g for g in group if p.apply(g) == p)
+            brute = sorted(g for g in _elements(group) if p.apply(g) == p)
             assert list(stabilizer(group, p).elements) == brute
 
     @pytest.mark.parametrize("letter,rank,den", [("G", 2, 301), ("B", 3, 2**31 + 11)])
@@ -414,8 +421,7 @@ class TestBatchedStabilizer:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (weylorb.rootdata, weylorb.torsion):
-            monkeypatch.setattr(module, "enumerate_group", counted)
+        monkeypatch.setattr(weylorb.rootdata, "enumerate_group", counted)
         datum = build_root_datum("F", 4)
         report = stabilizer(datum, TorsionPoint.zero(4))
         assert (report.order, len(report.generators), len(calls)) == (1152, 4, 1)
@@ -438,7 +444,7 @@ class TestBatchedStabilizer:
         datum = build_root_datum("B", 3)
         p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
         report = stabilizer(datum, p)
-        n = _subgroup_of(root_table(datum.weyl_generators), p)[1]
+        n = _subgroup_of(root_table(datum.weyl_generators), p).order
         assert (report.orbit_size, n) == (48, 4)
         assert stabilizer(datum, p, order_cap=n) == report
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
@@ -455,12 +461,27 @@ class TestBatchedStabilizer:
 
     def test_no_generators_is_refused(self):
         with pytest.raises(ValueError, match="no generators"):
-            stabilizer([], TorsionPoint.zero(2))
+            stabilizer(enumerate_group([]), TorsionPoint.zero(2))
 
     def test_fractional_generator_is_refused(self):
         # int64 conversion once truncated -1.5 to -1, the local model -1
         with pytest.raises(ValueError, match="not integers"):
-            stabilizer([[[-1.5]]], TorsionPoint(2, ((1, 0, 0, 0),)))
+            stabilizer(enumerate_group([[[-1.5]]]), TorsionPoint(2, ((1, 0, 0, 0),)))
+
+    def test_bare_generator_list_is_refused(self):
+        # a bare list would rebuild its root table on every call; the three
+        # sources that keep one are accepted
+        datum = build_root_datum("G", 2)
+        group = enumerate_group(datum)
+        p = find_minus_one_points(datum)[0]
+        report = stabilizer(datum, p)
+        assert stabilizer(group, p) == stabilizer(LatticeAction(group), p) == report
+        gens = list(datum.weyl_generators)
+        accepted = "a WeylGroup, a LatticeAction or a RootDatum"
+        with pytest.raises(ValueError, match=accepted):
+            stabilizer(gens, p)
+        with pytest.raises(ValueError, match=accepted):
+            find_minus_one_points(gens)
 
 
 class TestSubgroupMemo:
@@ -524,7 +545,7 @@ class TestSubgroupMemo:
             monkeypatch.setattr(module, "max_abs", counted)
         assert [stabilizer(group, p) for p in points] == first
         assert 3 not in reads
-        kept = [sub for _, _, sub in group.roots._subgroups.values()]
+        kept = list(group.roots._subgroups.values())
         assert len(kept) == 3
         assert all(sub.__dict__["bound"] == real(sub.stack) for sub in kept)
 
@@ -532,13 +553,17 @@ class TestSubgroupMemo:
         # the D_4 minus-one points search 3 distinct subgroups of order 16;
         # at a cap of 17 the first is kept and the others are not
         group = enumerate_group(build_root_datum("D", 4))
-        table = group.roots
         points = find_minus_one_points(build_root_datum("D", 4))
-        first = tuple(_subgroup_of(table, points[0])[0])
-        assert len({tuple(_subgroup_of(table, p)[0]) for p in points}) == 3
+        searched = root_table(group.generators)  # a second table, kept apart
+        subs = {_subgroup_of(searched, p) for p in points}
+        assert [sub.order for sub in subs] == [16, 16, 16]
         for p in points:
             assert stabilizer(group, p, order_cap=17) == self.cold("D", 4, p)
-        assert list(table._subgroups) == [first]
+        first = list(searched._subgroups)[0]
+        assert list(group.roots._subgroups) == [first]
+        (kept,) = group.roots._subgroups.values()
+        assert _subgroup_of(group.roots, points[0], 17) is kept
+        assert np.array_equal(kept.stack, searched._subgroups[first].stack)
 
 
 class TestSubgroupReduction:
@@ -575,7 +600,7 @@ class TestSubgroupReduction:
             fast = self.assert_same(group, result.point)
             assert (fast.order, fast.orbit_size) == (2, 25920)
             # the subgroup searched is far smaller than W(E_6)
-            assert _subgroup_of(group.roots, result.point)[1] < 100
+            assert _subgroup_of(group.roots, result.point).order < 100
 
     @pytest.mark.parametrize("letter,rank", [("B", 3), ("D", 4)])
     def test_seeded_basis(self, letter, rank):
@@ -606,10 +631,10 @@ class TestSubgroupReduction:
         gens = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
         p = TorsionPoint(3, ((0, 0, 0, 1), (0, 0, 0, 1)))
         group = enumerate_group(gens)
-        brute = sorted(g for g in group if p.apply(g) == p)
+        brute = sorted(g for g in _elements(group) if p.apply(g) == p)
         assert len(brute) == 3
         assert root_table(gens) is None and group.roots is None
-        for action in (gens, group):
+        for action in (enumerate_group(gens), group):
             report = stabilizer(action, p)
             assert report.order == 3 and list(report.elements) == brute
         assert stabilizer(group, p).orbit_size == 2
@@ -624,7 +649,7 @@ class TestSubgroupReduction:
             TorsionPoint(5, ((1, 0, 0, 0), (2, 0, 0, 0))),
             TorsionPoint.zero(2),
         ]
-        expected = [stabilizer(gens, p) for p in points]
+        expected = [stabilizer(enumerate_group(gens), p) for p in points]
         calls = []
         real = weylorb.rootdata.enumerate_group
 
@@ -632,8 +657,7 @@ class TestSubgroupReduction:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (weylorb.rootdata, weylorb.torsion):
-            monkeypatch.setattr(module, "enumerate_group", counted)
+        monkeypatch.setattr(weylorb.rootdata, "enumerate_group", counted)
         assert [stabilizer(group, p) for p in points] == expected
         assert calls == []
 
@@ -655,7 +679,9 @@ class TestSubgroupReduction:
             n = report.orbit_size * report.order
             assert n == 6
         else:
-            n = _subgroup_of(table, p)[1]
+            n = _subgroup_of(table, p).order
+            # W(Phi_t) is kept, so the refusal below is a memo hit's
+            assert len(table._subgroups) == 1
         assert n > 1
         assert stabilizer(action, p, order_cap=n) == report
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
@@ -700,8 +726,8 @@ class TestTwoTorsionOrbits:
         bits = (codes[:, None, None] >> shifts) & 1
         weights = 1 << shifts
         least = codes.copy()
-        for g in group:
-            image = ((np.array(g) @ bits) % 2 * weights).sum(axis=(1, 2))
+        for g in group.stack:
+            image = ((g @ bits) % 2 * weights).sum(axis=(1, 2))
             least = np.minimum(least, image)
         reps, sizes = np.unique(least, return_counts=True)
         expected = list(zip(reps.tolist(), sizes.tolist()))
@@ -775,7 +801,7 @@ class TestMinusOneScan:
         points = find_minus_one_points(group)
         seen = set()
         for p in points:
-            orbit = frozenset(p.apply(g) for g in group)
+            orbit = frozenset(p.apply(g) for g in _elements(group))
             assert orbit not in seen
             seen.add(orbit)
 
@@ -789,15 +815,16 @@ class TestMinusOneScan:
         datum = build_root_datum("G", 2)
         group = enumerate_group(datum)
         minus = minus_identity(2)
+        elements = _elements(group)
         brute_orbits = set()
         for p in two_torsion_points(2):
             if p == TorsionPoint.zero(2):
                 continue
-            stab = [g for g in group if p.apply(g) == p]
+            stab = [g for g in elements if p.apply(g) == p]
             if len(stab) == 2 and minus in stab:
-                brute_orbits.add(frozenset(p.apply(g) for g in group))
+                brute_orbits.add(frozenset(p.apply(g) for g in elements))
         fast = find_minus_one_points(group)
-        fast_orbits = {frozenset(p.apply(g) for g in group) for p in fast}
+        fast_orbits = {frozenset(p.apply(g) for g in elements) for p in fast}
         assert fast_orbits == brute_orbits
 
     def test_a_series_has_none(self):
@@ -817,17 +844,18 @@ class TestMinusOneScan:
         points = find_minus_one_points(group)
         assert len(points) == count
         assert find_minus_one_points(datum) == points
-        assert find_minus_one_points(list(datum.weyl_generators)) == points
+        gens = list(datum.weyl_generators)
+        assert find_minus_one_points(enumerate_group(gens)) == points
 
     def test_none_without_minus_one(self):
         assert find_minus_one_points(build_root_datum("A", 3)) == []
-        # W(A_2) on its coweight lattice: no root table, no known order
+        # W(A_2) on its coweight lattice: no root table
         coweight = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
-        assert find_minus_one_points(coweight) == []
+        assert find_minus_one_points(enumerate_group(coweight)) == []
 
     def test_no_generators_is_refused(self):
         with pytest.raises(ValueError, match="no generators"):
-            find_minus_one_points([])
+            find_minus_one_points(enumerate_group([]))
 
 
 class TestPropagation:
