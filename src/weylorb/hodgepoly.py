@@ -23,13 +23,17 @@ from numbers import Integral
 
 
 class BigradedPoly:
-    """Integer polynomial in two formal variables indexed by bidegree (p, q)."""
+    """Integer polynomial in two formal variables indexed by bidegree (p, q);
+    a coefficient that is no int or Fraction (a float, a bool) raises ValueError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         c = {}
         for key, val in (coeffs or {}).items():
+            exact = type(val) is int or isinstance(val, (Integral, Fraction))
+            if not exact or type(val) is bool:
+                raise ValueError(f"coefficient {val!r} of {key!r} is not exact")
             if val:
                 p, q = key
                 if not type(p) is type(q) is int and not all(

@@ -118,7 +118,7 @@ class RootDatum:
         table = self.roots
         if table is None:
             raise ValueError(f"the generators of {self.dynkin_type} give no root table")
-        check_product(len(table.forms), max_abs(table.forms), max_abs(table.forms))
+        check_product(len(table.forms), table.form_bound, table.form_bound)
         form = table.forms.T @ table.forms
         return freeze((form // np.gcd.reduce(form.ravel())).tolist())
 
@@ -238,11 +238,13 @@ class RootTable:
     the lattice, its coroot alpha^vee as a lattice vector coroots[k], so that
     the reflection in alpha is I - coroots[k] forms[k]^T, and its
     coefficients coeffs[k] in the simple roots.  Rows are sorted by height,
-    the simple roots first in generator order; order is |W|.
+    the simple roots first in generator order; order is |W|, and form_bound
+    the largest absolute entry of the forms, read once.
     """
 
     def __init__(self, coeffs, forms, coroots):
         self.coeffs, self.forms, self.coroots = coeffs, forms, coroots
+        self.form_bound = max_abs(forms)
         self.order = weyl_order_from_heights(coeffs.sum(axis=1).tolist())
         # integrality mask -> W(Psi), enumerated
         self._subgroups = {}
@@ -395,9 +397,9 @@ class WeylGroup:
     stack is the one store of the elements: an (order, r, r) int64 array in
     breadth-first order, the identity first.  index, the only element
     index, maps m.tobytes() of each matrix m of the stack to its position;
-    membership and rows_of go through it, classes and centralizers through
-    the images of _regular, which conjugacy_classes drops once its classes
-    are built.
+    membership goes through it, classes and centralizers through the
+    images of _regular, which conjugacy_classes drops once its classes are
+    built.
     """
 
     def __init__(self, stack, generators, index):
@@ -460,13 +462,6 @@ class WeylGroup:
         rows = np.flatnonzero(arr[:, 0] @ gv == images @ gm[0])
         rows = rows[np.all(arr[rows] @ gv == images[rows] @ gm.T, axis=1)]
         return arr[rows]
-
-    def rows_of(self, stack):
-        """The row of self.stack holding each matrix of an int64 stack."""
-        try:
-            return np.array([self.index[key] for key in _keys(stack)], dtype=np.int64)
-        except KeyError:
-            raise AssertionError("a product lies outside the group") from None
 
     def conjugacy_classes(self):
         """List of (representative, class_size, centralizer) on the stack.
@@ -608,6 +603,7 @@ def embed_diagram(sub_label, ambient_label, node_map):
 
     node_map[i] is the 1-based ambient node receiving sub node i+1.  The map
     must be injective and preserve the Cartan matrix (edges and arrows).
+    An entry that is not an int, or is a bool, raises ValueError.
     """
     sub, ambient = (
         x if isinstance(x, RootDatum) else build_root_datum(x)
@@ -615,7 +611,10 @@ def embed_diagram(sub_label, ambient_label, node_map):
     )
     if isinstance(node_map, dict):
         node_map = [node_map[i] for i in sorted(node_map)]
-    node_map = tuple(int(x) for x in node_map)
+    node_map = tuple(node_map)
+    # type(x) is int refuses bools and floats, which int() would truncate
+    if any(type(x) is not int for x in node_map):
+        raise ValueError(f"node_map entries must be ints, not {node_map!r}")
     if len(node_map) != sub.rank or len(set(node_map)) != sub.rank:
         raise ValueError("node_map must name one ambient node per sub node")
     if any(not 1 <= x <= ambient.rank for x in node_map):

@@ -432,8 +432,11 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
     Compares the wreath closed form against goettsche(h(X), n), and, when
     engine is not disabled (default: run it for n <= 5), against the full
     twisted-sector engine on (Z^n, hyperoctahedral W).  n above
-    MAX_VERIFY_SP_N raises ValueError before any work.
+    MAX_VERIFY_SP_N, or n that is not an int or is a bool, raises
+    ValueError before any work.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, not {n!r}")
     if n > MAX_VERIFY_SP_N:
         raise ValueError(f"n = {n} is above the Sp(n) check's bound {MAX_VERIFY_SP_N}")
     closed = stringy_hodge_wreath_closed_form(n)

@@ -19,9 +19,9 @@ minus-one points of D_4, which give 3 masks, find simple rows 3 times and
 enumerate 3 groups.  Stab(p) is the rows g of that stack with g p = p
 modulo the denominator, found in one batched product; its generators are
 taken greedily from those rows in stack order, each one outside the group
-the earlier ones generate, a boolean mask over the rows of H grown inside
-H's index.  Every int64 product is preceded by an entry-bound check that
-raises intlinalg.EntryBoundError.
+the earlier ones generate, which is closed by permutations of those rows.
+Every int64 product is preceded by an entry-bound check that raises
+intlinalg.EntryBoundError.
 
 The 2-torsion scan acts on bit codes of points.  The action is F_2-linear,
 so each generator's move on all 2^(4r) codes is built by doubling over the
@@ -54,6 +54,7 @@ from .rootdata import (
     GroupOrderCapError,
     RootDatum,
     WeylGroup,
+    _keys,
     least_orbit_labels,
 )
 
@@ -199,7 +200,7 @@ def _point_subgroup(table, den, coords, order_cap):
     and RootTable.subgroup gives H, or refuses it above order_cap.  The
     point is given by its denominator and its (rank, 4) int64 coords.
     """
-    check_product(len(coords), max_abs(table.forms), den - 1)
+    check_product(len(coords), table.form_bound, den - 1)
     integral = table.forms @ coords % den == 0
     t = int(np.argmin(integral.sum(axis=0)))
     return table.subgroup(tuple(integral[:, t].tolist()), order_cap)
@@ -214,8 +215,8 @@ def stabilizer(action, point, order_cap=10**6):
     |H| comes from root heights, and the table keeps H under the
     integrality mask of Phi_t.  Otherwise H is W itself, the stack of the
     WeylGroup given.  The orbit size is |W| / |Stab(p)|.  Stab(p) is the
-    rows of H's stack that fix p, and its greedy generators must generate
-    exactly those rows.  order_cap bounds |H| (and what the table keeps):
+    rows of H's stack that fix p, and its greedy generators are closed
+    inside those rows.  order_cap bounds |H| (and what the table keeps):
     GroupOrderCapError before any enumeration.  A source that is not a
     WeylGroup, a LatticeAction or a RootDatum, or a point that is not a
     TorsionPoint of the group's rank, raises ValueError.
@@ -241,30 +242,34 @@ def stabilizer(action, point, order_cap=10**6):
         sub = getattr(action, "group", action)  # a WeylGroup, by _group_parts
     stack, bound = sub.stack, sub.bound
     check_product(rank, bound, den - 1)
-    fixed = (stack @ coords % den == coords).all(axis=(1, 2))
-    stab_order = int(fixed.sum())
-    # generators in stack order, each one outside the group the earlier
-    # ones generate, until that group holds all of the fixed rows; the group
-    # is a mask over the rows of H, closed under products looked up in H
+    elements = stack[(stack @ coords % den == coords).all(axis=(1, 2))]
+    stab_order = len(elements)
+    # generators in stack order, each one outside the group the earlier ones
+    # generate; each permutes the fixed rows by one product looked up among
+    # them, and the group is the orbit of the identity, the first row: the
+    # old members under the new generator, then each new member under every
+    # generator, in Python lists, which beat numpy calls on groups of order 2
     check_product(rank, bound, bound)
-    group = np.arange(sub.order) == 0  # the identity is the first row
-    found = []
-    while (fixed & ~group).any():
-        found.append(stack[np.argmax(fixed & ~group)])
-        # the old members times the new generator, then each new member
-        # times every generator
-        frontier, gens = np.flatnonzero(group), found[-1:]
-        while len(frontier):
-            rows = sub.rows_of(np.concatenate([stack[frontier] @ g for g in gens]))
-            fresh = np.zeros_like(group)
-            fresh[rows] = True
-            frontier, gens = np.flatnonzero(fresh & ~group), found
-            group |= fresh
-    if not np.array_equal(group, fixed):
-        raise AssertionError("the fixed rows are not a group")
+    index = dict(zip(_keys(elements), range(stab_order)))
+    inside = [True] + [False] * (stab_order - 1)
+    found, moves = [], []
+    while False in inside:
+        found.append(elements[inside.index(False)])
+        try:
+            moves.append([index[k] for k in _keys(elements @ found[-1])])
+        except KeyError:
+            raise AssertionError("the fixed rows are not a group") from None
+        frontier, pulled = [i for i in range(stab_order) if inside[i]], moves[-1:]
+        while frontier:
+            fresh = []
+            for move in pulled:
+                for j in map(move.__getitem__, frontier):
+                    if not inside[j]:
+                        inside[j] = True
+                        fresh.append(j)
+            frontier, pulled = fresh, moves
     if order % stab_order != 0:
         raise AssertionError("stabilizer order does not divide |W|")
-    elements = stack[fixed]
     crepant = None
     if stab_order == 1:
         cls = "trivial"
@@ -336,11 +341,23 @@ def _two_torsion_orbit_reps(generators, rank):
 _NIBBLES = tuple(tuple((x >> t) & 1 for t in range(4)) for x in range(16))
 
 
-def _decode_two_torsion(code, rank):
-    """The point of a nonzero code, reduced already: some entry is 1 mod 2."""
-    return TorsionPoint(
-        2, tuple(_NIBBLES[(code >> (4 * j)) & 15] for j in range(rank))
-    )
+def _points_of_codes(codes, rank):
+    """The points of nonzero codes, reduced already: some entry is 1 mod 2.
+
+    Nibble j of a code is the row over the j-th simple coroot, one of the 16
+    shared _NIBBLES.  The (n, rank) nibble array is checked once for what
+    TorsionPoint checks of each point, and each point is built without it.
+    """
+    nibbles = np.array(codes, dtype=np.int64)[:, None] >> 4 * np.arange(rank) & 15
+    low, high = nibbles.min(initial=0), nibbles.max(initial=0)
+    if nibbles.dtype.kind != "i" or not 0 <= low <= high < 16:
+        raise ValueError("coordinates must be 4-vectors of ints mod den")
+    points = [object.__new__(TorsionPoint) for _ in codes]
+    for p, row in zip(points, nibbles.tolist()):
+        # as the __init__ of a frozen dataclass sets its fields
+        object.__setattr__(p, "den", 2)
+        object.__setattr__(p, "coords", tuple(map(_NIBBLES.__getitem__, row)))
+    return points
 
 
 def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
@@ -367,16 +384,14 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
         raise ValueError(f"2-torsion candidate set exceeds cap {order_cap}")
     reps = _two_torsion_orbit_reps(generators, rank)[1:]
     first, first_size = reps[0]
-    report = stabilizer(action, _decode_two_torsion(first, rank), order_cap=order_cap)
+    report = stabilizer(action, _points_of_codes([first], rank)[0], order_cap=order_cap)
     whole = report.order * first_size
     if order != whole:
         raise AssertionError("orbit-stabilizer count disagrees with the group order")
     minus = freeze([[-x for x in row] for row in identity(rank)])
     if minus not in report.elements:
         return []
-    return [
-        _decode_two_torsion(code, rank) for code, size in reps if 2 * size == whole
-    ]
+    return _points_of_codes([code for code, size in reps if 2 * size == whole], rank)
 
 
 @dataclass(frozen=True)

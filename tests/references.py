@@ -25,6 +25,7 @@ from weylorb.intlinalg import (
     check_product,
     clear_denominators,
     det,
+    freeze,
     identity,
     mat_mul,
     max_abs,
@@ -33,7 +34,7 @@ from weylorb.intlinalg import (
     smith_normal_form,
     transpose,
 )
-from weylorb.rootdata import least_orbit_labels
+from weylorb.rootdata import GroupOrderCapError, _keys, least_orbit_labels
 from weylorb.stringy import (
     DEFAULT_ENGINE_CAP,
     _check_cap,
@@ -42,7 +43,12 @@ from weylorb.stringy import (
     _labels,
     _smith_of_g_minus_one,
 )
-from weylorb.torsion import TorsionPoint
+from weylorb.torsion import (
+    StabilizerReport,
+    TorsionPoint,
+    _group_parts,
+    _point_subgroup,
+)
 
 
 def _add_outer(acc, sq, weight):
@@ -52,6 +58,15 @@ def _add_outer(acc, sq, weight):
             for q, cq in enumerate(sq):
                 if cq:
                     acc[(p, q)] = acc.get((p, q), 0) + weight * cp * cq
+
+
+def rows_of(group, stack):
+    """The row of group.stack holding each matrix of an int64 stack, looked
+    up in the group's bytes index."""
+    try:
+        return np.array([group.index[key] for key in _keys(stack)], dtype=np.int64)
+    except KeyError:
+        raise AssertionError("a product lies outside the group") from None
 
 
 def conjugacy_classes_by_products(group):
@@ -79,7 +94,7 @@ def conjugacy_classes_by_products(group):
     for s in group.generators:
         left = np.array(s, dtype=np.int64) @ arr
         s_inv = arr[np.flatnonzero((left == np.eye(r)).all(axis=(1, 2)))[0]]
-        moves.append(group.rows_of(left @ s_inv))
+        moves.append(rows_of(group, left @ s_inv))
     labels = least_orbit_labels(moves, np.arange(n))
     reps = np.flatnonzero(labels == np.arange(n))
     sizes = np.bincount(labels)[reps]
@@ -351,6 +366,71 @@ def torsion_point_refuses(den, coords):
         or len(entry) != 4
         or any(type(x) is not int or not 0 <= x < den for x in entry)
         for entry in coords
+    )
+
+
+def decode_two_torsion(code, rank):
+    """The point of a nonzero code, built by the checking constructor:
+    nibble j of the code, lowest bit first, is the row over coroot j."""
+    nibbles = [tuple((code >> (4 * j + t)) & 1 for t in range(4)) for j in range(rank)]
+    return TorsionPoint(2, tuple(nibbles))
+
+
+def stabilizer_by_index_closure(action, point, order_cap=10**6):
+    """torsion.stabilizer with the greedy generators closed inside H.
+
+    The same H and the same fixed rows; each generator is taken in stack
+    order from the fixed rows outside the group so far, and that group is
+    a boolean mask over the rows of H, grown breadth-first by products
+    looked up in H's bytes index (rows_of): the old members times the new
+    generator, then each new member times every generator.
+    """
+    generators, order, table = _group_parts(action)
+    rank = len(generators[0])
+    point = point.reduced()
+    den, coords = point.den, np.array(point.coords, dtype=np.int64)
+    if table is not None:
+        sub = _point_subgroup(table, den, coords, order_cap)
+    elif order > order_cap:
+        raise GroupOrderCapError(f"order {order} exceeds the cap {order_cap}")
+    else:
+        sub = getattr(action, "group", action)
+    stack, bound = sub.stack, sub.bound
+    check_product(rank, bound, den - 1)
+    fixed = (stack @ coords % den == coords).all(axis=(1, 2))
+    check_product(rank, bound, bound)
+    group = np.arange(sub.order) == 0
+    found = []
+    while (fixed & ~group).any():
+        found.append(stack[np.argmax(fixed & ~group)])
+        frontier, gens = np.flatnonzero(group), found[-1:]
+        while len(frontier):
+            rows = rows_of(sub, np.concatenate([stack[frontier] @ g for g in gens]))
+            fresh = np.zeros_like(group)
+            fresh[rows] = True
+            frontier, gens = np.flatnonzero(fresh & ~group), found
+            group |= fresh
+    if not np.array_equal(group, fixed):
+        raise AssertionError("the fixed rows are not a group")
+    elements = stack[fixed]
+    stab_order = len(elements)
+    if stab_order == 1:
+        cls, label, crepant = "trivial", "smooth point", None
+    elif stab_order == 2 and np.array_equal(
+        elements[1], -np.eye(rank, dtype=np.int64)
+    ):
+        cls, label = "minus_one_local_model", f"C^{2 * rank}/+-1"
+        crepant = "resolvable" if rank == 1 else "no_crepant_resolution"
+    else:
+        cls, label, crepant = "other", f"subgroup of order {stab_order}", None
+    return StabilizerReport(
+        generators=tuple(freeze(g.tolist()) for g in found),
+        order=stab_order,
+        orbit_size=order // stab_order,
+        action_classification=cls,
+        local_model_label=label,
+        elements=tuple(sorted(freeze(g) for g in elements.tolist())),
+        crepant=crepant,
     )
 
 

@@ -514,6 +514,7 @@ REMOVED_EXPORTS = [
     ("rootdata", "WeylGroup.elements"),
     ("rootdata", "WeylGroup.__iter__"),
     ("rootdata", "RootTable.reflection_subgroup"),
+    ("rootdata", "WeylGroup.rows_of"),
 ]
 
 

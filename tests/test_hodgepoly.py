@@ -68,6 +68,19 @@ class TestRingLaws:
         with pytest.raises(ValueError, match="not a pair of ints"):
             BigradedPoly({key: 1})
 
+    @pytest.mark.parametrize(
+        "coeff", [0.5, 1.0, 0.0, True, False, "1", None, np.float64(2)], ids=repr
+    )
+    def test_inexact_coefficient_rejected(self, coeff):
+        # a float term once stayed in what is an integer polynomial
+        with pytest.raises(ValueError, match="is not exact"):
+            BigradedPoly({(0, 1): 1, (1, 1): coeff})
+
+    def test_exact_coefficients_accepted(self):
+        p = BigradedPoly({(0, 0): np.int64(2), (1, 0): Fraction(1, 2), (0, 1): 3})
+        assert p.coeffs == {(0, 0): 2, (1, 0): Fraction(1, 2), (0, 1): 3}
+        assert (p * Fraction(2)).coeffs == {(0, 0): 4, (1, 0): 1, (0, 1): 6}
+
     def test_numpy_integer_bidegree_accepted(self):
         p = BigradedPoly({(np.int64(1), np.int32(2)): 3})
         assert p == BigradedPoly.monomial(1, 2, 3)

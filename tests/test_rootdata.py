@@ -459,6 +459,16 @@ class TestEmbeddings:
         with pytest.raises(ValueError):
             embed_diagram("A_2", "A_3", [1, 1])
 
+    @pytest.mark.parametrize(
+        "node_map",
+        [[1.5, 2, 3], [True, 2, 3], ["1", 2, 3], {1: 1.0, 2: 2, 3: 3}],
+        ids=repr,
+    )
+    def test_node_map_entry_that_is_no_int_rejected(self, node_map):
+        # int() once read [1.5, 2, 3] as the node map (1, 2, 3)
+        with pytest.raises(ValueError, match="node_map entries must be ints"):
+            embed_diagram("B_3", "F_4", node_map)
+
     def test_a2_in_g2_rejected(self):
         # the G_2 Cartan entries differ from the simply-laced A_2 ones
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Stringy Hodge engine: fixed loci, two independent routes, closed forms."""
 
 import random
+import re
 from math import prod
 
 import numpy as np
@@ -185,6 +186,19 @@ class TestEngineOracles:
     def test_closed_form_rejects_n0(self):
         with pytest.raises(ValueError):
             stringy_hodge_wreath_closed_form(0)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", None, np.int64(2)], ids=repr)
+    def test_sp_check_refuses_n_that_is_no_int(self, n, monkeypatch):
+        # 2.0 once raised TypeError from deep inside, and True ran as n = 1;
+        # either is refused before the closed form is built
+        def refused(*args):
+            raise AssertionError("work began")
+
+        monkeypatch.setattr(
+            weylorb.stringy, "stringy_hodge_wreath_closed_form", refused
+        )
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int, not {n!r}")):
+            verify_sp_theorem(n, engine=False)
 
 
 class TestTwoEngineRoutes:

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +32,9 @@ from weylorb.stringy import LatticeAction
 from weylorb.torsion import (
     StabilizerReport,
     TorsionPoint,
-    _decode_two_torsion,
     _group_parts,
     _point_subgroup,
+    _points_of_codes,
     _two_torsion_moves,
     _two_torsion_orbit_reps,
     find_minus_one_points,
@@ -42,7 +43,9 @@ from weylorb.torsion import (
 )
 
 from references import (
+    decode_two_torsion,
     perturbed_candidates,
+    stabilizer_by_index_closure,
     torsion_point_refuses,
     two_torsion_moves_by_nibbles,
     two_torsion_orbit_reps_by_nibbles,
@@ -411,9 +414,9 @@ class TestBatchedStabilizer:
             self.assert_same(group, p)
 
     def test_subgroup_is_enumerated_once(self, monkeypatch):
-        # the greedy generators are checked inside H's index, with no second
-        # enumeration of the growing group, and a second call on the same
-        # root datum finds H kept on its root table
+        # the greedy generators are closed inside the fixed rows, with no
+        # second enumeration of the growing group, and a second call on the
+        # same root datum finds H kept on its root table
         calls = []
         real = weylorb.rootdata.enumerate_group
 
@@ -484,6 +487,60 @@ class TestBatchedStabilizer:
             find_minus_one_points(gens)
 
 
+class TestClosureInsideFixedRows:
+    """stabilizer() closes its greedy generators inside the fixed rows; the
+    breadth-first closure inside H's index must give the same report,
+    generators and their order included."""
+
+    COWEIGHT_A2 = [((-1, 0), (1, 1)), ((1, 1), (0, -1))]
+
+    @pytest.mark.parametrize(
+        "letter,rank", [("G", 2), ("B", 3), ("D", 4), ("F", 4), ("coweight", 2)]
+    )
+    @pytest.mark.parametrize("den", [1, 2, 3, 4, 5, 6])
+    def test_seeded_points(self, letter, rank, den):
+        if letter == "coweight":
+            # no root table, so H is W itself
+            group = enumerate_group(self.COWEIGHT_A2)
+            assert group.roots is None
+        else:
+            group = enumerate_group(build_root_datum(letter, rank))
+        points = _points_of_denominator(group, den, 10, seed=31 * den + rank)
+        orders = set()
+        for p in points + [TorsionPoint.zero(rank)]:
+            report = stabilizer(group, p)
+            assert report == stabilizer_by_index_closure(group, p)
+            orders.add(report.order)
+        # mod 1 every point is zero, whose stabilizer is all of W
+        assert len(orders) == 1 if den == 1 else len(orders) >= 2
+
+    def test_minus_one_points(self):
+        group = enumerate_group(build_root_datum("D", 4))
+        for p in find_minus_one_points(group):
+            assert stabilizer(group, p) == stabilizer_by_index_closure(group, p)
+
+    @pytest.mark.parametrize(
+        "rows,bound,error,match",
+        [
+            # the rotation of order 3 is a fixed row, its square is not
+            ([[[0, -1], [1, -1]]], 1, AssertionError, "the fixed rows are not a group"),
+            # a row whose square could overflow int64
+            ([[[1, 2**40], [0, 1]]], 2**40, EntryBoundError, "could overflow"),
+        ],
+        ids=["no-group", "entry-bound"],
+    )
+    def test_fixed_rows_are_checked(self, monkeypatch, rows, bound, error, match):
+        # H is replaced by the identity and these rows, all fixing the zero
+        # point, so the closure meets them as its fixed rows
+        stack = np.array([identity(2)] + rows, dtype=np.int64)
+        fake = types.SimpleNamespace(stack=stack, bound=bound)
+        monkeypatch.setattr(weylorb.torsion, "_point_subgroup", lambda *args: fake)
+        with pytest.raises(error, match=match):
+            stabilizer(build_root_datum("A", 2), TorsionPoint.zero(2))
+        fake.stack, fake.bound = stack[:1], 1
+        assert stabilizer(build_root_datum("A", 2), TorsionPoint.zero(2)).order == 1
+
+
 class TestSubgroupMemo:
     """stabilizer() on a group whose root table keeps the subgroups it has
     enumerated, against the same call on a freshly built group."""
@@ -529,8 +586,9 @@ class TestSubgroupMemo:
             assert len({mask for _, mask in calls}) == 3
 
     def test_each_kept_subgroup_bound_is_read_once(self, monkeypatch):
-        # a second pass over the 560 points reads no stack's entries again:
-        # each kept H holds its max_abs, and the coordinates are no stack
+        # a second pass over the 560 points reads no entry bound again: each
+        # kept H holds its max_abs, the root table that of its forms, and
+        # the coordinates are no stack
         group = enumerate_group(build_root_datum("D", 4))
         points = find_minus_one_points(build_root_datum("D", 4))
         first = [stabilizer(group, p) for p in points]
@@ -544,10 +602,11 @@ class TestSubgroupMemo:
         for module in (weylorb.rootdata, weylorb.torsion):
             monkeypatch.setattr(module, "max_abs", counted)
         assert [stabilizer(group, p) for p in points] == first
-        assert 3 not in reads
+        assert reads == []
         kept = list(group.roots._subgroups.values())
         assert len(kept) == 3
         assert all(sub.__dict__["bound"] == real(sub.stack) for sub in kept)
+        assert group.roots.form_bound == real(group.roots.forms)
 
     def test_memo_is_bounded_by_the_cap(self):
         # the D_4 minus-one points search 3 distinct subgroups of order 16;
@@ -767,17 +826,33 @@ class TestTwoTorsionOrbits:
 
     def test_decoding_reads_bit_4j_plus_t(self):
         # coordinate t over the j-th simple coroot is bit 4j + t of the code
-        for code in range(1, 1 << 12):
+        codes = range(1, 1 << 12)
+        for code, p in zip(codes, _points_of_codes(codes, 3), strict=True):
             coords = tuple(
                 tuple((code >> (4 * j + t)) & 1 for t in range(4)) for j in range(3)
             )
-            assert _decode_two_torsion(code, 3) == TorsionPoint(2, coords)
+            assert p == TorsionPoint(2, coords)
 
     @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
     def test_nonzero_codes_decode_reduced(self, letter, rank):
-        for code in range(1, 1 << (4 * rank)):
-            p = _decode_two_torsion(code, rank)
+        for p in _points_of_codes(range(1, 1 << (4 * rank)), rank):
             assert p == p.reduced()
+
+    def test_bulk_points_are_the_per_code_decode(self):
+        # the scan's 560 D_4 points, built from one bit array, against the
+        # checking constructor one code at a time: equal, of int entries,
+        # and each passes that constructor's check
+        datum = build_root_datum("D", 4)
+        points = find_minus_one_points(datum)
+        reps = _two_torsion_orbit_reps(datum.weyl_generators, 4)
+        codes = [code for code, size in reps if size == 96]
+        assert len(points) == len(codes) == 560
+        assert points == [decode_two_torsion(code, 4) for code in codes]
+        for p in points:
+            assert type(p.coords) is tuple and all(type(r) is tuple for r in p.coords)
+            assert {type(x) for row in p.coords for x in row} == {int}
+            assert TorsionPoint(p.den, p.coords) == p and hash(p) == hash(p.reduced())
+        assert _points_of_codes([], 4) == []
 
 
 class TestMinusOneScan:
