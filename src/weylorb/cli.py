@@ -71,21 +71,13 @@ def cmd_stringy(args):
     return 0, payload, poly.diamond_text(), csv_rows
 
 
-def cmd_verify_sp(args):
-    report = stringy.verify_sp_theorem(
-        args.n, order_cap=args.cap or stringy.DEFAULT_ENGINE_CAP
+def cmd_verify(args):
+    """verify-sp or verify-su: the verdict line, then the report's notes."""
+    report = args.check(args.n, order_cap=args.cap or stringy.DEFAULT_ENGINE_CAP)
+    text = "\n".join(
+        (f"{report.label} n={report.n}: {'pass' if report.verdict else 'fail'}",)
+        + report.notes
     )
-    text = f"sp n={args.n}: {'pass' if report.verdict else 'fail'}"
-    if not report.verdict:
-        text += "\n" + "\n".join(report.notes)
-    return (0 if report.verdict else 1), report.to_dict(), text, None
-
-
-def cmd_verify_su(args):
-    report = stringy.verify_su_case(
-        args.n, order_cap=args.cap or stringy.DEFAULT_ENGINE_CAP
-    )
-    text = f"su n={args.n}: {'pass' if report.verdict else 'fail'}"
     return (0 if report.verdict else 1), report.to_dict(), text, None
 
 
@@ -259,11 +251,13 @@ def build_parser():
     add_parser("table1", cmd_table1, "highest-coroot coefficient table")
     add_parser("stringy", cmd_stringy, "stringy Hodge diamond of a Weyl action", typed)
 
-    p = add_parser("verify-sp", cmd_verify_sp, "three-way Sp(n) check")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add_parser("verify-su", cmd_verify_su, "SU(n) stringy computation and checks")
-    p.add_argument("--n", type=int, required=True)
+    for name, check, help in (
+        ("verify-sp", stringy.verify_sp_theorem, "three-way Sp(n) check"),
+        ("verify-su", stringy.verify_su_case, "SU(n) stringy computation and checks"),
+    ):
+        p = add_parser(name, cmd_verify, help)
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(check=check)
 
     p = add_parser("series", cmd_series, "Hilbert-scheme generating series")
     p.add_argument("--n", type=int, required=True)

@@ -12,16 +12,25 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+from .intlinalg import require_int
+
 
 @dataclass(frozen=True)
 class F2Class:
-    """An element of H^1(T^n; Z/2) as a bit tuple."""
+    """An element of H^1(T^n; Z/2) as a bit tuple; bits that are not a
+    tuple of the ints 0 and 1 raise ValueError."""
 
     bits: tuple
 
+    def __post_init__(self):
+        if type(self.bits) is not tuple or any(
+            type(b) is not int or b not in (0, 1) for b in self.bits
+        ):
+            raise ValueError(f"bits must be a tuple of 0s and 1s, not {self.bits!r}")
+
     @classmethod
     def from_string(cls, s):
-        if any(c not in "01" for c in s):
+        if not isinstance(s, str) or any(c not in "01" for c in s):
             raise ValueError(f"bad bitstring {s!r}")
         return cls(tuple(int(c) for c in s))
 
@@ -101,12 +110,22 @@ class ExteriorF2Element:
         return " + ".join(parts)
 
 
+def _as_class(a):
+    """a as an F2Class, read from a bitstring; ValueError for anything else."""
+    if isinstance(a, str):
+        return F2Class.from_string(a)
+    if not isinstance(a, F2Class):
+        raise ValueError(f"{a!r} is not an F2Class or a bitstring")
+    return a
+
+
 def line_bundle_cohomology(n, k, alpha):
     """dim H^k(T^n, R_alpha), by Kunneth: C(n, k) if alpha = 0, else 0."""
+    require_int("n", n)
+    require_int("k", k)
     if not 0 <= k <= n:
         raise ValueError("degree out of range")
-    if isinstance(alpha, str):
-        alpha = F2Class.from_string(alpha)
+    alpha = _as_class(alpha)
     if alpha.n != n:
         raise ValueError("class lives on the wrong torus")
     return comb(n, k) if alpha.is_zero() else 0
@@ -117,9 +136,7 @@ def total_sw_class(classes):
 
     Whitney product formula: w(E) = prod (1 + alpha).
     """
-    classes = [
-        F2Class.from_string(a) if isinstance(a, str) else a for a in classes
-    ]
+    classes = [_as_class(a) for a in classes]
     if not classes:
         raise ValueError("empty bundle")
     n = classes[0].n
@@ -137,9 +154,7 @@ def so_bundle_deformation_dim(classes):
     so(E) splits into the line bundles R_alpha tensor R_beta over unordered
     pairs of distinct summands, each contributing H^1 of R_(alpha+beta).
     """
-    classes = [
-        F2Class.from_string(a) if isinstance(a, str) else a for a in classes
-    ]
+    classes = [_as_class(a) for a in classes]
     if not classes:
         raise ValueError("empty bundle")
     n = classes[0].n

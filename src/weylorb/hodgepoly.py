@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import comb
 from numbers import Integral
 
+from .intlinalg import require_int
+
 
 class BigradedPoly:
     """Integer polynomial in two formal variables indexed by bidegree (p, q);
@@ -241,6 +243,7 @@ def sym_power(h, l):
     prod_{p+q even} (1 - x^p y^q t)^(-h^{p,q})
     * prod_{p+q odd} (1 + x^p y^q t)^(h^{p,q}).
     """
+    require_int("l", l)
     if l < 0:
         raise ValueError("negative symmetric power")
     return _goettsche_product(h, l, 1)[l]
@@ -249,6 +252,7 @@ def sym_power(h, l):
 def goettsche(surface_hodge, n):
     """Hodge polynomial of the Hilbert scheme of n points: the coefficient of
     t^n in Goettsche's product."""
+    require_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return generating_series(surface_hodge, n)[n]
@@ -266,6 +270,7 @@ def generating_series(surface_hodge, n_max, specialization=None):
     specialization may be None, a name from SPECIALIZATIONS, or an (x0, y0)
     pair.  Returns a list of BigradedPoly or of integers.
     """
+    require_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > MAX_SERIES_N:

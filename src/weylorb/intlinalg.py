@@ -35,6 +35,13 @@ class EntryBoundError(ValueError):
     """Raised before an int64 product whose entries could overflow."""
 
 
+def require_int(name, value):
+    """ValueError unless value is an int: type(x) is int refuses bools,
+    floats and strings alike, which int() would truncate or read."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def check_product(k, a_bound, b_bound):
     """Refuse a product of k-term sums of entries bounded by a_bound, b_bound."""
     if k * a_bound * b_bound > INT64_MAX:

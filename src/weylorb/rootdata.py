@@ -1,17 +1,18 @@
 """Coroot lattices and Weyl groups as finite integer-matrix groups.
 
-Each simple type is realized by explicit simple-coroot vectors in an ambient
-Z^m (classical types, G_2, F_4) or abstractly through its Cartan matrix
-(E types).  All Weyl elements are integer matrices acting on the basis of
-simple coroots.  An enumerated group stores them once, as one int64 stack
-with one exact index from the bytes of each matrix to its position, and
-every module downstream works on that stack: classes, centralizers,
-twisted sectors, the commuting-pairs oracle and stabilizer membership.
-Classes and centralizers tell elements apart by their images of one regular v.
+Each simple type is its Cartan matrix, read off the Dynkin diagram: W acts on
+the coroot lattice by the simple reflections, which the matrix fixes, so no
+ambient realization is needed.  All Weyl elements are integer matrices
+acting on the basis of simple coroots.  An enumerated group stores them
+once, as one int64 stack with one exact index from the bytes of each matrix
+to its position, and every module downstream works on that stack: classes,
+centralizers, twisted sectors, the commuting-pairs oracle and stabilizer
+membership.  Classes and centralizers tell elements apart by their images
+of one regular v.
 
-Conventions.  cartan[i][j] = <alpha_i, alpha_j^vee> = 2(c_i, c_j)/(c_i, c_i)
-where c_i are the simple coroot vectors; the simple reflection s_i then acts
-on the coroot basis by s_i(e_j) = e_j - cartan[i][j] e_i.
+Conventions.  cartan[i][j] = <alpha_i, alpha_j^vee>, and the simple
+reflection s_i acts on the coroot basis by s_i(e_j) = e_j - cartan[i][j]
+e_i.  Nodes are numbered as in Bourbaki, but G_2 has alpha_1 long.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .intlinalg import (
     identity,
     int64_generators,
     invariant_factors,
-    mat_mul,
     max_abs,
-    transpose,
+    require_int,
 )
 
 
@@ -60,9 +60,8 @@ def expected_weyl_order(letter, rank):
 
 def parse_type(type_label, rank=None):
     """Normalize 'G_2', 'G2', ('G', 2) style input to (letter, rank)."""
-    # type(x) is int refuses bools and floats, which int() would truncate
-    if rank is not None and type(rank) is not int:
-        raise ValueError(f"rank must be an int, not {rank!r}")
+    if rank is not None:
+        require_int("rank", rank)
     s = str(type_label).strip().upper().replace("_", "")
     if not s:
         raise ValueError(f"invalid Dynkin type {type_label!r}")
@@ -94,7 +93,6 @@ class RootDatum:
     dynkin_type: str
     rank: int
     cartan: tuple
-    simple_coroots: tuple
     weyl_generators: tuple
 
     @property
@@ -126,37 +124,6 @@ class RootDatum:
         return expected_weyl_order(self.letter, self.rank)
 
 
-def _chain(count, width):
-    """The vectors e_i - e_(i+1) of Z^width, for i < count."""
-    return [
-        [1 if k == i else (-1 if k == i + 1 else 0) for k in range(width)]
-        for i in range(count)
-    ]
-
-
-def _simple_coroot_vectors(letter, rank):
-    n = rank
-    if letter == "A":
-        # sum-zero realization in Z^(n+1)
-        return _chain(n, n + 1)
-    if letter == "B":
-        return _chain(n - 1, n) + [[0] * (n - 1) + [2]]
-    if letter == "C":
-        return _chain(n - 1, n) + [[0] * (n - 1) + [1]]
-    if letter == "D":
-        return _chain(n - 1, n) + [[0] * (n - 2) + [1, 1]]
-    if letter == "G":
-        return [[1, -1, 0], [-2, 1, 1]]
-    if letter == "F":
-        return [
-            [0, 1, -1, 0],
-            [0, 0, 1, -1],
-            [0, 0, 0, 2],
-            [1, -1, -1, -1],
-        ]
-    return None  # E types: abstract realization
-
-
 _E_EDGES = {
     6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
     7: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)],
@@ -164,13 +131,26 @@ _E_EDGES = {
 }
 
 
-def _cartan_from_coroots(coroots):
-    """cartan[i][j] = 2 (c_i, c_j) / (c_i, c_i), read off the Gram matrix."""
-    gram = mat_mul(coroots, transpose(coroots))
-    for i, row in enumerate(gram):
-        if any(2 * x % row[i] for x in row):
-            raise ValueError("coroot vectors give a non-integral pairing")
-    return [[2 * x // row[i] for x in row] for i, row in enumerate(gram)]
+def _cartan(letter, rank):
+    """The Cartan matrix of a simple type, read off its Dynkin diagram.
+
+    2 on the diagonal and -1 both ways on each edge: the chain 1-2-...-rank,
+    with D_n's last node hung off node n - 2, or _E_EDGES for E_n.  Then
+    the one multiple bond, (row, column, entry) 1-based, its entry in the
+    row of the node whose simple coroot is shorter.  G_2 has alpha_1 long.
+    """
+    n = rank
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    edges = _E_EDGES[n] if letter == "E" else [(i, i + 1) for i in range(1, n)]
+    if letter == "D":
+        edges[-1] = (n - 2, n)
+    for a, b in edges:
+        cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
+    bond = {"B": (n - 1, n, -2), "C": (n, n - 1, -2), "F": (2, 3, -2), "G": (1, 2, -3)}
+    if letter in bond:
+        i, j, entry = bond[letter]
+        cartan[i - 1][j - 1] = entry
+    return cartan
 
 
 def build_root_datum(type_label, rank=None):
@@ -180,14 +160,7 @@ def build_root_datum(type_label, rank=None):
     simple coroots.
     """
     letter, rank = parse_type(type_label, rank)
-    coroots = _simple_coroot_vectors(letter, rank)
-    if coroots is None:
-        coroots = identity(rank)
-        cartan = [[2 * x for x in row] for row in coroots]
-        for a, b in _E_EDGES[rank]:
-            cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
-    else:
-        cartan = _cartan_from_coroots(coroots)
+    cartan = _cartan(letter, rank)
     gens = []
     for i in range(rank):
         # s_i(e_j) = e_j - cartan[i][j] e_i changes only row i of I
@@ -198,7 +171,6 @@ def build_root_datum(type_label, rank=None):
         dynkin_type=f"{letter}_{rank}",
         rank=rank,
         cartan=freeze(cartan),
-        simple_coroots=freeze(coroots),
         weyl_generators=tuple(gens),
     )
 

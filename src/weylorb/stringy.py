@@ -54,6 +54,7 @@ from .intlinalg import (
     freeze,
     identity,
     max_abs,
+    require_int,
     smith_normal_form,
 )
 from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
@@ -94,7 +95,11 @@ class LatticeAction:
 
 
 def _transpositions(n):
-    """The adjacent transpositions of the coordinates of Z^n."""
+    """The adjacent transpositions of the coordinates of Z^n; ValueError
+    unless n is an int >= 1."""
+    require_int("n", n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     gens = []
     for i in range(n - 1):
         g = identity(n)
@@ -112,9 +117,10 @@ def symmetric_action(n, order_cap=DEFAULT_ENGINE_CAP):
 
 def wreath_bn_action(n, order_cap=DEFAULT_ENGINE_CAP):
     """The hyperoctahedral group of signed permutations of Z^n."""
+    gens = _transpositions(n)
     s = identity(n)
     s[n - 1][n - 1] = -1
-    return LatticeAction.from_generators(_transpositions(n) + [s], order_cap)
+    return LatticeAction.from_generators(gens + [s], order_cap)
 
 
 def su_action(n, order_cap=DEFAULT_ENGINE_CAP):
@@ -384,6 +390,7 @@ def stringy_hodge_wreath_closed_form(n):
     factor with shift i - 1 and a negative i-cycle sixteen points with
     shift i, giving the total shift n - |alpha_plus|.
     """
+    require_int("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     # a cycle multiplicity is at most n, so Sym^1..Sym^n of each factor is
@@ -435,8 +442,7 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
     MAX_VERIFY_SP_N, or n that is not an int or is a bool, raises
     ValueError before any work.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, not {n!r}")
+    require_int("n", n)
     if n > MAX_VERIFY_SP_N:
         raise ValueError(f"n = {n} is above the Sp(n) check's bound {MAX_VERIFY_SP_N}")
     closed = stringy_hodge_wreath_closed_form(n)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -47,6 +48,7 @@ from .intlinalg import (
     mat_mul,
     max_abs,
     rational_nullspace,
+    require_int,
     transpose,
 )
 from .rootdata import (
@@ -61,12 +63,6 @@ from .rootdata import (
 
 class PerturbationNotFoundError(ValueError):
     """Raised when propagate draws no perturbation that keeps the stabilizer."""
-
-
-def _require_int(name, value):
-    # type(x) is int refuses bools, floats and strings alike
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +183,12 @@ class StabilizerReport:
     crepant: str = None
 
 
+@cache
+def _minus_one(rank):
+    """-1 on Z^rank, frozen as StabilizerReport.elements holds its elements."""
+    return freeze([[-x for x in row] for row in identity(rank)])
+
+
 def _point_subgroup(table, den, coords, order_cap):
     """A reflection subgroup H of W containing Stab(p).
 
@@ -270,13 +272,13 @@ def stabilizer(action, point, order_cap=10**6):
             frontier, pulled = fresh, moves
     if order % stab_order != 0:
         raise AssertionError("stabilizer order does not divide |W|")
+    # sorted, so of {1, -1} the -1 comes first
+    frozen = tuple(sorted(freeze(g) for g in elements.tolist()))
     crepant = None
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and np.array_equal(
-        elements[1], -np.eye(rank, dtype=np.int64)
-    ):
+    elif stab_order == 2 and frozen[0] == _minus_one(rank):
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
         # the +-1 quotient is resolvable only in one surface factor
@@ -290,7 +292,7 @@ def stabilizer(action, point, order_cap=10**6):
         orbit_size=order // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(freeze(g) for g in elements.tolist())),
+        elements=frozen,
         crepant=crepant,
     )
 
@@ -375,7 +377,7 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     not in W.  A denominator bound that is not an int, or is a bool, raises
     ValueError.
     """
-    _require_int("denominator bound", denominator_bound)
+    require_int("denominator bound", denominator_bound)
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
     generators, order, _ = _group_parts(action)
@@ -388,8 +390,7 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     whole = report.order * first_size
     if order != whole:
         raise AssertionError("orbit-stabilizer count disagrees with the group order")
-    minus = freeze([[-x for x in row] for row in identity(rank)])
-    if minus not in report.elements:
+    if _minus_one(rank) not in report.elements:
         return []
     return _points_of_codes([code for code, size in reps if 2 * size == whole], rank)
 
@@ -422,8 +423,8 @@ def propagate(
     A fine denominator or max_attempts that is not an int, or is a bool,
     raises ValueError.
     """
-    _require_int("fine denominator", fine_denominator)
-    _require_int("max_attempts", max_attempts)
+    require_int("fine denominator", fine_denominator)
+    require_int("max_attempts", max_attempts)
     sub, amb = embedding.sub, embedding.ambient
     f = fine_denominator
     if f < 1:

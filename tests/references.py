@@ -34,7 +34,13 @@ from weylorb.intlinalg import (
     smith_normal_form,
     transpose,
 )
-from weylorb.rootdata import GroupOrderCapError, _keys, least_orbit_labels
+from weylorb.rootdata import (
+    GroupOrderCapError,
+    RootDatum,
+    _keys,
+    least_orbit_labels,
+    parse_type,
+)
 from weylorb.stringy import (
     DEFAULT_ENGINE_CAP,
     _check_cap,
@@ -431,6 +437,82 @@ def stabilizer_by_index_closure(action, point, order_cap=10**6):
         local_model_label=label,
         elements=tuple(sorted(freeze(g) for g in elements.tolist())),
         crepant=crepant,
+    )
+
+
+def _chain(count, width):
+    """The vectors e_i - e_(i+1) of Z^width, for i < count."""
+    return [
+        [1 if k == i else (-1 if k == i + 1 else 0) for k in range(width)]
+        for i in range(count)
+    ]
+
+
+def _simple_coroot_vectors(letter, rank):
+    n = rank
+    if letter == "A":
+        # sum-zero realization in Z^(n+1)
+        return _chain(n, n + 1)
+    if letter == "B":
+        return _chain(n - 1, n) + [[0] * (n - 1) + [2]]
+    if letter == "C":
+        return _chain(n - 1, n) + [[0] * (n - 1) + [1]]
+    if letter == "D":
+        return _chain(n - 1, n) + [[0] * (n - 2) + [1, 1]]
+    if letter == "G":
+        return [[1, -1, 0], [-2, 1, 1]]
+    if letter == "F":
+        return [
+            [0, 1, -1, 0],
+            [0, 0, 1, -1],
+            [0, 0, 0, 2],
+            [1, -1, -1, -1],
+        ]
+    return None  # E types: abstract realization
+
+
+_E_EDGES = {
+    6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
+    7: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)],
+    8: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)],
+}
+
+
+def _cartan_from_coroots(coroots):
+    """cartan[i][j] = 2 (c_i, c_j) / (c_i, c_i), read off the Gram matrix."""
+    gram = mat_mul(coroots, transpose(coroots))
+    for i, row in enumerate(gram):
+        if any(2 * x % row[i] for x in row):
+            raise ValueError("coroot vectors give a non-integral pairing")
+    return [[2 * x // row[i] for x in row] for i, row in enumerate(gram)]
+
+
+def cartan_from_coroot_vectors(letter, rank):
+    """The RootDatum of a simple type built from explicit simple-coroot
+    vectors c_i in an ambient Z^m (A-D, F_4, G_2), cartan[i][j] =
+    2 (c_i, c_j) / (c_i, c_i), or from the E_n edge list; the simple
+    reflections s_i(e_j) = e_j - cartan[i][j] e_i act on the coroot basis.
+    """
+    letter, rank = parse_type(letter, rank)
+    coroots = _simple_coroot_vectors(letter, rank)
+    if coroots is None:
+        coroots = identity(rank)
+        cartan = [[2 * x for x in row] for row in coroots]
+        for a, b in _E_EDGES[rank]:
+            cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
+    else:
+        cartan = _cartan_from_coroots(coroots)
+    gens = []
+    for i in range(rank):
+        # s_i(e_j) = e_j - cartan[i][j] e_i changes only row i of I
+        g = identity(rank)
+        g[i] = [x - c for x, c in zip(g[i], cartan[i])]
+        gens.append(freeze(g))
+    return RootDatum(
+        dynkin_type=f"{letter}_{rank}",
+        rank=rank,
+        cartan=freeze(cartan),
+        weyl_generators=tuple(gens),
     )
 
 

@@ -31,6 +31,10 @@ GOLDEN_CASES = {
     "stringy_G2": ("stringy", "--type", "G_2"),
     "stringy_B4": ("stringy", "--type", "B_4"),
     "stringy_A5": ("stringy", "--type", "A_5"),
+    # the arrows of C_n, D_n beyond D_4 and F_4, captured at commit fe2f91b
+    "stringy_C3": ("stringy", "--type", "C_3"),
+    "stringy_D5": ("stringy", "--type", "D_5"),
+    "stringy_F4": ("stringy", "--type", "F_4"),
     "verify_sp_3": ("verify-sp", "--n", "3"),
     "verify_su_3": ("verify-su", "--n", "3"),
     "verify_su_4": ("verify-su", "--n", "4"),
@@ -162,6 +166,18 @@ class TestVerifiers:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "pass"
+
+    @pytest.mark.parametrize("command", ["verify-sp", "verify-su"])
+    def test_failing_report_prints_its_notes(self, capsys, monkeypatch, command):
+        # verify-su once dropped the notes of a failing report
+        label = command[-2:]
+        failed = weylorb.stringy.VerificationReport(
+            label=label, n=2, verdict=False, polynomials={}, notes=("a", "b")
+        )
+        name = "verify_sp_theorem" if label == "sp" else "verify_su_case"
+        monkeypatch.setattr(weylorb.stringy, name, lambda n, order_cap: failed)
+        code, out, err = run(capsys, command, "--n", "2")
+        assert (code, out, err) == (1, f"{label} n=2: fail\na\nb\n", "")
 
     def test_series_euler(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "3", "--format", "json")
@@ -515,6 +531,7 @@ REMOVED_EXPORTS = [
     ("rootdata", "WeylGroup.__iter__"),
     ("rootdata", "RootTable.reflection_subgroup"),
     ("rootdata", "WeylGroup.rows_of"),
+    ("rootdata", "RootDatum.simple_coroots"),
 ]
 
 

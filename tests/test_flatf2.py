@@ -33,6 +33,18 @@ class TestF2Class:
         with pytest.raises(ValueError):
             F2Class.from_string("1") + F2Class.from_string("10")
 
+    @pytest.mark.parametrize("bits", [(2,), (0, -1), (True,), (1.0,), [0, 1], "01"])
+    def test_bits_that_are_not_a_tuple_of_0s_and_1s_are_refused(self, bits):
+        # (2,) was once accepted as a class
+        with pytest.raises(ValueError, match="bits must be a tuple of 0s and 1s"):
+            F2Class(bits)
+
+    @pytest.mark.parametrize("s", [5, None, ["0", "1"]], ids=repr)
+    def test_bitstring_that_is_no_str_is_refused(self, s):
+        # from_string(5) once raised TypeError
+        with pytest.raises(ValueError, match="bad bitstring"):
+            F2Class.from_string(s)
+
 
 class TestExteriorAlgebra:
     def test_generators_square_to_zero(self):
@@ -77,6 +89,29 @@ class TestLineBundleCohomology:
     def test_range_check(self):
         with pytest.raises(ValueError):
             line_bundle_cohomology(2, 3, "00")
+
+    @pytest.mark.parametrize(
+        "n,k,name", [(2, 1.0, "k"), (2.0, 1, "n"), (2, True, "k")], ids=repr
+    )
+    def test_degree_that_is_no_int_is_refused(self, n, k, name):
+        # k = 1.0 once raised TypeError from comb()
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            line_bundle_cohomology(n, k, "00")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: line_bundle_cohomology(2, 1, 5),
+        lambda: total_sw_class([5]),
+        lambda: so_bundle_deformation_dim(["01", (0, 1)]),
+    ],
+    ids=["cohomology", "whitney", "deformation"],
+)
+def test_class_that_is_no_class_or_bitstring_is_refused(call):
+    # each once raised AttributeError on a.n
+    with pytest.raises(ValueError, match="is not an F2Class or a bitstring"):
+        call()
 
 
 class TestWhitneyClass:

@@ -175,6 +175,22 @@ class TestSymPower:
             sym_power(BigradedPoly({(0, 0): -1}), 2)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (sym_power, "l"),
+        (goettsche, "n"),
+        (generating_series, "n_max"),
+    ],
+    ids=["sym_power", "goettsche", "generating_series"],
+)
+def test_power_that_is_no_int_is_refused(call, name, value):
+    # 1.5 and 2.0 once raised TypeError from range(), and True ran as 1
+    with pytest.raises(ValueError, match=f"{name} must be an int, not {value!r}"):
+        call(kummer_k3(), value)
+
+
 class TestPartitions:
     def test_counts(self):
         # number of partitions of n

@@ -22,7 +22,11 @@ from weylorb.rootdata import (
 
 from weylorb.torsion import TorsionPoint, stabilizer
 
-from references import conjugacy_classes_by_products, positive_roots
+from references import (
+    cartan_from_coroot_vectors,
+    conjugacy_classes_by_products,
+    positive_roots,
+)
 
 ALL_SMALL_TYPES = [
     ("A", 1),
@@ -139,6 +143,19 @@ class TestRootDatum:
         d = dataclasses.replace(build_root_datum("A", 2), weyl_generators=gens)
         with pytest.raises(ValueError, match="no root table"):
             d.gram()
+
+    @pytest.mark.parametrize(
+        "letter,rank",
+        [("A", r) for r in range(1, 13)]
+        + [(x, r) for x in "BC" for r in range(2, 13)]
+        + [("D", r) for r in range(4, 13)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_diagram_matches_coroot_vectors(self, letter, rank):
+        # every simple type read off its Dynkin diagram equals the old
+        # realization by simple-coroot vectors in an ambient Z^m
+        ref = cartan_from_coroot_vectors(letter, rank)
+        assert build_root_datum(letter, rank) == ref
 
     def test_e_series_cartan_symmetric(self):
         for rank in (6, 7, 8):

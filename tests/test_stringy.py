@@ -39,11 +39,21 @@ class TestLatticeAction:
     def test_from_generators_counts(self):
         assert symmetric_action(3).group.order == 6
         assert wreath_bn_action(2).group.order == 8
+        assert symmetric_action(1).group.order == 1
+        assert wreath_bn_action(1).group.order == 2
         assert su_action(3).group.order == 6
 
     def test_cap_refusal(self):
         with pytest.raises(GroupOrderCapError):
             wreath_bn_action(3, order_cap=10)
+
+    @pytest.mark.parametrize("build", [symmetric_action, wreath_bn_action])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_coordinates_is_refused(self, build, n):
+        # wreath_bn_action(0) once raised IndexError, and symmetric_action(0)
+        # gave the trivial group on Z^1
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            build(n)
 
     def test_rejects_non_group(self):
         with pytest.raises(TypeError):
@@ -186,6 +196,12 @@ class TestEngineOracles:
     def test_closed_form_rejects_n0(self):
         with pytest.raises(ValueError):
             stringy_hodge_wreath_closed_form(0)
+
+    @pytest.mark.parametrize("n", [2.0, True], ids=repr)
+    def test_closed_form_refuses_n_that_is_no_int(self, n):
+        # 2.0 once raised TypeError from range(), and True ran as n = 1
+        with pytest.raises(ValueError, match=f"n must be an int, not {n!r}"):
+            stringy_hodge_wreath_closed_form(n)
 
     @pytest.mark.parametrize("n", [2.0, True, "2", None, np.int64(2)], ids=repr)
     def test_sp_check_refuses_n_that_is_no_int(self, n, monkeypatch):
