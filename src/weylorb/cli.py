@@ -21,7 +21,7 @@ import sys
 from . import flatf2, hilbmatrix, hodgepoly, rootdata, stringy, torsion
 from .rootdata import GroupOrderCapError
 
-# enumeration cap of torsion-scan and propagate when --cap is not given
+# cap on |W| in torsion-scan and propagate when --cap is not given
 GROUP_ORDER_CAP = 10**7
 
 # (group, type, highest-coroot coefficients the paper's Table 1 lists)
@@ -101,10 +101,12 @@ def cmd_series(args):
 
 def cmd_torsion_scan(args):
     datum = rootdata.build_root_datum(args.type, args.rank)
-    group = rootdata.enumerate_group(datum, args.cap or GROUP_ORDER_CAP)
-    points = torsion.find_minus_one_points(group, args.denominator_bound)
+    rootdata.check_order(
+        f"W({datum.dynkin_type})", datum.expected_order(), args.cap or GROUP_ORDER_CAP
+    )
+    points = torsion.find_minus_one_points(datum, args.denominator_bound)
     # every point found has stabilizer exactly {+-1}, so one report serves all
-    report = torsion.stabilizer(group, points[0]) if points else None
+    report = torsion.stabilizer(datum, points[0]) if points else None
     header = ("representative", "stabilizer_order", "classification", "local_model")
     rows, csv_rows = [], [header]
     for p in points:
@@ -126,14 +128,14 @@ def cmd_torsion_scan(args):
 
 
 def cmd_propagate(args):
-    sub_datum = rootdata.build_root_datum(args.type, args.rank)
+    sub = rootdata.build_root_datum(args.type, args.rank)
     embedding = rootdata.embed_diagram(
-        sub_datum, args.ambient, [int(x) for x in args.nodes.split(",")]
+        sub, args.ambient, [int(x) for x in args.nodes.split(",")]
     )
-    points = torsion.find_minus_one_points(
-        rootdata.enumerate_group(embedding.sub, args.cap or GROUP_ORDER_CAP),
-        args.denominator_bound,
+    rootdata.check_order(
+        f"W({sub.dynkin_type})", sub.expected_order(), args.cap or GROUP_ORDER_CAP
     )
+    points = torsion.find_minus_one_points(sub, args.denominator_bound)
     if not points:
         return 1, None, "no minus-one point found in the sub-lattice", None
     result = torsion.propagate(

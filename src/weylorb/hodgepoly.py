@@ -213,6 +213,8 @@ def _goettsche_product(h, n, kmax):
     place, degree a walking down from n, so every source a - kj still holds
     its value before that factor.
     """
+    if not isinstance(h, BigradedPoly):
+        raise ValueError(f"the surface must be a BigradedPoly, not {h!r}")
     if any(c < 0 for c in h.coeffs.values()):
         raise ValueError("sym_power requires nonnegative coefficients")
     series = [{(0, 0): 1}] + [{} for _ in range(n)]

@@ -290,11 +290,6 @@ def echelon_pivots_stack(stack):
     return pivots
 
 
-def invariant_factors(m):
-    d = smith_normal_form(m)[0]
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
-
-
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector."""
     out = [0] * len(vec)

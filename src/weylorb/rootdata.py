@@ -29,7 +29,6 @@ from .intlinalg import (
     freeze,
     identity,
     int64_generators,
-    invariant_factors,
     max_abs,
     require_int,
 )
@@ -37,6 +36,12 @@ from .intlinalg import (
 
 class GroupOrderCapError(ValueError):
     """Raised when a group enumeration would exceed the configured cap."""
+
+
+def check_order(what, order, cap):
+    """Refuse a group of this order above the cap, naming it as what."""
+    if order > cap:
+        raise GroupOrderCapError(f"{what} has order {order}, which exceeds the cap {cap}")
 
 
 EXCEPTIONAL_ORDERS = {
@@ -59,7 +64,8 @@ def expected_weyl_order(letter, rank):
 
 
 def parse_type(type_label, rank=None):
-    """Normalize 'G_2', 'G2', ('G', 2) style input to (letter, rank)."""
+    """(letter, rank) of 'G_2', 'G2' or 'g2', or of 'G' with rank 2 given
+    apart; anything else, the tuple ('G', 2) too, raises ValueError."""
     if rank is not None:
         require_int("rank", rank)
     s = str(type_label).strip().upper().replace("_", "")
@@ -67,7 +73,10 @@ def parse_type(type_label, rank=None):
         raise ValueError(f"invalid Dynkin type {type_label!r}")
     letter = s[0]
     if len(s) > 1:
-        embedded = int(s[1:])
+        try:
+            embedded = int(s[1:])
+        except ValueError:  # its message would not name the label
+            raise ValueError(f"invalid Dynkin type {type_label!r}") from None
         if rank is not None and rank != embedded:
             raise ValueError(f"rank {rank} conflicts with label {type_label}")
         rank = embedded
@@ -234,11 +243,7 @@ class RootTable:
             simple, order = self.subsystem(mask)
         else:
             order = sub.order
-        if order > order_cap:
-            raise GroupOrderCapError(
-                f"the subgroup searched has order {order}, "
-                f"which exceeds the cap {order_cap}"
-            )
+        check_order("the subgroup searched", order, order_cap)
         if sub is None:
             eye = np.eye(len(self.forms[0]), dtype=np.int64)
             gens = eye - self.coroots[simple, :, None] * self.forms[simple, None, :]
@@ -528,12 +533,7 @@ def enumerate_group(source, order_cap=10**7):
     level by level, in breadth-first order, with no per-element copy.
     """
     if isinstance(source, RootDatum):
-        expected = source.expected_order()
-        if expected > order_cap:
-            raise GroupOrderCapError(
-                f"W({source.dynkin_type}) has order {expected}, "
-                f"which exceeds the cap {order_cap}"
-            )
+        check_order(f"W({source.dynkin_type})", source.expected_order(), order_cap)
         source = source.weyl_generators
     gens = int64_generators(source)
     for g in gens:
@@ -567,22 +567,23 @@ class DiagramEmbedding:
     sub: RootDatum
     ambient: RootDatum
     node_map: tuple  # 1-based ambient node index for each sub node
-    coroot_map: tuple  # ambient_rank x sub_rank integer matrix
 
 
 def embed_diagram(sub_label, ambient_label, node_map):
     """Embedding of Dynkin diagrams given an explicit node correspondence.
 
-    node_map[i] is the 1-based ambient node receiving sub node i+1.  The map
-    must be injective and preserve the Cartan matrix (edges and arrows).
-    An entry that is not an int, or is a bool, raises ValueError.
+    node_map, a list or tuple, has at i the 1-based ambient node receiving
+    sub node i+1.  The map must be injective and preserve the Cartan matrix
+    (edges and arrows).  A node_map of another type, or an entry that is
+    not an int, or is a bool, raises ValueError.
     """
     sub, ambient = (
         x if isinstance(x, RootDatum) else build_root_datum(x)
         for x in (sub_label, ambient_label)
     )
-    if isinstance(node_map, dict):
-        node_map = [node_map[i] for i in sorted(node_map)]
+    # tuple() would read a dict by its keys and a string by its characters
+    if not isinstance(node_map, (list, tuple)):
+        raise ValueError(f"node_map must be a list or tuple, not {node_map!r}")
     node_map = tuple(node_map)
     # type(x) is int refuses bools and floats, which int() would truncate
     if any(type(x) is not int for x in node_map):
@@ -600,16 +601,7 @@ def embed_diagram(sub_label, ambient_label, node_map):
                     f"node_map is not a diagram morphism: cartan[{i + 1}]"
                     f"[{j + 1}] = {a} but ambient has {b}"
                 )
-    cmap = [
-        [1 if node_map[j] - 1 == i else 0 for j in range(sub.rank)]
-        for i in range(ambient.rank)
-    ]
-    facs = invariant_factors(cmap)
-    if any(f != 1 for f in facs):
-        raise AssertionError("embedding cokernel has torsion")
-    return DiagramEmbedding(
-        sub=sub, ambient=ambient, node_map=node_map, coroot_map=freeze(cmap)
-    )
+    return DiagramEmbedding(sub=sub, ambient=ambient, node_map=node_map)
 
 
 def crepant_classification(type_label, rank=None):

@@ -125,6 +125,7 @@ def wreath_bn_action(n, order_cap=DEFAULT_ENGINE_CAP):
 
 def su_action(n, order_cap=DEFAULT_ENGINE_CAP):
     """S_n on the A_{n-1} coroot lattice (rank n-1)."""
+    require_int("n", n)
     return LatticeAction.from_root_datum(
         build_root_datum("A", n - 1), order_cap
     )
@@ -470,6 +471,7 @@ def verify_su_case(n, order_cap=DEFAULT_ENGINE_CAP):
     For n = 2 the answer is the Kummer K3 polynomial; for every n the Euler
     specialization must match the commuting-pairs Euler number.
     """
+    require_int("n", n)
     if n < 2:
         raise ValueError("n must be at least 2")
     action = su_action(n, order_cap)

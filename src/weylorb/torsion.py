@@ -49,14 +49,13 @@ from .intlinalg import (
     max_abs,
     rational_nullspace,
     require_int,
-    transpose,
 )
 from .rootdata import (
     DiagramEmbedding,
-    GroupOrderCapError,
     RootDatum,
     WeylGroup,
     _keys,
+    check_order,
     least_orbit_labels,
 )
 
@@ -235,12 +234,8 @@ def stabilizer(action, point, order_cap=10**6):
         if order != table.order:
             raise AssertionError("root heights disagree with the group order")
         sub = _point_subgroup(table, den, coords, order_cap)
-    elif order > order_cap:
-        raise GroupOrderCapError(
-            f"the subgroup searched has order {order}, "
-            f"which exceeds the cap {order_cap}"
-        )
     else:
+        check_order("the subgroup searched", order, order_cap)
         sub = getattr(action, "group", action)  # a WeylGroup, by _group_parts
     stack, bound = sub.stack, sub.bound
     check_product(rank, bound, den - 1)
@@ -432,17 +427,20 @@ def propagate(
     if gcd(f, p.den) != 1:
         raise ValueError("fine denominator must be coprime to the point order")
     sub_report = stabilizer(sub, p, order_cap=order_cap)
-    pairing = mat_mul(transpose(embedding.coroot_map), amb.gram())
-    basis = [clear_denominators(v) for v in rational_nullspace(pairing)]
+    # the sub coroots are the ambient ones at the nodes, so the pairing of
+    # the sub-lattice with the ambient one is the Gram rows at the nodes
+    nodes = [x - 1 for x in embedding.node_map]
+    gram = amb.gram()
+    basis = [clear_denominators(v) for v in rational_nullspace([gram[i] for i in nodes])]
     k_extra = len(basis)
-    # candidates live over den = p.den f: the image of p is cmap p f, and a
-    # perturbation q = basis^T draws / f adds p.den q; one bound covers both
-    # products and their sum
+    # candidates live over den = p.den f: the image of p is p f at the
+    # nodes, and a perturbation q = basis^T draws / f adds p.den q; one
+    # bound covers both and their sum
     den = p.den * f
     basis = np.array(basis, dtype=np.int64).reshape(k_extra, amb.rank)
-    cmap = np.array(embedding.coroot_map, dtype=np.int64)
-    check_product(1, p.den, (k_extra * max_abs(basis) + sub.rank * max_abs(cmap)) * f)
-    image = cmap @ np.array(p.coords, dtype=np.int64) * f
+    check_product(1, p.den, (k_extra * max_abs(basis) + 1) * f)
+    image = np.zeros((amb.rank, 4), dtype=np.int64)
+    image[nodes] = np.array(p.coords, dtype=np.int64) * f
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         # draws in (basis vector, column) order

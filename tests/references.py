@@ -306,6 +306,12 @@ def unimodular_inverse(m):
     return mat_mul(v, u)
 
 
+def invariant_factors(m):
+    """The nonzero diagonal entries of the Smith normal form of m."""
+    d = smith_normal_form(m)[0]
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
+
+
 def two_torsion_points(rank):
     """All points of A tensor Lambda killed by 2, in coroot coordinates."""
     entries = list(itertools.product((0, 1), repeat=4))
@@ -546,7 +552,11 @@ def perturbed_candidates(embedding, p, fine_denominator, seed, count):
     basis vector first, then column, and reduced modulo 1.
     """
     sub, amb = embedding.sub, embedding.ambient
-    cmap = [list(row) for row in embedding.coroot_map]
+    # the coroot map: sub coroot j goes to ambient coroot node_map[j]
+    cmap = [
+        [int(embedding.node_map[j] == i + 1) for j in range(sub.rank)]
+        for i in range(amb.rank)
+    ]
     fracs = p.as_fractions()
     image = [
         [sum(cmap[k][j] * fracs[j][t] for j in range(sub.rank)) for t in range(4)]

@@ -87,6 +87,44 @@ def test_text_and_csv_reports_match_golden(capsys, name):
         assert out == fh.read()
 
 
+# the whole Weyl groups, |W| by rank, of the types in each torsion report:
+# the handlers hand the root datum to the torsion layer, which enumerates
+# only the reflection subgroups W(Phi_t) its stabilizers search
+WHOLE_WEYL_ORDERS = {
+    "torsion_scan_B3.json": {3: 48},
+    "torsion_scan_G2.txt": {2: 12},
+    "torsion_scan_G2.csv": {2: 12},
+    "propagate_D4_E6.json": {4: 192, 6: 51840},
+    "propagate_B3_F4.txt": {3: 48, 4: 1152},
+}
+
+
+def refuse_whole_weyl_groups(monkeypatch, whole):
+    """Make enumerate_group raise on a RootDatum or a group of order whole[rank]."""
+    real = weylorb.rootdata.enumerate_group
+
+    def partial(source, order_cap=10**7):
+        if isinstance(source, weylorb.rootdata.RootDatum):
+            raise AssertionError(f"W({source.dynkin_type}) enumerated")
+        group = real(source, order_cap)
+        if group.order == whole.get(group.stack.shape[1]):
+            raise AssertionError(f"a whole W of order {group.order} enumerated")
+        return group
+
+    monkeypatch.setattr(weylorb.rootdata, "enumerate_group", partial)
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_WEYL_ORDERS))
+def test_torsion_reports_enumerate_no_whole_weyl_group(capsys, monkeypatch, name):
+    refuse_whole_weyl_groups(monkeypatch, WHOLE_WEYL_ORDERS[name])
+    stem, ext = name.rsplit(".", 1)
+    argv = GOLDEN_CASES[stem] if ext == "json" else REPORT_CASES[name]
+    code, out, err = run(capsys, *argv, "--format", {"txt": "text"}.get(ext, ext))
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, name), newline="") as fh:
+        assert out == fh.read()
+
+
 class TestTable1:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "table1")
@@ -258,6 +296,29 @@ class TestTorsionCommands:
         payload = json.loads(out)
         assert payload["stabilizer_order"] == payload["sub_stabilizer_order"] == 2
         assert payload["verdict"] == "pass"
+
+    def test_scan_e7_refuses_its_codes_without_enumerating_w(self, capsys, monkeypatch):
+        # W(E_7) is under the default cap, and enumerating its 2,903,040
+        # elements took about 30 s and 3.7 GB before the 2^28 codes were refused
+        refuse_whole_weyl_groups(monkeypatch, {7: 2903040})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "torsion-scan", "--type", "E_7")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "error: 2-torsion candidate set exceeds cap 1000000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("torsion-scan", "--type", "D_4"),
+            ("propagate", "--type", "D_4", "--ambient", "E_6", "--nodes", "3,4,5,2"),
+        ],
+        ids=["torsion-scan", "propagate"],
+    )
+    def test_cap_below_the_weyl_order_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--cap", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: W(D_4) has order 192, which exceeds the cap 100\n"
 
     def test_propagate_negative_fine_denominator_is_usage_error(self, capsys):
         code, out, err = run(
@@ -532,6 +593,8 @@ REMOVED_EXPORTS = [
     ("rootdata", "RootTable.reflection_subgroup"),
     ("rootdata", "WeylGroup.rows_of"),
     ("rootdata", "RootDatum.simple_coroots"),
+    ("rootdata", "DiagramEmbedding.coroot_map"),
+    ("intlinalg", "invariant_factors"),
 ]
 
 

@@ -191,6 +191,16 @@ def test_power_that_is_no_int_is_refused(call, name, value):
         call(kummer_k3(), value)
 
 
+@pytest.mark.parametrize("surface", [5, None, {(0, 0): 1}], ids=repr)
+@pytest.mark.parametrize(
+    "call", [sym_power, goettsche, generating_series], ids=lambda f: f.__name__
+)
+def test_surface_that_is_no_polynomial_is_refused(call, surface):
+    # 5 once raised AttributeError: 'int' object has no attribute 'coeffs'
+    with pytest.raises(ValueError, match="the surface must be a BigradedPoly"):
+        call(surface, 2)
+
+
 class TestPartitions:
     def test_counts(self):
         # number of partitions of n

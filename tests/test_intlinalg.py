@@ -19,7 +19,6 @@ from weylorb.intlinalg import (
     echelon_pivots_stack,
     freeze,
     identity,
-    invariant_factors,
     mat_mul,
     rational_nullspace,
     rational_rank,
@@ -29,7 +28,7 @@ from weylorb.intlinalg import (
 )
 from weylorb.rootdata import build_root_datum
 
-from references import echelon_pivots_full_stack, unimodular_inverse
+from references import echelon_pivots_full_stack, invariant_factors, unimodular_inverse
 
 SIMPLE_TYPES = (
     [f"A_{n}" for n in range(1, 9)]

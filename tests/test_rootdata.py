@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
 
 from weylorb.intlinalg import EntryBoundError, freeze, identity, mat_mul, transpose
 from weylorb.rootdata import (
+    DiagramEmbedding,
     GroupOrderCapError,
     build_root_datum,
     crepant_classification,
@@ -80,6 +82,13 @@ class TestParseType:
     def test_empty_label(self, bad):
         with pytest.raises(ValueError, match="invalid Dynkin type"):
             parse_type(bad, 2)
+
+    @pytest.mark.parametrize("bad", [("G", 2), "GX", "G_2X", "G²"], ids=repr)
+    def test_malformed_label_is_named(self, bad):
+        # int() once refused the rest of the label with "invalid literal for
+        # int() with base 10", naming no type
+        with pytest.raises(ValueError, match=re.escape(f"invalid Dynkin type {bad!r}")):
+            parse_type(bad)
 
 
 class TestRootDatum:
@@ -453,14 +462,14 @@ class TestEnumeration:
 class TestEmbeddings:
     def test_b3_in_f4(self):
         emb = embed_diagram("B_3", "F_4", [1, 2, 3])
-        assert emb.node_map == (1, 2, 3)
-        cmap = [list(r) for r in emb.coroot_map]
-        assert len(cmap) == 4 and len(cmap[0]) == 3
+        assert emb == DiagramEmbedding(
+            build_root_datum("B", 3), build_root_datum("F", 4), (1, 2, 3)
+        )
 
     def test_d4_in_d5_and_e6(self):
-        emb = embed_diagram("D_4", "D_5", {1: 2, 2: 3, 3: 4, 4: 5})
+        emb = embed_diagram("D_4", "D_5", (2, 3, 4, 5))
         assert emb.node_map == (2, 3, 4, 5)
-        emb = embed_diagram("D_4", "E_6", {1: 3, 2: 4, 3: 5, 4: 2})
+        emb = embed_diagram("D_4", "E_6", (3, 4, 5, 2))
         assert emb.node_map == (3, 4, 5, 2)
 
     def test_arrow_mismatch_rejected(self):
@@ -478,12 +487,18 @@ class TestEmbeddings:
 
     @pytest.mark.parametrize(
         "node_map",
-        [[1.5, 2, 3], [True, 2, 3], ["1", 2, 3], {1: 1.0, 2: 2, 3: 3}],
+        [[1.5, 2, 3], [True, 2, 3], ["1", 2, 3]],
         ids=repr,
     )
     def test_node_map_entry_that_is_no_int_rejected(self, node_map):
         # int() once read [1.5, 2, 3] as the node map (1, 2, 3)
         with pytest.raises(ValueError, match="node_map entries must be ints"):
+            embed_diagram("B_3", "F_4", node_map)
+
+    @pytest.mark.parametrize("node_map", [{1: 1.0, 2: 2, 3: 3}, 5, "123"], ids=repr)
+    def test_node_map_of_another_type_rejected(self, node_map):
+        # tuple() read the dict by its keys, as (1, 2, 3), and 5 raised TypeError
+        with pytest.raises(ValueError, match="node_map must be a list or tuple"):
             embed_diagram("B_3", "F_4", node_map)
 
     def test_a2_in_g2_rejected(self):

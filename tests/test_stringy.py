@@ -175,9 +175,18 @@ class TestEngineOracles:
             verify_su_case(1)
 
     def test_su_rejects_a_rank_that_is_no_int(self):
-        # 2.0 once passed as SU(2), with n = 2.0 in the report
-        with pytest.raises(ValueError, match="rank must be an int"):
+        # 2.0 once passed as SU(2), with n = 2.0 in the report, and then
+        # was refused as "rank must be an int, not 1.0", for n - 1
+        with pytest.raises(ValueError, match=re.escape("n must be an int, not 2.0")):
             verify_su_case(2.0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [su_action, verify_su_case])
+    def test_su_entry_points_name_n(self, call, n):
+        # su_action(1.5) said "rank must be an int, not 0.5", and
+        # verify_su_case(True) "n must be at least 2"
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int, not {n!r}")):
+            call(n)
 
     def test_sp_engine_gets_the_cap(self, monkeypatch):
         # the hyperoctahedral group was built at the default cap, whatever

@@ -453,6 +453,34 @@ class TestBatchedStabilizer:
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
             stabilizer(datum, p, order_cap=n - 1)
 
+    @pytest.mark.parametrize(
+        "refused,message",
+        [
+            (
+                lambda: enumerate_group(build_root_datum("D", 4), order_cap=100),
+                "W(D_4) has order 192, which exceeds the cap 100",
+            ),
+            (
+                lambda: stabilizer(
+                    build_root_datum("B", 3), TorsionPoint.zero(3), order_cap=10
+                ),
+                "the subgroup searched has order 48, which exceeds the cap 10",
+            ),
+            (
+                lambda: stabilizer(
+                    enumerate_group([((-1, 0), (1, 1)), ((1, 1), (0, -1))]),
+                    TorsionPoint.zero(2),
+                    order_cap=5,
+                ),
+                "the subgroup searched has order 6, which exceeds the cap 5",
+            ),
+        ],
+        ids=["enumerate_group", "root-table", "no-root-table"],
+    )
+    def test_cap_refusals_read_alike(self, refused, message):
+        with pytest.raises(GroupOrderCapError, match=f"^{re.escape(message)}$"):
+            refused()
+
     def test_e8_zero_point_is_refused_before_enumeration(self):
         # W(Phi_t) is all of W(E_8), whose order root heights give at once
         with pytest.raises(GroupOrderCapError, match="cap 1000000"):
