@@ -19,10 +19,6 @@ import json
 import sys
 
 from . import flatf2, hilbmatrix, hodgepoly, rootdata, stringy, torsion
-from .rootdata import GroupOrderCapError
-
-# cap on |W| in torsion-scan and propagate when --cap is not given
-GROUP_ORDER_CAP = 10**7
 
 # (group, type, highest-coroot coefficients the paper's Table 1 lists)
 TABLE1_ROWS = [
@@ -60,7 +56,7 @@ def cmd_table1(args):
 def cmd_stringy(args):
     cap = args.cap or stringy.DEFAULT_ENGINE_CAP
     datum = rootdata.build_root_datum(args.type, args.rank)
-    poly = stringy.stringy_hodge(stringy.LatticeAction.from_root_datum(datum, cap), cap)
+    poly = stringy.stringy_hodge(stringy.LatticeAction.from_root_datum(datum, cap))
     hodge = poly.to_json_rows()
     payload = {
         "type": datum.dynkin_type,
@@ -101,12 +97,10 @@ def cmd_series(args):
 
 def cmd_torsion_scan(args):
     datum = rootdata.build_root_datum(args.type, args.rank)
-    rootdata.check_order(
-        f"W({datum.dynkin_type})", datum.expected_order(), args.cap or GROUP_ORDER_CAP
-    )
-    points = torsion.find_minus_one_points(datum, args.denominator_bound)
+    cap = args.cap or torsion.DEFAULT_TORSION_CAP
+    points = torsion.find_minus_one_points(datum, args.denominator_bound, cap)
     # every point found has stabilizer exactly {+-1}, so one report serves all
-    report = torsion.stabilizer(datum, points[0]) if points else None
+    report = torsion.stabilizer(datum, points[0], cap) if points else None
     header = ("representative", "stabilizer_order", "classification", "local_model")
     rows, csv_rows = [], [header]
     for p in points:
@@ -129,13 +123,9 @@ def cmd_torsion_scan(args):
 
 def cmd_propagate(args):
     sub = rootdata.build_root_datum(args.type, args.rank)
-    embedding = rootdata.embed_diagram(
-        sub, args.ambient, [int(x) for x in args.nodes.split(",")]
-    )
-    rootdata.check_order(
-        f"W({sub.dynkin_type})", sub.expected_order(), args.cap or GROUP_ORDER_CAP
-    )
-    points = torsion.find_minus_one_points(sub, args.denominator_bound)
+    embedding = rootdata.embed_diagram(sub, args.ambient, args.nodes)
+    cap = args.cap or torsion.DEFAULT_TORSION_CAP
+    points = torsion.find_minus_one_points(sub, args.denominator_bound, cap)
     if not points:
         return 1, None, "no minus-one point found in the sub-lattice", None
     result = torsion.propagate(
@@ -143,6 +133,7 @@ def cmd_propagate(args):
         points[0],
         fine_denominator=args.fine_denominator,
         seed=args.seed,
+        order_cap=cap,
     )
     ok = result.report.order == result.sub_report.order
     payload = {
@@ -221,6 +212,11 @@ def cmd_classify(args):
     return 0, {"type": label, "classification": verdict}, f"{label}: {verdict}", None
 
 
+def int_list(text):
+    """Comma-separated ints, as a list: the type of --nodes."""
+    return [int(x) for x in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one `error:` line, exit 2."""
 
@@ -232,7 +228,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=None, help="group order cap")
+    common.add_argument("--cap", type=int, default=None, help="enumeration cap")
     common.add_argument("--denominator-bound", type=int, default=2)
     common.add_argument("--out", default=None, help="report file (default stdout)")
     typed = argparse.ArgumentParser(add_help=False)
@@ -280,7 +276,7 @@ def build_parser():
     p.add_argument(
         "--ambient", required=True, help="ambient type (--type is the sub-diagram)"
     )
-    p.add_argument("--nodes", required=True, help="comma-separated ambient nodes")
+    p.add_argument("--nodes", type=int_list, required=True, help="comma-separated nodes")
     p.add_argument("--fine-denominator", type=int, default=3)
 
     p = add_parser("matrix", cmd_matrix, "commuting-pair laboratory")
@@ -300,7 +296,7 @@ def main(argv=None):
         if args.cap is not None and args.cap <= 0:
             raise ValueError("caps must be positive")
         code, payload, text, csv_rows = args.handler(args)
-    except (GroupOrderCapError, ValueError) as exc:
+    except ValueError as exc:  # GroupOrderCapError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

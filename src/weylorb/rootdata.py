@@ -284,8 +284,11 @@ def _reflection_pair(s):
 
     c is the primitive lattice vector spanning the image of I - s, with its
     first nonzero entry positive, which makes f integral: a reflection fixes
-    x modulo the lattice exactly when f(x) is an integer.
+    x modulo the lattice exactly when f(x) is an integer.  c, f and I - s
+    are bounded by |s| + 1, checked as enumerate_group checks a level.
     """
+    top = max_abs(s) + 1
+    check_product(len(s), top, top)
     m = np.eye(len(s), dtype=np.int64) - s
     cols = np.flatnonzero(m.any(axis=0))
     if not len(cols):
@@ -306,9 +309,10 @@ def root_table(generators):
     flipped along the diagram so that f_i(c_j) <= 0 for i != j where the
     diagram allows it, form a simple system of the roots they generate, and
     det[c_1 ... c_r] = +-1, so that the coroots span the lattice.  The roots
-    and coroots come from one closure of (coefficients, coroot) pairs under
-    the simple reflections: s_j(alpha) = alpha - alpha(c_j) alpha_j and
-    s_j(alpha^vee) = alpha^vee - alpha_j(alpha^vee) c_j.  The simple system
+    and coroots come from one closure of their coefficient pairs, on the
+    simple roots and the simple coroots, under the simple reflections:
+    s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee) = alpha^vee -
+    alpha_j(alpha^vee) c_j, each step within int64.  The simple system
     is checked directly: every root's coefficients must be all >= 0 or all
     <= 0, which fails too when no signs make every f_i(c_j) <= 0.  The
     generators are read by intlinalg.int64_generators, as in enumerate_group.
@@ -320,6 +324,7 @@ def root_table(generators):
         return None
     coroots = np.array([c for c, _ in pairs])
     forms = np.array([f for _, f in pairs])
+    check_product(r, max_abs(forms), max_abs(coroots))
     pairing = (forms @ coroots.T).tolist()
     sign = [0] * r
     for first in range(r):
@@ -338,34 +343,36 @@ def root_table(generators):
     if abs(det(coroots.tolist())) != 1:
         return None
     # a finite root system of rank r has at most 2 r^2 + 240 roots, each
-    # with simple-root coefficients of at most 6 (E_8's highest root); more
-    # means the generators do not generate a finite reflection group, and
-    # stopping there keeps every int64 entry small
+    # with simple-root and simple-coroot coefficients of at most 6 (E_8's
+    # highest root); more means the generators do not generate a finite
+    # reflection group, and stopping there keeps every product small: the
+    # first level's are single Cartan entries, each later one of entries <= 6
     cap = 2 * r * r + 240
     eye = np.eye(r, dtype=np.int64)
-    a, c = eye, coroots
+    a = d = eye
     seen = dict.fromkeys(_keys(a))
-    a_levels, c_levels = [a], [c]
+    a_levels, d_levels = [a], [d]
     while len(a):
         # every s_j on every root of the level, in (generator, root) order
         a = (a[None] - (a @ cartan).T[:, :, None] * eye[:, None]).reshape(-1, r)
-        c = (c[None] - (c @ forms.T).T[:, :, None] * coroots[:, None]).reshape(-1, r)
-        if max_abs(a) > 6:
+        d = (d[None] - (d @ cartan.T).T[:, :, None] * eye[:, None]).reshape(-1, r)
+        if max(max_abs(a), max_abs(d)) > 6:
             return None
         new = _number_new(seen, a)
         if len(seen) > cap:
             return None
-        a, c = a[new], c[new]
+        a, d = a[new], d[new]
         a_levels.append(a)
-        c_levels.append(c)
-    a, c = np.concatenate(a_levels), np.concatenate(c_levels)
+        d_levels.append(d)
+    a, d = np.concatenate(a_levels), np.concatenate(d_levels)
     low, high = a.min(axis=1), a.max(axis=1)
     if np.any((low < 0) & (high > 0)):
         return None
     # positive roots by height; the stable sort keeps the simple roots first
     positive = np.flatnonzero(high > 0)
     positive = positive[np.argsort(a[positive].sum(axis=1), kind="stable")]
-    return RootTable(a[positive], a[positive] @ forms, c[positive])
+    check_product(r, 6, max(max_abs(forms), max_abs(coroots)))
+    return RootTable(a[positive], a[positive] @ forms, d[positive] @ coroots)
 
 
 class WeylGroup:
@@ -467,7 +474,7 @@ class WeylGroup:
         reps = np.flatnonzero(labels == np.arange(n))
         sizes = np.bincount(labels)[reps]
         classes = [
-            (arr[i], size, self.centralizer(arr[i]))
+            (arr[i], size, arr if size == 1 else self.centralizer(arr[i]))
             for i, size in zip(reps.tolist(), sizes.tolist())
         ]
         if any(len(cent) * size != self.order for _, size, cent in classes):

@@ -57,7 +57,7 @@ from .intlinalg import (
     require_int,
     smith_normal_form,
 )
-from .rootdata import GroupOrderCapError, WeylGroup, build_root_datum, enumerate_group
+from .rootdata import WeylGroup, build_root_datum, enumerate_group
 
 DEFAULT_ENGINE_CAP = 10**5
 # commuting pairs echelonized per batch; a batch runs on across classes
@@ -206,14 +206,7 @@ def _outer_sum(squares, weights):
     return squares.T @ (weights.astype(np.int64)[:, None] * squares)
 
 
-def _check_cap(action, order_cap):
-    if action.group.order > order_cap:
-        raise GroupOrderCapError(
-            f"group order {action.group.order} exceeds the engine cap {order_cap}"
-        )
-
-
-def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
+def stringy_hodge(action):
     """Stringy Hodge polynomial of (A tensor Lambda)/W by the definition.
 
     Per twisted sector {g} the invariant cohomology of X^g/C(g) is summed
@@ -224,9 +217,8 @@ def stringy_hodge(action, order_cap=DEFAULT_ENGINE_CAP):
     classes (_sectors): the fixed labels of the distinct label blocks of a
     torsion type are counted in one stacked product, det(I + t rho)^2 is
     taken once per kernel rank, and each sector is summed in one product.
-    Central sectors run over the classes of W.
+    Central sectors run over the classes of W.  The action's builder caps W.
     """
-    _check_cap(action, order_cap)
     # total[p, q] in Python ints; p, q <= 2 rank
     total = np.zeros((2 * action.rank + 1,) * 2, dtype=object)
     for shift, sector in _sectors(action):
@@ -455,7 +447,7 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
         notes.append("closed form disagrees with the Hilbert-scheme formula")
     run_engine = engine if engine is not None else n <= 5
     if run_engine:
-        eng = stringy_hodge(wreath_bn_action(n, order_cap), order_cap)
+        eng = stringy_hodge(wreath_bn_action(n, order_cap))
         polys["engine"] = eng
         if eng != closed:
             ok = False
@@ -475,7 +467,7 @@ def verify_su_case(n, order_cap=DEFAULT_ENGINE_CAP):
     if n < 2:
         raise ValueError("n must be at least 2")
     action = su_action(n, order_cap)
-    poly = stringy_hodge(action, order_cap)
+    poly = stringy_hodge(action)
     euler = stringy_euler_commuting_pairs(action)
     polys = {"stringy": poly, "euler": euler}
     notes = []

@@ -60,6 +60,9 @@ from .rootdata import (
 )
 
 
+DEFAULT_TORSION_CAP = 10**6
+
+
 class PerturbationNotFoundError(ValueError):
     """Raised when propagate draws no perturbation that keeps the stabilizer."""
 
@@ -207,7 +210,7 @@ def _point_subgroup(table, den, coords, order_cap):
     return table.subgroup(tuple(integral[:, t].tolist()), order_cap)
 
 
-def stabilizer(action, point, order_cap=10**6):
+def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
     """Exact W-stabilizer of a torsion point, as the elements of H that fix it.
 
     When the generators are the simple reflections of a root system whose
@@ -357,7 +360,7 @@ def _points_of_codes(codes, rank):
     return points
 
 
-def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
+def find_minus_one_points(action, denominator_bound=2, order_cap=DEFAULT_TORSION_CAP):
     """Orbit representatives whose stabilizer is exactly {+-identity}.
 
     A stabilizer containing -1 forces 2p = 0, so only 2-torsion points can
@@ -369,8 +372,9 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=10**6):
     disagrees with this |W| raises AssertionError.
     Returns a list of TorsionPoint orbit representatives, each the orbit
     member with the least bit code, in ascending code order; [] when -1 is
-    not in W.  A denominator bound that is not an int, or is a bool, raises
-    ValueError.
+    not in W.  A denominator bound that is not an int, or is a bool, or
+    2^(4r) codes above order_cap, which bounds each W(Phi_t) searched too,
+    raise ValueError.
     """
     require_int("denominator bound", denominator_bound)
     if denominator_bound < 2:
@@ -406,7 +410,7 @@ def propagate(
     fine_denominator=3,
     seed=0,
     max_attempts=40,
-    order_cap=10**6,
+    order_cap=DEFAULT_TORSION_CAP,
 ):
     """Push a sub-lattice point into the ambient lattice keeping its stabilizer.
 

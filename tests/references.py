@@ -42,8 +42,6 @@ from weylorb.rootdata import (
     parse_type,
 )
 from weylorb.stringy import (
-    DEFAULT_ENGINE_CAP,
-    _check_cap,
     _det_squares,
     _label_images,
     _labels,
@@ -171,14 +169,13 @@ def molien_average(rho):
     return BigradedPoly({k: Fraction(v, len(rho)) for k, v in acc.items()})
 
 
-def stringy_hodge_by_orbits(action, order_cap=DEFAULT_ENGINE_CAP):
+def stringy_hodge_by_orbits(action):
     """The stringy Hodge polynomial with component orbits enumerated explicitly.
 
     Slower than stringy_hodge but follows the definition verbatim: orbits of
     components under the centralizer, each contributing the invariants of its
     stabilizer.
     """
-    _check_cap(action, order_cap)
     total = BigradedPoly.zero()
     xy = BigradedPoly.monomial(1, 1)
     for rep, _size, centralizer in action.group.conjugacy_classes():

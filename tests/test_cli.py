@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -316,9 +317,47 @@ class TestTorsionCommands:
         ids=["torsion-scan", "propagate"],
     )
     def test_cap_below_the_weyl_order_is_refused(self, capsys, argv):
+        # --cap bounds what the commands enumerate, first the 2^16 codes of
+        # the D_4 scan; |W(D_4)| = 192 is never enumerated
         code, out, err = run(capsys, *argv, "--cap", "100")
         assert (code, out) == (2, "")
-        assert err == "error: W(D_4) has order 192, which exceeds the cap 100\n"
+        assert err == "error: 2-torsion candidate set exceeds cap 100\n"
+
+    def test_cap_reaches_the_ambient_subgroups_searched(self, capsys):
+        # A_1 has 16 codes, but seed 4 draws an E_6 point whose W(Phi_t) has
+        # order 192; --cap bounded only |W(A_1)| = 2, and this exited 0
+        argv = ("propagate", "--type", "A_1", "--ambient", "E_6", "--nodes", "1")
+        code, out, err = run(capsys, *argv, "--seed", "4", "--cap", "191")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the subgroup searched has order 192, which exceeds the cap 191\n"
+        )
+        code, out, err = run(capsys, *argv, "--seed", "4", "--cap", "192")
+        assert (code, err) == (0, "")
+
+    def test_cap_admits_a_larger_scan(self, capsys):
+        # B_5's 2^20 codes exceed the default cap of 10^6, which no --cap
+        # reached: it was refused whatever --cap said
+        code, out, err = run(capsys, "torsion-scan", "--type", "B_5")
+        assert (code, out) == (2, "")
+        assert err == "error: 2-torsion candidate set exceeds cap 1000000\n"
+        code, out, err = run(
+            capsys, "torsion-scan", "--type", "B_5", "--cap", "2000000",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["orbit_count"] == 168
+
+    @pytest.mark.parametrize("nodes", ["1,2,x", "1,,3"])
+    def test_nodes_that_are_no_ints_name_the_option(self, capsys, nodes):
+        # each said "invalid literal for int() with base 10"
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--type", "B_3", "--ambient", "F_4", "--nodes", nodes])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err == (
+            f"error: argument --nodes: invalid int_list value: {nodes!r}\n"
+        )
 
     def test_propagate_negative_fine_denominator_is_usage_error(self, capsys):
         code, out, err = run(
@@ -602,11 +641,18 @@ REMOVED_EXPORTS = [
     "module,path", REMOVED_EXPORTS, ids=[f"{m}.{p}" for m, p in REMOVED_EXPORTS]
 )
 def test_removed_export_stays_removed(module, path):
+    # a dataclass field without a default is no class attribute, so the
+    # fields are read too; the scope must resolve in the module, and in the
+    # package where it is exported
     *scope, name = path.split(".")
-    for owner in (importlib.import_module(f"weylorb.{module}"), weylorb):
-        for part in scope:
-            owner = getattr(owner, part, None)
+    owners = [importlib.import_module(f"weylorb.{module}"), weylorb]
+    for part in scope:
+        owners = [getattr(owner, part, None) for owner in owners]
+    assert owners[0] is not None, f"weylorb.{module}.{'.'.join(scope)} is gone"
+    for owner in filter(None, owners):
         assert not hasattr(owner, name), f"{owner}.{name}"
+        if dataclasses.is_dataclass(owner):
+            assert name not in {f.name for f in dataclasses.fields(owner)}
 
 
 # the least arguments each subcommand runs with; the contract test below
@@ -638,6 +684,10 @@ def _usage_cases():
             if action.type is int:
                 opt = action.option_strings[0]
                 yield f"{command}-{opt}-not-int", (command, *minimal, opt, "2.5")
+        if command == "propagate":
+            for nodes in ("1,2,x", "1,,3"):
+                argv = (command, *minimal, "--nodes", nodes)
+                yield f"{command}---nodes-{nodes}", argv
         if minimal:
             # the required options dropped; matrix needs one of three inputs
             yield f"{command}-missing-required", (command,)

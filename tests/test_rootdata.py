@@ -11,6 +11,7 @@ from weylorb.intlinalg import EntryBoundError, freeze, identity, mat_mul, transp
 from weylorb.rootdata import (
     DiagramEmbedding,
     GroupOrderCapError,
+    _reflection_pair,
     build_root_datum,
     crepant_classification,
     embed_diagram,
@@ -290,6 +291,17 @@ class TestRootTable:
         p = TorsionPoint(2, ((1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)))
         brute = sorted(freeze(g) for g in group.stack.tolist() if p.apply(g) == p)
         assert list(stabilizer(group, p).elements) == brute
+
+    def test_reflection_pair_refuses_a_wrapping_pairing(self):
+        # s = I - c f^T with f.c = 2^64 + 2, which wraps to 2 in int64: s is
+        # no reflection (s^2 != I), and was taken for one
+        c, f = [1, 1, 1, 1], [2**62, 2**62, 2**62, 2**62 + 2]
+        s = [[int(i == j) - c[i] * f[j] for j in range(4)] for i in range(4)]
+        assert mat_mul(s, s) != identity(4)
+        with pytest.raises(EntryBoundError, match="could overflow"):
+            _reflection_pair(np.array(s, dtype=np.int64))
+        with pytest.raises(EntryBoundError, match="could overflow"):
+            root_table([s])
 
     def test_order_from_heights(self):
         assert weyl_order_from_heights([]) == 1

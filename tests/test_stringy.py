@@ -21,6 +21,7 @@ from weylorb.intlinalg import EntryBoundError, identity
 from weylorb.rootdata import GroupOrderCapError, build_root_datum
 from weylorb.stringy import (
     LatticeAction,
+    _sectors,
     fixed_locus,
     stringy_euler_commuting_pairs,
     stringy_hodge,
@@ -297,9 +298,43 @@ class TestEngineStructuralProperties:
         assert max(p + q for p, q in h.coeffs) == 4 * rank
 
     def test_engine_cap(self):
-        act = wreath_bn_action(2)
-        with pytest.raises(GroupOrderCapError):
-            stringy_hodge(act, order_cap=4)
+        # the builder's enumeration is the engine's one cap: stringy_hodge
+        # takes a group enumerated already, and no cap of its own
+        with pytest.raises(GroupOrderCapError, match="cap 4"):
+            wreath_bn_action(2, order_cap=4)
+        with pytest.raises(TypeError, match="order_cap"):
+            stringy_hodge(wreath_bn_action(2), order_cap=4)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: LatticeAction.from_root_datum(build_root_datum("B", 4)),
+            lambda: LatticeAction.from_root_datum(build_root_datum("A", 5)),
+            lambda: wreath_bn_action(4),
+        ],
+        ids=["B_4", "A_5", "wreath-4"],
+    )
+    def test_central_centralizer_is_the_stack(self, factory):
+        # a class of size 1 keeps the stack itself as its centralizer, where
+        # it kept a copy; the sectors and the Euler oracle read only its
+        # length, and answer as with the copies
+        action, copied = factory(), factory()
+        stack = action.group.stack
+        central = [c for _, size, c in action.group.conjugacy_classes() if size == 1]
+        assert central and all(np.shares_memory(c, stack) for c in central)
+        copied.group._classes = [
+            (rep, size, copied.group.centralizer(rep) if size == 1 else c)
+            for rep, size, c in copied.group.conjugacy_classes()
+        ]
+        assert not any(
+            np.shares_memory(c, copied.group.stack) for _, _, c in copied.group._classes
+        )
+        sectors, reference = (list(_sectors(a)) for a in (action, copied))
+        assert len(sectors) == len(reference)
+        for (shift, block), (ref_shift, ref) in zip(sectors, reference):
+            assert shift == ref_shift and np.array_equal(block, ref)
+        euler = stringy_euler_commuting_pairs
+        assert euler(action) == euler(copied)
 
     def test_one_smith_form_per_sector(self, monkeypatch):
         # the classes invert their generators without one, and each sector
