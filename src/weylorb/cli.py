@@ -98,7 +98,7 @@ def cmd_series(args):
 def cmd_torsion_scan(args):
     datum = rootdata.build_root_datum(args.type, args.rank)
     cap = args.cap or torsion.DEFAULT_TORSION_CAP
-    points = torsion.find_minus_one_points(datum, args.denominator_bound, cap)
+    points = torsion.find_minus_one_points(datum, order_cap=cap)
     # every point found has stabilizer exactly {+-1}, so one report serves all
     report = torsion.stabilizer(datum, points[0], cap) if points else None
     header = ("representative", "stabilizer_order", "classification", "local_model")
@@ -125,7 +125,7 @@ def cmd_propagate(args):
     sub = rootdata.build_root_datum(args.type, args.rank)
     embedding = rootdata.embed_diagram(sub, args.ambient, args.nodes)
     cap = args.cap or torsion.DEFAULT_TORSION_CAP
-    points = torsion.find_minus_one_points(sub, args.denominator_bound, cap)
+    points = torsion.find_minus_one_points(sub, order_cap=cap)
     if not points:
         return 1, None, "no minus-one point found in the sub-lattice", None
     result = torsion.propagate(
@@ -177,11 +177,9 @@ def cmd_matrix(args):
             raise ValueError(f"cannot read pair file: {exc}") from None
         pair = hilbmatrix.MatrixPair.from_json_dict(data)
         source = args.pair_file
-    elif args.ideal:
+    else:
         pair = hilbmatrix.pair_from_ideal(args.ideal, args.truncation)
         source = "ideal:" + ",".join(args.ideal)
-    else:
-        raise ValueError("matrix needs --example, --pair-file, or --ideal")
     skew = hilbmatrix.symplectic_exists(pair, seed=args.seed)
     payload = {
         "source": source,
@@ -217,6 +215,13 @@ def int_list(text):
     return [int(x) for x in text.split(",")]
 
 
+def positive_int(text):
+    """A positive int: the type of --cap."""
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError("caps must be positive")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one `error:` line, exit 2."""
 
@@ -228,12 +233,13 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    common.add_argument("--denominator-bound", type=int, default=2)
     common.add_argument("--out", default=None, help="report file (default stdout)")
     typed = argparse.ArgumentParser(add_help=False)
     typed.add_argument("--type", required=True)
     typed.add_argument("--rank", type=int, default=None)
+    # the five commands that enumerate; each handler defaults to its library's cap
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=positive_int, help="enumeration cap")
 
     parser = _Parser(
         prog="weylorb",
@@ -247,13 +253,15 @@ def build_parser():
         return p
 
     add_parser("table1", cmd_table1, "highest-coroot coefficient table")
-    add_parser("stringy", cmd_stringy, "stringy Hodge diamond of a Weyl action", typed)
+    add_parser(
+        "stringy", cmd_stringy, "stringy Hodge diamond of a Weyl action", typed, capped
+    )
 
     for name, check, help in (
         ("verify-sp", stringy.verify_sp_theorem, "three-way Sp(n) check"),
         ("verify-su", stringy.verify_su_case, "SU(n) stringy computation and checks"),
     ):
-        p = add_parser(name, cmd_verify, help)
+        p = add_parser(name, cmd_verify, help, capped)
         p.add_argument("--n", type=int, required=True)
         p.set_defaults(check=check)
 
@@ -267,11 +275,13 @@ def build_parser():
     )
 
     add_parser(
-        "torsion-scan", cmd_torsion_scan, "minus-one stabilizer point scan", typed
+        "torsion-scan", cmd_torsion_scan, "minus-one stabilizer point scan", typed,
+        capped,
     )
 
     p = add_parser(
-        "propagate", cmd_propagate, "push a point along a diagram embedding", typed
+        "propagate", cmd_propagate, "push a point along a diagram embedding", typed,
+        capped,
     )
     p.add_argument(
         "--ambient", required=True, help="ambient type (--type is the sub-diagram)"
@@ -280,9 +290,10 @@ def build_parser():
     p.add_argument("--fine-denominator", type=int, default=3)
 
     p = add_parser("matrix", cmd_matrix, "commuting-pair laboratory")
-    p.add_argument("--example", choices=sorted(BUILTIN_PAIRS))
-    p.add_argument("--pair-file")
-    p.add_argument("--ideal", nargs="*", help="polynomial generators in x, y")
+    pair = p.add_mutually_exclusive_group(required=True)
+    pair.add_argument("--example", choices=sorted(BUILTIN_PAIRS))
+    pair.add_argument("--pair-file")
+    pair.add_argument("--ideal", nargs="+", help="polynomial generators in x, y")
     p.add_argument("--truncation", type=int, default=4)
 
     add_parser("spin8-check", cmd_spin8_check, "Whitney class and deformation check")
@@ -293,8 +304,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.cap is not None and args.cap <= 0:
-            raise ValueError("caps must be positive")
         code, payload, text, csv_rows = args.handler(args)
     except ValueError as exc:  # GroupOrderCapError among them
         print(f"error: {exc}", file=sys.stderr)

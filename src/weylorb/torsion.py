@@ -10,7 +10,7 @@ Stab(p) lies in W(Phi_t), so H is W(Phi_t) for the column t with the fewest
 such roots; its order comes from root heights, and the W-orbit size is
 |W| / |Stab(p)|, reported but never walked.  When the generators are not the
 simple reflections of a root system whose coroots span the lattice, H is W
-itself, whose stack a WeylGroup already holds.  The order cap bounds |H|.
+itself, whose stack a WeylGroup already holds.  The order cap bounds W(Phi_t).
 
 RootTable.subgroup owns W(Phi_t): it finds the simple rows, refuses an
 order above the cap, enumerates H into one int64 stack and keeps it, within
@@ -55,12 +55,12 @@ from .rootdata import (
     RootDatum,
     WeylGroup,
     _keys,
-    check_order,
     least_orbit_labels,
 )
 
 
 DEFAULT_TORSION_CAP = 10**6
+PROPAGATE_ATTEMPTS = 40
 
 
 class PerturbationNotFoundError(ValueError):
@@ -115,15 +115,11 @@ class TorsionPoint:
             return Fraction(x) % 1
         fracs = [[exact(x) for x in row] for row in rows]
         den = lcm(*(f.denominator for row in fracs for f in row), 1)
-        coords = tuple(
-            tuple(int(f * den) for f in row) for row in fracs
-        )
+        coords = tuple(tuple(int(f * den) for f in row) for row in fracs)
         return cls(den, coords).reduced()
 
     def as_fractions(self):
-        return [
-            [Fraction(x, self.den) for x in row] for row in self.coords
-        ]
+        return [[Fraction(x, self.den) for x in row] for row in self.coords]
 
     def reduced(self):
         """Canonical form with the smallest common denominator."""
@@ -151,9 +147,7 @@ class TorsionPoint:
         )
 
     def to_json(self):
-        return [
-            [f"{Fraction(x, self.den)}" for x in row] for row in self.coords
-        ]
+        return [[f"{Fraction(x, self.den)}" for x in row] for row in self.coords]
 
 
 def _group_parts(action):
@@ -192,17 +186,13 @@ def _minus_one(rank):
 
 
 def _point_subgroup(table, den, coords, order_cap):
-    """A reflection subgroup H of W containing Stab(p).
+    """A reflection subgroup H of W containing Stab(p): W(Phi_t) (Steinberg).
 
-    For G simply connected, the lattice is the coroot lattice and the
-    stabilizer of one coordinate x_t is the reflection group W(Phi_t) of
-    Phi_t = {alpha : alpha(x_t) in Z} (Steinberg), so Stab(p) lies in each.
-    H is W(Phi_t) for the column t with the fewest positive roots in Phi_t,
-    the lowest t on ties, generated by the reflections in the simple roots
-    of Phi_t, rows of the table; its order comes from root heights.  The
-    mask of Phi_t over the rows, a tuple of bools, keys the table's memo,
-    and RootTable.subgroup gives H, or refuses it above order_cap.  The
-    point is given by its denominator and its (rank, 4) int64 coords.
+    t is the column with the fewest positive roots in Phi_t = {alpha :
+    alpha(x_t) in Z}, the lowest t on ties.  The mask of Phi_t over the
+    table's rows, a tuple of bools, keys the table's memo, and
+    RootTable.subgroup gives H, or refuses it above order_cap.  The point is
+    given by its denominator and its (rank, 4) int64 coords.
     """
     check_product(len(coords), table.form_bound, den - 1)
     integral = table.forms @ coords % den == 0
@@ -220,8 +210,8 @@ def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
     integrality mask of Phi_t.  Otherwise H is W itself, the stack of the
     WeylGroup given.  The orbit size is |W| / |Stab(p)|.  Stab(p) is the
     rows of H's stack that fix p, and its greedy generators are closed
-    inside those rows.  order_cap bounds |H| (and what the table keeps):
-    GroupOrderCapError before any enumeration.  A source that is not a
+    inside those rows.  order_cap bounds W(Phi_t) (and what the table
+    keeps): GroupOrderCapError before any enumeration.  A source that is not a
     WeylGroup, a LatticeAction or a RootDatum, or a point that is not a
     TorsionPoint of the group's rank, raises ValueError.
     """
@@ -238,7 +228,6 @@ def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
             raise AssertionError("root heights disagree with the group order")
         sub = _point_subgroup(table, den, coords, order_cap)
     else:
-        check_order("the subgroup searched", order, order_cap)
         sub = getattr(action, "group", action)  # a WeylGroup, by _group_parts
     stack, bound = sub.stack, sub.bound
     check_product(rank, bound, den - 1)
@@ -363,8 +352,9 @@ def _points_of_codes(codes, rank):
 def find_minus_one_points(action, denominator_bound=2, order_cap=DEFAULT_TORSION_CAP):
     """Orbit representatives whose stabilizer is exactly {+-identity}.
 
-    A stabilizer containing -1 forces 2p = 0, so only 2-torsion points can
-    qualify and every denominator bound >= 2 scans the same candidate set.
+    A stabilizer containing -1 forces 2p = 0, so every denominator bound >= 2
+    scans the same 2-torsion points: the bound, kept for positional callers,
+    selects nothing.
     -1 fixes every 2-torsion point, so the stabilizer of the first nonzero
     orbit representative settles whether -1 lies in W, and times that
     orbit's size it gives |W|; when -1 lies in W, an orbit has stabilizer
@@ -400,7 +390,6 @@ class PropagationResult:
     report: StabilizerReport
     sub_report: StabilizerReport
     attempts: int
-    seed: int
     local_model_label: str
 
 
@@ -409,7 +398,6 @@ def propagate(
     p: TorsionPoint,
     fine_denominator=3,
     seed=0,
-    max_attempts=40,
     order_cap=DEFAULT_TORSION_CAP,
 ):
     """Push a sub-lattice point into the ambient lattice keeping its stabilizer.
@@ -418,12 +406,12 @@ def propagate(
     complement N of the sub-lattice (with respect to the invariant form);
     genericity of q is replaced by a verification loop: draw q from a seeded
     generator and retry until the ambient stabilizer order matches the
-    stabilizer of p; PerturbationNotFoundError when max_attempts draws fail.
-    A fine denominator or max_attempts that is not an int, or is a bool,
-    raises ValueError.
+    stabilizer of p; PerturbationNotFoundError when PROPAGATE_ATTEMPTS
+    draws fail.  When f^(4 k_extra) = 1 (f = 1, or N = 0) every draw is
+    q = 0, so that one candidate is the one attempt.  A fine denominator
+    that is not an int, or is a bool, raises ValueError.
     """
     require_int("fine denominator", fine_denominator)
-    require_int("max_attempts", max_attempts)
     sub, amb = embedding.sub, embedding.ambient
     f = fine_denominator
     if f < 1:
@@ -446,6 +434,7 @@ def propagate(
     image = np.zeros((amb.rank, 4), dtype=np.int64)
     image[nodes] = np.array(p.coords, dtype=np.int64) * f
     rng = random.Random(seed)
+    max_attempts = PROPAGATE_ATTEMPTS if f > 1 and k_extra else 1
     for attempt in range(1, max_attempts + 1):
         # draws in (basis vector, column) order
         draws = [[rng.randrange(f) for _ in range(4)] for _ in basis]
@@ -454,17 +443,14 @@ def propagate(
         cand = TorsionPoint(den, freeze(coords.tolist())).reduced()
         report = stabilizer(amb, cand, order_cap=order_cap)
         if report.order == sub_report.order:
-            label = (
-                f"(C^{2 * sub.rank}/W_p) x C^{2 * k_extra}"
-            )
             return PropagationResult(
                 point=cand,
                 report=report,
                 sub_report=sub_report,
                 attempts=attempt,
-                seed=seed,
-                local_model_label=label,
+                local_model_label=f"(C^{2 * sub.rank}/W_p) x C^{2 * k_extra}",
             )
     raise PerturbationNotFoundError(
         f"no generic perturbation found in {max_attempts} attempts"
+        if max_attempts > 1 else "no generic perturbation: q = 0 is the only candidate"
     )

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -257,8 +258,7 @@ class TestTorsionCommands:
     def test_scan_g2(self, capsys):
         code, out, _ = run(
             capsys,
-            "torsion-scan", "--type", "G_2",
-            "--denominator-bound", "4", "--format", "json",
+            "torsion-scan", "--type", "G_2", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -397,8 +397,12 @@ class TestMatrixLab:
         assert json.loads(out)["pair"]["dim"] == 3
 
     def test_missing_input_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "matrix")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: one of the arguments --example --pair-file --ideal is required\n"
+        )
 
     def test_pair_file(self, capsys, tmp_path):
         from weylorb.hilbmatrix import make_pair
@@ -536,14 +540,15 @@ class TestOtherCommands:
 
     def test_propagate_without_generic_perturbation_exits_2(self, capsys):
         # fine denominator 1 only ever draws the zero perturbation, which
-        # never cuts the ambient stabilizer down to the sub-stabilizer
+        # never cuts the ambient stabilizer down to the sub-stabilizer; it
+        # used to be drawn 40 times
         code, out, err = run(
             capsys, "propagate", "--type", "D", "--rank", "4", "--ambient", "E_6",
             "--nodes", "3,4,5,2", "--fine-denominator", "1",
         )
         assert code == 2
         assert out == ""
-        assert err == "error: no generic perturbation found in 40 attempts\n"
+        assert err == "error: no generic perturbation: q = 0 is the only candidate\n"
 
     def test_import_leaves_sympy_unloaded(self):
         # neither the import nor reading an ideal loads sympy
@@ -634,6 +639,8 @@ REMOVED_EXPORTS = [
     ("rootdata", "RootDatum.simple_coroots"),
     ("rootdata", "DiagramEmbedding.coroot_map"),
     ("intlinalg", "invariant_factors"),
+    ("torsion", "propagate(max_attempts)"),
+    ("torsion", "PropagationResult.seed"),
 ]
 
 
@@ -642,14 +649,21 @@ REMOVED_EXPORTS = [
 )
 def test_removed_export_stays_removed(module, path):
     # a dataclass field without a default is no class attribute, so the
-    # fields are read too; the scope must resolve in the module, and in the
-    # package where it is exported
+    # fields are read too; "f(name)" names a parameter of f, read off its
+    # signature; the scope must resolve in the module, and in the package
+    # where it is exported
+    path, _, parameter = path.rstrip(")").partition("(")
     *scope, name = path.split(".")
+    if parameter:
+        scope, name = [*scope, name], parameter
     owners = [importlib.import_module(f"weylorb.{module}"), weylorb]
     for part in scope:
         owners = [getattr(owner, part, None) for owner in owners]
     assert owners[0] is not None, f"weylorb.{module}.{'.'.join(scope)} is gone"
     for owner in filter(None, owners):
+        if parameter:
+            assert name not in inspect.signature(owner).parameters, f"{owner}({name})"
+            continue
         assert not hasattr(owner, name), f"{owner}.{name}"
         if dataclasses.is_dataclass(owner):
             assert name not in {f.name for f in dataclasses.fields(owner)}
@@ -677,13 +691,26 @@ def _subparsers():
     return action.choices
 
 
+# the subcommands that enumerate a group or a candidate set, the only ones
+# with --cap
+CAPPED = ["propagate", "stringy", "torsion-scan", "verify-sp", "verify-su"]
+# options every subcommand once took, each with a valid value; --cap is left
+# only on CAPPED, and --denominator-bound, which selected nothing, is gone
+FORMER_OPTIONS = {"--cap": "5", "--denominator-bound": "4"}
+
+
 def _usage_cases():
     for command, sub in sorted(_subparsers().items()):
         minimal = MINIMAL_ARGS[command]
-        for action in sub._actions:
-            if action.type is int:
-                opt = action.option_strings[0]
-                yield f"{command}-{opt}-not-int", (command, *minimal, opt, "2.5")
+        # a value that is no int, also to a former option the subcommand lacks
+        typed = {a.option_strings[0] for a in sub._actions if a.type is not None}
+        for opt in sorted(typed | set(FORMER_OPTIONS)):
+            yield f"{command}-{opt}-not-int", (command, *minimal, opt, "2.5")
+        for opt, value in FORMER_OPTIONS.items():
+            if opt not in sub._option_string_actions:
+                yield f"{command}-{opt}-absent", (command, *minimal, opt, value)
+        if command == "matrix":
+            yield "matrix-two-sources", (command, *minimal, "--ideal", "x")
         if command == "propagate":
             for nodes in ("1,2,x", "1,,3"):
                 argv = (command, *minimal, "--nodes", nodes)
@@ -699,6 +726,18 @@ USAGE_CASES = dict(_usage_cases())
 
 def test_usage_cases_cover_every_subcommand():
     assert sorted(MINIMAL_ARGS) == sorted(_subparsers())
+
+
+def test_cap_is_on_the_commands_that_enumerate(capsys):
+    subparsers = sorted(_subparsers().items())
+    capped = [c for c, sub in subparsers if "--cap" in sub._option_string_actions]
+    assert capped == CAPPED
+    for command in CAPPED:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *MINIMAL_ARGS[command], "--cap", "0"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err == "error: argument --cap: caps must be positive\n"
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES.values(), ids=USAGE_CASES.keys())

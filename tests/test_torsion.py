@@ -30,6 +30,7 @@ from weylorb.rootdata import (
 )
 from weylorb.stringy import LatticeAction
 from weylorb.torsion import (
+    PerturbationNotFoundError,
     StabilizerReport,
     TorsionPoint,
     _group_parts,
@@ -466,16 +467,8 @@ class TestBatchedStabilizer:
                 ),
                 "the subgroup searched has order 48, which exceeds the cap 10",
             ),
-            (
-                lambda: stabilizer(
-                    enumerate_group([((-1, 0), (1, 1)), ((1, 1), (0, -1))]),
-                    TorsionPoint.zero(2),
-                    order_cap=5,
-                ),
-                "the subgroup searched has order 6, which exceeds the cap 5",
-            ),
         ],
-        ids=["enumerate_group", "root-table", "no-root-table"],
+        ids=["enumerate_group", "root-table"],
     )
     def test_cap_refusals_read_alike(self, refused, message):
         with pytest.raises(GroupOrderCapError, match=f"^{re.escape(message)}$"):
@@ -758,17 +751,18 @@ class TestSubgroupReduction:
             if source == "group":
                 action = enumerate_group(action)
             p = TorsionPoint(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)))
-        # the cap bounds the subgroup searched: W itself on the coweight
-        # lattice, W(Phi_t) otherwise
+        # the cap bounds W(Phi_t); W itself, searched on the coweight
+        # lattice, was enumerated under enumerate_group's cap, so a cap
+        # below its order refuses nothing there
         report = stabilizer(action, p)
         table = _group_parts(action)[2]
         if table is None:
-            n = report.orbit_size * report.order
-            assert n == 6
-        else:
-            n = _subgroup_of(table, p).order
-            # W(Phi_t) is kept, so the refusal below is a memo hit's
-            assert len(table._subgroups) == 1
+            assert report.orbit_size * report.order == 6
+            assert stabilizer(action, p, order_cap=1) == report
+            return
+        n = _subgroup_of(table, p).order
+        # W(Phi_t) is kept, so the refusal below is a memo hit's
+        assert len(table._subgroups) == 1
         assert n > 1
         assert stabilizer(action, p, order_cap=n) == report
         with pytest.raises(GroupOrderCapError, match=f"cap {n - 1}"):
@@ -1018,6 +1012,30 @@ class TestPropagation:
             candidates = perturbed_candidates(emb, p, f, seed, result.attempts)
             assert result.point == candidates[result.attempts - 1]
 
+    @pytest.mark.parametrize(
+        "sub,ambient,nodes",
+        [(("D", 4), "E_6", [3, 4, 5, 2]), (("B", 3), "F_4", [1, 2, 3])],
+    )
+    def test_the_only_candidate_is_one_attempt(self, monkeypatch, sub, ambient, nodes):
+        # fine denominator 1 draws q = 0 every time; 40 attempts made 41
+        # stabilizer calls on that one candidate
+        sub_datum = build_root_datum(*sub)
+        emb = embed_diagram(sub_datum, ambient, nodes)
+        p = find_minus_one_points(sub_datum)[0]
+        calls = []
+        real = weylorb.torsion.stabilizer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weylorb.torsion, "stabilizer", counted)
+        with pytest.raises(
+            PerturbationNotFoundError, match="^no generic perturbation: q = 0 is the"
+        ):
+            propagate(emb, p, fine_denominator=1)
+        assert len(calls) == 2
+
 
 class TestTypedRefusals:
     """An argument of the wrong type is refused with ValueError before any
@@ -1034,12 +1052,6 @@ class TestTypedRefusals:
         emb, p = self.b3_into_f4()
         with pytest.raises(ValueError, match="fine denominator must be an int"):
             propagate(emb, p, fine_denominator=f)
-
-    @pytest.mark.parametrize("attempts", [2.5, True])
-    def test_max_attempts_must_be_an_int(self, attempts):
-        emb, p = self.b3_into_f4()
-        with pytest.raises(ValueError, match="max_attempts must be an int"):
-            propagate(emb, p, max_attempts=attempts)
 
     @pytest.mark.parametrize("bound", [2.5, "3", True])
     def test_denominator_bound_must_be_an_int(self, bound):
