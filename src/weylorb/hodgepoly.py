@@ -270,7 +270,8 @@ def generating_series(surface_hodge, n_max, specialization=None):
     """Values of goettsche(h, n) for n = 0..n_max, optionally specialized.
 
     specialization may be None, a name from SPECIALIZATIONS, or an (x0, y0)
-    pair.  Returns a list of BigradedPoly or of integers.
+    pair of ints; anything else raises ValueError.  Returns a list of
+    BigradedPoly or of integers.
     """
     require_int("n_max", n_max)
     if n_max < 0:
@@ -285,6 +286,13 @@ def generating_series(surface_hodge, n_max, specialization=None):
                 f"known: {', '.join(SPECIALIZATIONS)}"
             )
         specialization = SPECIALIZATIONS[name]
+    elif specialization is not None and (
+        type(specialization) not in (tuple, list)
+        or list(map(type, specialization)) != [int, int]
+    ):
+        raise ValueError(
+            f"specialization must be a name or a pair of ints, not {specialization!r}"
+        )
     polys = _goettsche_product(surface_hodge, n_max, n_max)
     if specialization is None:
         return polys

@@ -40,6 +40,7 @@ class GroupOrderCapError(ValueError):
 
 def check_order(what, order, cap):
     """Refuse a group of this order above the cap, naming it as what."""
+    require_int("order cap", cap)
     if order > cap:
         raise GroupOrderCapError(f"{what} has order {order}, which exceeds the cap {cap}")
 
@@ -532,13 +533,14 @@ def enumerate_group(source, order_cap=10**7):
     intlinalg.int64_generators: anything but square integer matrices of one
     size raises ValueError, and an entry beyond int64 EntryBoundError.  Refuses
     with GroupOrderCapError when the expected (or running) order exceeds the
-    cap; W(E_8) is refused at the default cap.  A generator whose exact
-    determinant is not +-1 has no inverse over Z, so it cannot lie in a
-    finite group; it is refused with ValueError before any int64 product.
-    Each level's products are bound-checked first and raise EntryBoundError
-    when their entries could overflow.  The stack and its index are built
-    level by level, in breadth-first order, with no per-element copy.
+    cap, an int (ValueError otherwise); W(E_8) is refused at the default cap.
+    A generator whose exact determinant is not +-1 has no inverse over Z, so
+    it cannot lie in a finite group; it is refused with ValueError before any
+    int64 product.  Each level's products are bound-checked first and raise
+    EntryBoundError when their entries could overflow.  The stack and its
+    index are built level by level, breadth-first, with no per-element copy.
     """
+    require_int("order cap", order_cap)
     if isinstance(source, RootDatum):
         check_order(f"W({source.dynkin_type})", source.expected_order(), order_cap)
         source = source.weyl_generators

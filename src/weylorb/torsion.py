@@ -33,9 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .intlinalg import (
     clear_denominators,
     det,
     freeze,
-    identity,
     mat_mul,
     max_abs,
     rational_nullspace,
@@ -104,6 +103,8 @@ class TorsionPoint:
 
     @classmethod
     def zero(cls, rank):
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"rank must be an int >= 0, not {rank!r}")
         return cls(1, tuple((0, 0, 0, 0) for _ in range(rank)))
 
     @classmethod
@@ -113,7 +114,10 @@ class TorsionPoint:
             if type(x) not in (int, Fraction):
                 raise ValueError(f"entry {x!r} is not an int or a Fraction")
             return Fraction(x) % 1
-        fracs = [[exact(x) for x in row] for row in rows]
+        try:
+            fracs = [[exact(x) for x in row] for row in rows]
+        except TypeError:  # rows or one of them is no sequence
+            raise ValueError(f"rows must be sequences, not {rows!r}") from None
         den = lcm(*(f.denominator for row in fracs for f in row), 1)
         coords = tuple(tuple(int(f * den) for f in row) for row in fracs)
         return cls(den, coords).reduced()
@@ -175,14 +179,6 @@ class StabilizerReport:
     orbit_size: int
     action_classification: str  # trivial | minus_one_local_model | other
     local_model_label: str
-    elements: tuple = None
-    crepant: str = None
-
-
-@cache
-def _minus_one(rank):
-    """-1 on Z^rank, frozen as StabilizerReport.elements holds its elements."""
-    return freeze([[-x for x in row] for row in identity(rank)])
 
 
 def _point_subgroup(table, den, coords, order_cap):
@@ -201,19 +197,19 @@ def _point_subgroup(table, den, coords, order_cap):
 
 
 def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
-    """Exact W-stabilizer of a torsion point, as the elements of H that fix it.
+    """Exact W-stabilizer of a torsion point, by the elements of H that fix it.
 
     When the generators are the simple reflections of a root system whose
     coroots span the lattice (rootdata.root_table), H is the reflection
     subgroup W(Phi_t) that _point_subgroup picks, which contains Stab(p);
-    |H| comes from root heights, and the table keeps H under the
-    integrality mask of Phi_t.  Otherwise H is W itself, the stack of the
-    WeylGroup given.  The orbit size is |W| / |Stab(p)|.  Stab(p) is the
-    rows of H's stack that fix p, and its greedy generators are closed
-    inside those rows.  order_cap bounds W(Phi_t) (and what the table
-    keeps): GroupOrderCapError before any enumeration.  A source that is not a
-    WeylGroup, a LatticeAction or a RootDatum, or a point that is not a
-    TorsionPoint of the group's rank, raises ValueError.
+    |H| comes from root heights, and the table keeps H under the integrality
+    mask of Phi_t.  Otherwise H is W itself, the stack of the WeylGroup
+    given.  Stab(p), of orbit size |W| / |Stab(p)|, is the rows of H's stack
+    that fix p; its greedy generators are closed inside them, and {1, g} is
+    the +-1 model when its rows sum to 0.  order_cap bounds W(Phi_t) (and
+    what the table keeps): GroupOrderCapError before any enumeration.  A
+    source that is not a WeylGroup, a LatticeAction or a RootDatum, or a
+    point that is not a TorsionPoint of the group's rank, raises ValueError.
     """
     if not isinstance(point, TorsionPoint):
         raise ValueError(f"{point!r} is not a TorsionPoint")
@@ -259,17 +255,12 @@ def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
             frontier, pulled = fresh, moves
     if order % stab_order != 0:
         raise AssertionError("stabilizer order does not divide |W|")
-    # sorted, so of {1, -1} the -1 comes first
-    frozen = tuple(sorted(freeze(g) for g in elements.tolist()))
-    crepant = None
     if stab_order == 1:
         cls = "trivial"
         label = "smooth point"
-    elif stab_order == 2 and frozen[0] == _minus_one(rank):
+    elif stab_order == 2 and not elements.sum(axis=0).any():
         cls = "minus_one_local_model"
         label = f"C^{2 * rank}/+-1"
-        # the +-1 quotient is resolvable only in one surface factor
-        crepant = "resolvable" if rank == 1 else "no_crepant_resolution"
     else:
         cls = "other"
         label = f"subgroup of order {stab_order}"
@@ -279,8 +270,6 @@ def stabilizer(action, point, order_cap=DEFAULT_TORSION_CAP):
         orbit_size=order // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=frozen,
-        crepant=crepant,
     )
 
 
@@ -334,13 +323,10 @@ def _points_of_codes(codes, rank):
     """The points of nonzero codes, reduced already: some entry is 1 mod 2.
 
     Nibble j of a code is the row over the j-th simple coroot, one of the 16
-    shared _NIBBLES.  The (n, rank) nibble array is checked once for what
-    TorsionPoint checks of each point, and each point is built without it.
+    shared _NIBBLES: 4-vectors of ints mod 2, as TorsionPoint checks, so
+    each point is built without that check.
     """
     nibbles = np.array(codes, dtype=np.int64)[:, None] >> 4 * np.arange(rank) & 15
-    low, high = nibbles.min(initial=0), nibbles.max(initial=0)
-    if nibbles.dtype.kind != "i" or not 0 <= low <= high < 16:
-        raise ValueError("coordinates must be 4-vectors of ints mod den")
     points = [object.__new__(TorsionPoint) for _ in codes]
     for p, row in zip(points, nibbles.tolist()):
         # as the __init__ of a frozen dataclass sets its fields
@@ -354,19 +340,19 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=DEFAULT_TORSION
 
     A stabilizer containing -1 forces 2p = 0, so every denominator bound >= 2
     scans the same 2-torsion points: the bound, kept for positional callers,
-    selects nothing.
-    -1 fixes every 2-torsion point, so the stabilizer of the first nonzero
-    orbit representative settles whether -1 lies in W, and times that
-    orbit's size it gives |W|; when -1 lies in W, an orbit has stabilizer
-    exactly {+-1} exactly when its size is |W| / 2.  A group order that
-    disagrees with this |W| raises AssertionError.
+    selects nothing.  -1 fixes every 2-torsion point, and when -1 lies in W
+    every stabilizer contains it, so a stabilizer is {+-1} exactly when its
+    orbit has the largest possible size |W| / 2.  So the stabilizer of the
+    least code among the largest orbits decides; its order times that
+    orbit's size must be |W|, or AssertionError.
     Returns a list of TorsionPoint orbit representatives, each the orbit
-    member with the least bit code, in ascending code order; [] when -1 is
-    not in W.  A denominator bound that is not an int, or is a bool, or
-    2^(4r) codes above order_cap, which bounds each W(Phi_t) searched too,
-    raise ValueError.
+    member with the least bit code, in ascending code order; [] unless that
+    stabilizer is {+-1}.  A denominator bound or order_cap that is not an
+    int, or is a bool, or 2^(4r) codes above order_cap, which bounds each
+    W(Phi_t) searched too, raise ValueError.
     """
     require_int("denominator bound", denominator_bound)
+    require_int("order cap", order_cap)
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
     generators, order, _ = _group_parts(action)
@@ -374,14 +360,13 @@ def find_minus_one_points(action, denominator_bound=2, order_cap=DEFAULT_TORSION
     if (1 << (4 * rank)) > order_cap:
         raise ValueError(f"2-torsion candidate set exceeds cap {order_cap}")
     reps = _two_torsion_orbit_reps(generators, rank)[1:]
-    first, first_size = reps[0]
-    report = stabilizer(action, _points_of_codes([first], rank)[0], order_cap=order_cap)
-    whole = report.order * first_size
-    if order != whole:
+    size = max(reps, key=itemgetter(1))[1]
+    codes = [c for c, s in reps if s == size]
+    report = stabilizer(action, _points_of_codes(codes[:1], rank)[0], order_cap=order_cap)
+    if order != report.order * size:
         raise AssertionError("orbit-stabilizer count disagrees with the group order")
-    if _minus_one(rank) not in report.elements:
-        return []
-    return _points_of_codes([code for code, size in reps if 2 * size == whole], rank)
+    minus_one = report.action_classification == "minus_one_local_model"
+    return _points_of_codes(codes, rank) if minus_one else []
 
 
 @dataclass(frozen=True)
@@ -409,8 +394,11 @@ def propagate(
     stabilizer of p; PerturbationNotFoundError when PROPAGATE_ATTEMPTS
     draws fail.  When f^(4 k_extra) = 1 (f = 1, or N = 0) every draw is
     q = 0, so that one candidate is the one attempt.  A fine denominator
-    that is not an int, or is a bool, raises ValueError.
+    that is not an int, or is a bool, or an embedding that is not a
+    DiagramEmbedding, raises ValueError.
     """
+    if not isinstance(embedding, DiagramEmbedding):
+        raise ValueError(f"embedding {embedding!r} is not a DiagramEmbedding")
     require_int("fine denominator", fine_denominator)
     sub, amb = embedding.sub, embedding.ambient
     f = fine_denominator

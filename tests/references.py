@@ -38,6 +38,7 @@ from weylorb.rootdata import (
     GroupOrderCapError,
     RootDatum,
     _keys,
+    enumerate_group,
     least_orbit_labels,
     parse_type,
 )
@@ -385,6 +386,14 @@ def decode_two_torsion(code, rank):
     return TorsionPoint(2, tuple(nibbles))
 
 
+def generated_elements(report, rank):
+    """The group report.generators generate, as sorted nested tuples: the
+    identity alone when there are no generators."""
+    if not report.generators:
+        return [freeze(identity(rank))]
+    return sorted(freeze(g) for g in enumerate_group(report.generators).stack.tolist())
+
+
 def stabilizer_by_index_closure(action, point, order_cap=10**6):
     """torsion.stabilizer with the greedy generators closed inside H.
 
@@ -392,7 +401,8 @@ def stabilizer_by_index_closure(action, point, order_cap=10**6):
     order from the fixed rows outside the group so far, and that group is
     a boolean mask over the rows of H, grown breadth-first by products
     looked up in H's bytes index (rows_of): the old members times the new
-    generator, then each new member times every generator.
+    generator, then each new member times every generator.  Returns the
+    report and, beside it, the fixed rows as sorted nested tuples.
     """
     generators, order, table = _group_parts(action)
     rank = len(generators[0])
@@ -424,23 +434,21 @@ def stabilizer_by_index_closure(action, point, order_cap=10**6):
     elements = stack[fixed]
     stab_order = len(elements)
     if stab_order == 1:
-        cls, label, crepant = "trivial", "smooth point", None
+        cls, label = "trivial", "smooth point"
     elif stab_order == 2 and np.array_equal(
         elements[1], -np.eye(rank, dtype=np.int64)
     ):
         cls, label = "minus_one_local_model", f"C^{2 * rank}/+-1"
-        crepant = "resolvable" if rank == 1 else "no_crepant_resolution"
     else:
-        cls, label, crepant = "other", f"subgroup of order {stab_order}", None
-    return StabilizerReport(
+        cls, label = "other", f"subgroup of order {stab_order}"
+    report = StabilizerReport(
         generators=tuple(freeze(g.tolist()) for g in found),
         order=stab_order,
         orbit_size=order // stab_order,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(freeze(g) for g in elements.tolist())),
-        crepant=crepant,
     )
+    return report, sorted(freeze(g) for g in elements.tolist())
 
 
 def _chain(count, width):

@@ -625,6 +625,8 @@ REMOVED_EXPORTS = [
     ("torsion", "TorsionPoint.is_zero"),
     ("torsion", "TorsionPoint.from_json"),
     ("torsion", "StabilizerReport.to_dict"),
+    ("torsion", "StabilizerReport.elements"),
+    ("torsion", "StabilizerReport.crepant"),
     ("rootdata", "RootDatum.to_json"),
     ("rootdata", "RootDatum.from_json"),
     ("stringy", "FixedLocusData.component_count"),

@@ -251,6 +251,12 @@ class TestGoettsche:
         with pytest.raises(ValueError, match="'foo'.*euler, signature"):
             generating_series(kummer_k3(), 2, "foo")
 
+    @pytest.mark.parametrize("spec", [(1.5, 1), (1,), (1, 1, 1), (True, 1), 5, {1, 2}])
+    def test_specialization_must_be_a_pair_of_ints(self, spec):
+        # (1.5, 1) gave floats such as 36.5, and (1,) raised TypeError
+        with pytest.raises(ValueError, match="a name or a pair of ints"):
+            generating_series(kummer_k3(), 3, spec)
+
     def test_explicit_pair_specialization(self):
         vals = generating_series(kummer_k3(), 2, (1, 1))
         assert vals[0] == 1

@@ -28,6 +28,7 @@ from weylorb.torsion import TorsionPoint, stabilizer
 from references import (
     cartan_from_coroot_vectors,
     conjugacy_classes_by_products,
+    generated_elements,
     positive_roots,
 )
 
@@ -290,7 +291,7 @@ class TestRootTable:
         assert group.order == 24
         p = TorsionPoint(2, ((1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)))
         brute = sorted(freeze(g) for g in group.stack.tolist() if p.apply(g) == p)
-        assert list(stabilizer(group, p).elements) == brute
+        assert generated_elements(stabilizer(group, p), 3) == brute
 
     def test_reflection_pair_refuses_a_wrapping_pairing(self):
         # s = I - c f^T with f.c = 2^64 + 2, which wraps to 2 in int64: s is

@@ -28,7 +28,7 @@ from weylorb.rootdata import (
     enumerate_group,
     root_table,
 )
-from weylorb.stringy import LatticeAction
+from weylorb.stringy import LatticeAction, verify_su_case
 from weylorb.torsion import (
     PerturbationNotFoundError,
     StabilizerReport,
@@ -45,6 +45,7 @@ from weylorb.torsion import (
 
 from references import (
     decode_two_torsion,
+    generated_elements,
     perturbed_candidates,
     stabilizer_by_index_closure,
     torsion_point_refuses,
@@ -93,7 +94,8 @@ def _stabilizer_reference(action, point, element_cap=10**5):
 
     The oracle of stabilizer(), over all of W: a witness dict in discovery
     order, then Schreier generators u_y^-1 s u_x collected in (point,
-    generator) order until the closure reaches |W| / |orbit|.
+    generator) order until the closure reaches |W| / |orbit|.  Returns the
+    report and, beside it, the closure as sorted nested tuples.
     """
     generators, order, _ = _group_parts(action)
     rank = len(generators[0])
@@ -128,28 +130,27 @@ def _stabilizer_reference(action, point, element_cap=10**5):
 
 def _report(gens, elements, orbit_size, rank):
     """A StabilizerReport for the given elements, classified as stabilizer()
-    classifies them."""
+    classifies them, and beside it the elements, sorted."""
     minus = minus_identity(rank)
     if len(elements) == 1:
-        cls, label, crepant = "trivial", "smooth point", None
+        cls, label = "trivial", "smooth point"
     elif len(elements) == 2 and minus in elements:
         cls, label = "minus_one_local_model", f"C^{2 * rank}/+-1"
-        crepant = "resolvable" if rank == 1 else "no_crepant_resolution"
     else:
-        cls, label, crepant = "other", f"subgroup of order {len(elements)}", None
-    return StabilizerReport(
+        cls, label = "other", f"subgroup of order {len(elements)}"
+    report = StabilizerReport(
         generators=tuple(gens),
         order=len(elements),
         orbit_size=orbit_size,
         action_classification=cls,
         local_model_label=label,
-        elements=tuple(sorted(elements)),
-        crepant=crepant,
     )
+    return report, sorted(elements)
 
 
 def _brute_force(group, point):
-    """Brute force over all of W: the elements of the stack that fix p."""
+    """Brute force over all of W: the elements of the stack that fix p,
+    beside their report."""
     p = point.reduced()
     coords = np.array(p.coords, dtype=np.int64)
     stack = group.stack
@@ -159,17 +160,13 @@ def _brute_force(group, point):
 
 
 def assert_same_stabilizer(report, reference):
-    """Every field equal but the generators, which are not canonical;
-    those must generate exactly the stabilizer's elements."""
+    """Every field equal to the reference report's but the generators, which
+    are not canonical; those must generate exactly the reference's elements."""
+    expected, elements = reference
     assert dataclasses.replace(report, generators=()) == dataclasses.replace(
-        reference, generators=()
+        expected, generators=()
     )
-    rank = len(report.elements[0])
-    if report.generators:
-        closed = _elements(enumerate_group(report.generators))
-    else:
-        closed = [freeze(identity(rank))]
-    assert sorted(closed) == list(report.elements)
+    assert generated_elements(report, len(elements[0])) == elements
 
 
 def _points_of_denominator(group, den, count, seed):
@@ -331,7 +328,7 @@ class TestStabilizer:
         ]:
             report = stabilizer(group, p)
             assert report.order * report.orbit_size == group.order
-            for g in report.elements:
+            for g in generated_elements(report, 3):
                 assert p.apply(g) == p
 
     def test_conjugate_points_conjugate_stabilizers(self):
@@ -345,9 +342,9 @@ class TestStabilizer:
         assert rp.order == rq.order
         conj = {
             freeze(mat_mul(s, mat_mul(g, unimodular_inverse(s))))
-            for g in rp.elements
+            for g in generated_elements(rp, 2)
         }
-        assert conj == set(rq.elements)
+        assert conj == set(generated_elements(rq, 2))
 
     def test_minus_one_report(self):
         datum = build_root_datum("G", 2)
@@ -356,7 +353,22 @@ class TestStabilizer:
         assert report.order == 2
         assert report.action_classification == "minus_one_local_model"
         assert report.local_model_label == "C^4/+-1"
-        assert report.crepant == "no_crepant_resolution"
+        assert generated_elements(report, 2) == [minus_identity(2), freeze(identity(2))]
+
+    def test_no_element_is_frozen(self, monkeypatch):
+        # the E_6 zero point's stabilizer is all 51,840 rows of W(E_6); only
+        # its generators become nested tuples
+        calls = []
+        real = weylorb.torsion.freeze
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(weylorb.torsion, "freeze", counted)
+        report = stabilizer(build_root_datum("E", 6), TorsionPoint.zero(6))
+        assert report.order == 51840
+        assert len(calls) <= len(report.generators)
 
 
 class TestBatchedStabilizer:
@@ -395,7 +407,7 @@ class TestBatchedStabilizer:
     def test_zero_point_is_whole_group(self, letter, rank):
         group = enumerate_group(build_root_datum(letter, rank))
         report = self.assert_same(group, TorsionPoint.zero(rank))
-        assert set(report.elements) == set(_elements(group))
+        assert generated_elements(report, rank) == sorted(_elements(group))
 
     @pytest.mark.parametrize("letter,rank", [("G", 2), ("B", 3)])
     def test_elements_by_brute_force(self, letter, rank):
@@ -404,7 +416,7 @@ class TestBatchedStabilizer:
         points += _points_of_denominator(group, 6, 6, seed=rank)
         for p in points + find_minus_one_points(group)[:5]:
             brute = sorted(g for g in _elements(group) if p.apply(g) == p)
-            assert list(stabilizer(group, p).elements) == brute
+            assert generated_elements(stabilizer(group, p), rank) == brute
 
     @pytest.mark.parametrize("letter,rank,den", [("G", 2, 301), ("B", 3, 2**31 + 11)])
     def test_keys_wider_than_one_word(self, letter, rank, den):
@@ -530,7 +542,9 @@ class TestClosureInsideFixedRows:
         orders = set()
         for p in points + [TorsionPoint.zero(rank)]:
             report = stabilizer(group, p)
-            assert report == stabilizer_by_index_closure(group, p)
+            reference, elements = stabilizer_by_index_closure(group, p)
+            assert report == reference
+            assert generated_elements(report, rank) == elements
             orders.add(report.order)
         # mod 1 every point is zero, whose stabilizer is all of W
         assert len(orders) == 1 if den == 1 else len(orders) >= 2
@@ -538,7 +552,10 @@ class TestClosureInsideFixedRows:
     def test_minus_one_points(self):
         group = enumerate_group(build_root_datum("D", 4))
         for p in find_minus_one_points(group):
-            assert stabilizer(group, p) == stabilizer_by_index_closure(group, p)
+            report = stabilizer(group, p)
+            reference, elements = stabilizer_by_index_closure(group, p)
+            assert report == reference
+            assert generated_elements(report, 4) == elements
 
     @pytest.mark.parametrize(
         "rows,bound,error,match",
@@ -716,7 +733,7 @@ class TestSubgroupReduction:
         assert root_table(gens) is None and group.roots is None
         for action in (enumerate_group(gens), group):
             report = stabilizer(action, p)
-            assert report.order == 3 and list(report.elements) == brute
+            assert report.order == 3 and generated_elements(report, 2) == brute
         assert stabilizer(group, p).orbit_size == 2
 
     def test_coweight_group_is_searched_in_its_own_stack(self, monkeypatch):
@@ -890,7 +907,7 @@ class TestMinusOneScan:
         assert report.order == 2
         assert report.action_classification == "minus_one_local_model"
         assert report.local_model_label == label
-        assert minus_identity(rank) in report.elements
+        assert minus_identity(rank) in generated_elements(report, rank)
 
     def test_representatives_lie_in_distinct_orbits(self):
         datum = build_root_datum("G", 2)
@@ -953,6 +970,44 @@ class TestMinusOneScan:
     def test_no_generators_is_refused(self):
         with pytest.raises(ValueError, match="no generators"):
             find_minus_one_points(enumerate_group([]))
+
+    def test_one_search_on_the_least_code_of_a_largest_orbit(self, monkeypatch):
+        # the first orbit of D_4, of size 12, has a stabilizer of order 16;
+        # the scan searches the least code among the orbits of size |W| / 2
+        datum = build_root_datum("D", 4)
+        reps = _two_torsion_orbit_reps(datum.weyl_generators, 4)[1:]
+        first = stabilizer(datum, decode_two_torsion(reps[0][0], 4))
+        assert (first.order, first.orbit_size) == (16, 12)
+        calls = []
+        real = weylorb.torsion.stabilizer
+
+        def counted(action, point, **kwargs):
+            calls.append((point, real(action, point, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(weylorb.torsion, "stabilizer", counted)
+        points = find_minus_one_points(datum)
+        least = min(code for code, size in reps if size == 96)
+        [(point, report)] = calls
+        assert point == decode_two_torsion(least, 4) == points[0]
+        assert (report.order, report.orbit_size) == (2, 96)
+
+    def test_order_two_is_not_enough(self):
+        # diag(1, -1) is 1 mod 2, so it fixes every 2-torsion point: every
+        # orbit has size |W| / 2 = 1, and no stabilizer is {+-1}
+        group = enumerate_group([((1, 0), (0, -1))])
+        report = stabilizer(group, decode_two_torsion(1, 2))
+        assert (report.order, report.action_classification) == (2, "other")
+        assert find_minus_one_points(group) == []
+
+    def test_none_without_an_orbit_of_half_w(self):
+        # -1 lies in W(C_3), but every 2-torsion orbit is smaller than 48 / 2
+        datum = build_root_datum("C", 3)
+        whole = stabilizer(datum, TorsionPoint.zero(3))
+        assert minus_identity(3) in generated_elements(whole, 3)
+        reps = _two_torsion_orbit_reps(datum.weyl_generators, 3)
+        assert max(size for _, size in reps) < whole.order // 2
+        assert find_minus_one_points(datum) == []
 
 
 class TestPropagation:
@@ -1062,3 +1117,39 @@ class TestTypedRefusals:
     def test_stabilizer_needs_a_torsion_point(self, point):
         with pytest.raises(ValueError, match="is not a TorsionPoint"):
             stabilizer(build_root_datum("G", 2), point)
+
+    @pytest.mark.parametrize("rank", [-1, "3", 2.0, True])
+    def test_zero_needs_a_rank(self, rank):
+        # -1 gave a point of rank 0, and "3" raised TypeError
+        with pytest.raises(ValueError, match="rank must be an int >= 0"):
+            TorsionPoint.zero(rank)
+
+    @pytest.mark.parametrize("rows", [5, [5], None])
+    def test_from_fractions_needs_sequences(self, rows):
+        # these raised TypeError
+        with pytest.raises(ValueError, match="rows must be sequences"):
+            TorsionPoint.from_fractions(rows)
+
+    @pytest.mark.parametrize("cap", ["5", None, 5.0, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cap: stabilizer(build_root_datum("B", 3), TorsionPoint.zero(3), cap),
+            lambda cap: find_minus_one_points(build_root_datum("G", 2), order_cap=cap),
+            lambda cap: enumerate_group([((-1, 0), (0, 1))], order_cap=cap),
+            lambda cap: enumerate_group(build_root_datum("A", 2), order_cap=cap),
+            lambda cap: verify_su_case(3, order_cap=cap),
+        ],
+        ids=["stabilizer", "scan", "generators", "root_datum", "verify_su_case"],
+    )
+    def test_order_cap_must_be_an_int(self, call, cap):
+        # "5" and None raised TypeError from a comparison with an int
+        with pytest.raises(ValueError, match="order cap must be an int"):
+            call(cap)
+
+    @pytest.mark.parametrize("embedding", [None, ("B_3", "F_4", [1, 2, 3])])
+    def test_propagate_needs_an_embedding(self, embedding):
+        # None raised AttributeError
+        _, p = self.b3_into_f4()
+        with pytest.raises(ValueError, match="is not a DiagramEmbedding"):
+            propagate(embedding, p)
