@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .intlinalg import det, echelon, rational_nullspace, rational_rank, transpose
 
@@ -64,6 +64,8 @@ class MatrixPair:
         for name, m in (("mx", self.mx), ("my", self.my)):
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError(f"{name} is not a {self.dim}x{self.dim} matrix")
+            if not {int, Fraction}.issuperset(map(type, itertools.chain(*m))):
+                raise ValueError(f"{name} has an entry that is no int or Fraction")
         a, b = _rows(self.mx), _rows(self.my)
         if _product(a, b) != _product(b, a):
             raise ValueError("matrices do not commute")
@@ -123,22 +125,33 @@ def _product(a, b):
 
 
 def _as_number(f):
-    """f as an exact int or Fraction; ValueError for a bool, x/0 or inf."""
-    if isinstance(f, bool):
-        raise ValueError(f"malformed entry {f!r}: not a number")
+    """A pair-file entry, an int or a "p/q" string, as an int or Fraction;
+    ValueError for anything else (a float, a bool), x/0 or inf."""
     if type(f) is int:
         return f
     try:
+        if type(f) is not str:
+            raise ValueError('write an int, or a fraction as a "p/q" string')
         f = Fraction(f)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed entry {f!r}: {exc}") from None
     return int(f) if f.denominator == 1 else f
 
 
 def make_pair(mx, my):
-    mx = tuple(tuple(_as_number(x) for x in r) for r in mx)
-    my = tuple(tuple(_as_number(x) for x in r) for r in my)
-    return MatrixPair(dim=len(mx), mx=mx, my=my)
+    """The pair of two square matrices given as rows of ints and Fractions."""
+    rows = []
+    for name, m in (("mx", mx), ("my", my)):
+        try:
+            rows.append(tuple(map(tuple, m)))
+        except TypeError:
+            raise ValueError(f"{name} {m!r} is not a matrix given as rows") from None
+    return MatrixPair(len(rows[0]), *rows)
+
+
+def _require_pair(name, pair):
+    if not isinstance(pair, MatrixPair):
+        raise ValueError(f"{name} {pair!r} is not a MatrixPair")
 
 
 def _monomials(n):
@@ -278,12 +291,14 @@ def pair_from_ideal(generators, truncation):
     The other monomials are the basis of the quotient, and a pivot monomial
     reduces to minus the rest of its RREF row, which is zero on the basis
     when it has degree N.  ValueError, before anything is built, unless N is
-    a positive int and the generators are strings whose system at N + 1 (one
-    row per generator and monomial, one column per monomial) has at most
-    MAX_SYSTEM_ENTRIES entries.
+    a positive int and the generators are strings (not one string) whose
+    system at N + 1 (one row per generator and monomial, one column per
+    monomial) has at most MAX_SYSTEM_ENTRIES entries.
     """
     if type(truncation) is not int or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, not {truncation!r}")
+    if isinstance(generators, str):
+        raise ValueError(f"generators must be strings in a list, not {generators!r}")
     generators = list(generators)
     for g in generators:
         if not isinstance(g, str):
@@ -339,6 +354,7 @@ def is_cyclic(pair):
     For a commuting nilpotent pair this is equivalent, by Nakayama, to the
     image of (mx, my) having codimension one.
     """
+    _require_pair("pair", pair)
     if not pair.is_nilpotent():
         raise ValueError("cyclicity criterion requires a nilpotent pair")
     return pair.dim - pair.ranks[0] == 1
@@ -347,6 +363,7 @@ def is_cyclic(pair):
 def dual(pair):
     """The Ext-dual module: the transpose pair, with the pair's ranks
     swapped if known (rank [M_x^T | M_y^T] = rank [M_x ; M_y])."""
+    _require_pair("pair", pair)
     d = make_pair(transpose(pair.mx), transpose(pair.my))
     if "ranks" in vars(pair):
         vars(d)["ranks"] = pair.ranks[::-1]
@@ -457,36 +474,30 @@ def _generic_det(basis, dim):
 
 
 def _subspace_contains_invertible(basis, dim, seed=0):
-    """Decide whether a span of matrices contains an invertible one.
+    """Decide whether a span of integer matrices contains an invertible one.
 
     The determinant of the generic element sum t_k B_k is an exact
     polynomial in the parameters; over an infinite field it vanishes
     identically iff the subspace has no invertible element.  It is taken
-    fraction-free in the polynomial ring ZZ[t_0..t_k] (`_generic_det`),
-    after scaling the basis by a common denominator L, only when the first
-    _DRAWS_BEFORE_GENERIC_DET draws fail: a witness is the first seeded
-    integer draw of coefficients, with growing bounds, whose combination has
-    a nonzero determinant (`_generic_det` takes no draw).
+    in the polynomial ring ZZ[t_0..t_k] (`_generic_det`) only when the
+    first _DRAWS_BEFORE_GENERIC_DET draws fail: a witness is the first
+    seeded integer draw of coefficients, with growing bounds, whose
+    combination has a nonzero determinant (`_generic_det` takes no draw).
     """
     if not basis:
         return False, None
-    den = lcm(*(x.denominator for b in basis for row in b for x in row))
-    scaled = [
-        [[x.numerator * (den // x.denominator) for x in row] for row in b]
-        for b in basis
-    ]
     rng = random.Random(seed)
     bounds = (bound for bound in (1, 2, 3, 5, 9) for _ in range(200))
     for n, bound in enumerate(bounds):
-        if n == _DRAWS_BEFORE_GENERIC_DET and not _generic_det(scaled, dim):
+        if n == _DRAWS_BEFORE_GENERIC_DET and not _generic_det(basis, dim):
             return False, None
         coeffs = [rng.randint(-bound, bound) for _ in basis]
         combination = [
-            [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
+            [sum(c * b[i][j] for c, b in zip(coeffs, basis)) for j in range(dim)]
             for i in range(dim)
         ]
         if det(combination):
-            return True, [[Fraction(x, den) for x in row] for row in combination]
+            return True, combination
     raise AssertionError("nonzero determinant but no witness found")
 
 
@@ -495,6 +506,8 @@ def module_isomorphic(a, b, seed=0):
 
     No system is solved when rank [x | y] or rank [x ; y] differ.
     """
+    _require_pair("a", a)
+    _require_pair("b", b)
     if a.dim != b.dim or a.ranks != b.ranks:
         return False, None
     basis = _sylvester_solution_space(a, b)
@@ -517,6 +530,7 @@ def symplectic_exists(pair, seed=0):
     or when rank [M_x | M_y] != rank [M_x ; M_y]: an invertible Phi makes
     the pair similar to (-M_x^T, -M_y^T), whose rank [. | .] is the latter.
     """
+    _require_pair("pair", pair)
     m = pair.dim
     positions = list(itertools.combinations(range(m), 2))
     # Phi[k][l] = t_idx and Phi[l][k] = -t_idx for positions[idx] = (k, l)
@@ -546,9 +560,8 @@ def symplectic_exists(pair, seed=0):
         rows += eqs.values()
     sols = rational_nullspace(rows, len(positions))
     basis = []
-    zero = Fraction(0)
     for v in sols:
-        phi = [[zero] * m for _ in range(m)]
+        phi = [[0] * m for _ in range(m)]
         for idx, (k, l) in enumerate(positions):
             if v[idx]:
                 phi[k][l], phi[l][k] = v[idx], -v[idx]

@@ -26,16 +26,19 @@ from .intlinalg import require_int
 
 class BigradedPoly:
     """Integer polynomial in two formal variables indexed by bidegree (p, q);
-    a coefficient that is no int or Fraction (a float, a bool) raises ValueError."""
+    a coefficient that is no int or Fraction (a float, a bool) raises
+    ValueError, and one of another integral type is stored as an int."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         c = {}
         for key, val in (coeffs or {}).items():
-            exact = type(val) is int or isinstance(val, (Integral, Fraction))
-            if not exact or type(val) is bool:
-                raise ValueError(f"coefficient {val!r} of {key!r} is not exact")
+            if type(val) is not int:
+                if type(val) is bool or not isinstance(val, (Integral, Fraction)):
+                    raise ValueError(f"coefficient {val!r} of {key!r} is not exact")
+                if type(val) is not Fraction:
+                    val = int(val)  # a numpy integer would wrap
             if val:
                 p, q = key
                 if not type(p) is type(q) is int and not all(

@@ -7,10 +7,10 @@ callers need solution coordinates and a change of basis, not just invariant
 factors.  Over Q there is one elimination, `_echelon`: fraction-free
 Gauss-Jordan on sparse rows {column: nonzero entry}, kept as primitive
 integer rows, so a row's denominators, gcd and combinations cost its
-nonzero entries only; Fractions are made only when the pivot rows are
-normalised at the end.  `echelon` returns its primitive pivot rows as
-they are, and `rational_rank`, `rational_nullspace` and `solve_exact` are
-read off it.  They take a matrix as rows that are sequences of entries, or
+nonzero entries only.  `echelon` returns its primitive pivot rows as
+they are, and `rational_rank`, `rational_nullspace` (as primitive integer
+vectors) and `solve_exact` (whose solutions alone are Fractions) are read
+off it.  They take a matrix as rows that are sequences of entries, or
 dicts of nonzero entries with the number of columns given; `_sparse_rows`
 checks and converts either once, at entry, and refuses ragged rows,
 columns out of range and entries that are not ints or Fractions.  Over Z,
@@ -135,7 +135,7 @@ def _lengths(a):
 
 
 def _check_integers(rows, ring=False):
-    """ValueError for an entry that is a number but not an integer.
+    """ValueError for an entry that is a bool, or a number but not an integer.
 
     `//` would floor a Fraction or a float.  With ring, an entry that is no
     number at all passes: det also runs on elements of a ring with exact
@@ -144,7 +144,8 @@ def _check_integers(rows, ring=False):
     for row in rows:
         if not _INT.issuperset(map(type, row)):
             for x in row:
-                if (isinstance(x, Number) or not ring) and not isinstance(x, Integral):
+                integer = isinstance(x, Integral) and type(x) is not bool
+                if (isinstance(x, Number) or not ring) and not integer:
                     raise ValueError(f"entry {x!r} is not an integer")
 
 
@@ -290,14 +291,6 @@ def echelon_pivots_stack(stack):
     return pivots
 
 
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    out = [0] * len(vec)
-    for j, x in _primitive({j: x for j, x in enumerate(vec) if x}).items():
-        out[j] = x
-    return out
-
-
 _INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
 
@@ -421,26 +414,28 @@ def rational_rank(m, ncols=None):
 
 
 def rational_nullspace(m, ncols=None):
-    """Basis of {x : m @ x = 0} over Q, as lists of Fractions.
+    """Basis of {x : m @ x = 0} over Q, as primitive integer vectors.
 
-    m is given as echelon takes it.  One vector per free column f, with 1 at
-    f and 0 at the other free columns.
+    m is given as echelon takes it.  One vector per free column f, positive
+    at f and 0 at the other free columns: the RREF's vector with 1 at f,
+    -row[f] / row[pivot] at each pivot, times the lcm of those pivot
+    entries and over the gcd of the result.
     """
     rows, ncols = _sparse_rows(m, ncols)
     rows, pivots = _echelon(rows)
     pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for row, pc in zip(rows, pivots):
-            x = row.get(f)
-            if x:
-                vec[pc] = Fraction(-x, row[pc])
-        basis.append(vec)
+        hits = [(pc, row) for row, pc in zip(rows, pivots) if f in row]
+        den = lcm(*(row[pc] for pc, row in hits))
+        vec = [0] * ncols
+        vec[f] = den
+        for pc, row in hits:
+            vec[pc] = -row[f] * (den // row[pc])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec] if g > 1 else vec)
     return basis
 
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from .intlinalg import (
     check_product,
-    clear_denominators,
     det,
     freeze,
     mat_mul,
@@ -411,7 +410,7 @@ def propagate(
     # the sub-lattice with the ambient one is the Gram rows at the nodes
     nodes = [x - 1 for x in embedding.node_map]
     gram = amb.gram()
-    basis = [clear_denominators(v) for v in rational_nullspace([gram[i] for i in nodes])]
+    basis = rational_nullspace([gram[i] for i in nodes])
     k_extra = len(basis)
     # candidates live over den = p.den f: the image of p is p f at the
     # nodes, and a perturbation q = basis^T draws / f adds p.den q; one

@@ -8,7 +8,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from weylorb.hodgepoly import BigradedPoly, partitions
 from weylorb.intlinalg import (
     INT64_MAX,
     check_product,
-    clear_denominators,
     det,
     freeze,
     identity,
@@ -54,6 +53,15 @@ from weylorb.torsion import (
     _group_parts,
     _point_subgroup,
 )
+
+
+def clear_denominators(vec):
+    """A rational vector scaled to the primitive integer vector with the
+    same signs: times the lcm of its denominators, over the gcd of that."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
 
 
 def _add_outer(acc, sq, weight):
@@ -568,7 +576,7 @@ def perturbed_candidates(embedding, p, fine_denominator, seed, count):
         for k in range(amb.rank)
     ]
     pairing = mat_mul(transpose(cmap), [list(r) for r in amb.gram()])
-    basis = [clear_denominators(v) for v in rational_nullspace(pairing)]
+    basis = rational_nullspace(pairing)
     rng = random.Random(seed)
     f = fine_denominator
     out = []
@@ -665,30 +673,24 @@ def literal_skew_rows(pair):
 def subspace_contains_invertible_det_first(basis, dim, seed=0):
     """Whether a span of matrices holds an invertible one, generic det first.
 
-    The determinant of sum t_k B_k, after scaling by a common denominator,
-    decides; only when it is nonzero are seeded integer combinations drawn,
-    with growing bounds, and the first with a nonzero determinant is the
-    witness.
+    The determinant of sum t_k B_k, for integer matrices B_k, decides; only
+    when it is nonzero are seeded integer combinations drawn, with growing
+    bounds, and the first with a nonzero determinant is the witness.
     """
     if not basis:
         return False, None
-    den = lcm(*(x.denominator for b in basis for row in b for x in row))
-    scaled = [
-        [[x.numerator * (den // x.denominator) for x in row] for row in b]
-        for b in basis
-    ]
-    if not _generic_det(scaled, dim):
+    if not _generic_det(basis, dim):
         return False, None
     rng = random.Random(seed)
     for bound in (1, 2, 3, 5, 9):
         for _ in range(200):
             coeffs = [rng.randint(-bound, bound) for _ in basis]
             combination = [
-                [sum(c * b[i][j] for c, b in zip(coeffs, scaled)) for j in range(dim)]
+                [sum(c * b[i][j] for c, b in zip(coeffs, basis)) for j in range(dim)]
                 for i in range(dim)
             ]
             if det(combination):
-                return True, [[Fraction(x, den) for x in row] for row in combination]
+                return True, combination
     raise AssertionError("nonzero determinant but no witness found")
 
 
@@ -710,7 +712,7 @@ def symplectic_exists_det_first(pair, seed=0):
     positions = list(itertools.combinations(range(m), 2))
     basis = []
     for v in rational_nullspace(literal_skew_rows(pair)) if positions else []:
-        phi = [[Fraction(0)] * m for _ in range(m)]
+        phi = [[0] * m for _ in range(m)]
         for x, (k, l) in zip(v, positions):
             phi[k][l], phi[l][k] = x, -x
         basis.append(phi)

@@ -426,6 +426,8 @@ class TestMatrixLab:
             {"dim": 1, "mx": [["1/0"]], "my": [[0]]},
             {"dim": 1, "mx": [[float("inf")]], "my": [[0]]},  # written as 1e400
             {"dim": 1, "mx": [[True]], "my": [[0]]},
+            {"dim": 2, "mx": [[0, 0], [0.1, 0]], "my": [[0, 0], [0, 0]]},
+            {"dim": 1, "mx": [[1.0]], "my": [[0]]},
         ],
         ids=[
             "missing-my",
@@ -435,6 +437,8 @@ class TestMatrixLab:
             "zero-denominator",
             "infinite-entry",
             "boolean-entry",
+            "float-entry",
+            "integral-float-entry",
         ],
     )
     def test_malformed_pair_file_is_usage_error(self, capsys, tmp_path, content):
@@ -643,6 +647,7 @@ REMOVED_EXPORTS = [
     ("intlinalg", "invariant_factors"),
     ("torsion", "propagate(max_attempts)"),
     ("torsion", "PropagationResult.seed"),
+    ("intlinalg", "clear_denominators"),
 ]
 
 

@@ -39,6 +39,7 @@ from weylorb.intlinalg import (
 )
 
 from references import (
+    clear_denominators,
     literal_skew_rows,
     literal_sylvester_rows,
     module_isomorphic_det_first,
@@ -132,9 +133,17 @@ def _matrix(draw, dim):
     return [[draw(_SMALL) for _ in range(dim)] for _ in range(dim)]
 
 
+def integral(m):
+    """A rational matrix scaled to a primitive integer one, which spans the
+    same line."""
+    flat = clear_denominators([x for row in m for x in row])
+    return [flat[i : i + len(m)] for i in range(0, len(flat), len(m))]
+
+
 @st.composite
 def matrix_spans(draw):
-    """(family, dim, basis): a span of small rational matrices.
+    """(family, dim, basis): a span of small integer matrices, each a
+    rational matrix made integral.
 
     "generic" and "singular-sum" spans (whose basis sums to a strictly
     upper-triangular matrix) may hold invertible elements; the rest are
@@ -173,7 +182,7 @@ def matrix_spans(draw):
                 # fix column c so that the row kills v
                 rest = sum(x * y for j, (x, y) in enumerate(zip(row, v)) if j != c)
                 row[c] = -rest / Fraction(v[c])
-    return family, dim, basis
+    return family, dim, [integral(m) for m in basis]
 
 
 class TestInvertibleInSpan:
@@ -192,7 +201,7 @@ class TestInvertibleInSpan:
 
     def test_witness_is_the_first_nonzero_draw(self):
         # span of e_11 and e_22: draws with a zero coefficient are skipped
-        basis = [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(1, 2)]]]
+        basis = [[[1, 0], [0, 0]], [[0, 0], [0, 2]]]
         for seed in range(5):
             ok, witness = _subspace_contains_invertible(basis, 2, seed)
             assert ok and witness[0][0] != 0 and witness[1][1] != 0
@@ -272,6 +281,40 @@ class TestMatrixPair:
     def test_commutation_enforced(self):
         with pytest.raises(ValueError):
             make_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "mx, my, name",
+        [
+            # a float entry was read as the Fraction of its binary value
+            (((0.1,),), ((0,),), "mx"),
+            (((0.5,),), ((0,),), "mx"),
+            (((0,),), (("a",),), "my"),
+            (((None,),), ((0,),), "mx"),
+            (((0,),), ((True,),), "my"),
+        ],
+        ids=str,
+    )
+    def test_entries_are_ints_or_fractions(self, mx, my, name):
+        for build in (lambda: MatrixPair(1, mx, my), lambda: make_pair(mx, my)):
+            with pytest.raises(ValueError, match=f"{name} has an entry"):
+                build()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: make_pair(5, [[0]]), "mx"),
+            (lambda: make_pair([[0]], None), "my"),
+            (lambda: is_cyclic(5), "pair"),
+            (lambda: dual(None), "pair"),
+            (lambda: module_isomorphic(make_pair([[0]], [[0]]), 5), "b"),
+            (lambda: module_isomorphic("a", make_pair([[0]], [[0]])), "a"),
+            (lambda: symplectic_exists("x"), "pair"),
+        ],
+        ids=["make-mx", "make-my", "cyclic", "dual", "iso-b", "iso-a", "symplectic"],
+    )
+    def test_arguments_that_are_no_pair_are_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
 
     def test_nilpotency(self):
         assert make_pair(*FOOTNOTE).is_nilpotent()
@@ -558,7 +601,10 @@ class TestIdealConstruction:
         with pytest.raises(ValueError, match="truncation must be a positive integer"):
             pair_from_ideal(["x**2", "x*y", "y**2"], truncation)
 
-    @pytest.mark.parametrize("generators", [[5, "x*y", "y**2"], [b"x**2", "x*y"], []])
+    # one string, "xy", was read as the generators x and y
+    @pytest.mark.parametrize(
+        "generators", [[5, "x*y", "y**2"], [b"x**2", "x*y"], [], "xy"]
+    )
     def test_generators_must_be_strings(self, generators):
         with pytest.raises(ValueError, match="generator"):
             pair_from_ideal(generators, 3)
@@ -715,13 +761,10 @@ class TestLinearSystems:
 
 class TestSymplectic:
     @pytest.mark.parametrize("lam", [(3, 2, 1), (4, 2), (2, 2, 1, 1)])
-    def test_basis_zeros_are_one_shared_fraction(self, lam):
-        # only the nonzero nullspace entries are placed and negated; every
-        # other entry is the one Fraction(0) the basis was filled with
+    def test_basis_entries_are_ints(self, lam):
+        # the basis is built from primitive integer null-space vectors
         basis = symplectic_exists(ideal_pair(lam)).basis
-        entries = [x for phi in basis for row in phi for x in row]
-        assert basis and all(type(x) is Fraction for x in entries)
-        assert len({id(x) for x in entries if not x}) == 1
+        assert basis and all(type(x) is int for phi in basis for row in phi for x in row)
 
     def test_remark_pair_has_no_invertible_skew(self):
         skew = symplectic_exists(make_pair(*REMARK))

@@ -81,6 +81,12 @@ class TestRingLaws:
         assert p.coeffs == {(0, 0): 2, (1, 0): Fraction(1, 2), (0, 1): 3}
         assert (p * Fraction(2)).coeffs == {(0, 0): 4, (1, 0): 1, (0, 1): 6}
 
+    def test_numpy_integer_coefficients_are_stored_as_ints(self):
+        # an np.int64 coefficient once wrapped: 2**62 * 4 gave the zero polynomial
+        p = BigradedPoly({(0, 0): np.int64(2**62), (1, 0): np.int32(3)})
+        assert all(type(c) is int for c in p.coeffs.values())
+        assert (p * 4).coeffs == {(0, 0): 2**64, (1, 0): 12}
+
     def test_numpy_integer_bidegree_accepted(self):
         p = BigradedPoly({(np.int64(1), np.int32(2)): 3})
         assert p == BigradedPoly.monomial(1, 2, 3)

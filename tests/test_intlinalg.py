@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from weylorb.intlinalg import (
     EntryBoundError,
-    clear_denominators,
     det,
     det_i_plus_t,
     det_i_plus_t_stack,
@@ -28,7 +27,12 @@ from weylorb.intlinalg import (
 )
 from weylorb.rootdata import build_root_datum
 
-from references import echelon_pivots_full_stack, invariant_factors, unimodular_inverse
+from references import (
+    clear_denominators,
+    echelon_pivots_full_stack,
+    invariant_factors,
+    unimodular_inverse,
+)
 
 SIMPLE_TYPES = (
     [f"A_{n}" for n in range(1, 9)]
@@ -112,6 +116,7 @@ def times(a, x):
 
 
 def reference_nullspace(m):
+    """The RREF null space, 1 at each free column, made primitive."""
     rows, pivots = gauss_jordan(m)
     basis = []
     for f in range(len(m[0])):
@@ -120,7 +125,7 @@ def reference_nullspace(m):
             vec[f] = Fraction(1)
             for row, pc in zip(rows, pivots):
                 vec[pc] = -row[f]
-            basis.append(vec)
+            basis.append(clear_denominators(vec))
     return basis
 
 
@@ -170,6 +175,19 @@ class TestOneRref:
             assert rational_nullspace(m) == reference_nullspace(m)
 
     @settings(max_examples=80, deadline=None)
+    @given(rational_matrices(min_rows=1))
+    def test_nullspace_vectors_are_primitive_positive_int_solutions(self, m):
+        pivots = echelon(m)[1]
+        free = [f for f in range(len(m[0])) if f not in pivots]
+        basis = rational_nullspace(m)
+        assert len(basis) == len(free)
+        for f, vec in zip(free, basis):
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1 and vec[f] > 0
+            assert not any(vec[g] for g in free if g != f)
+            assert not any(times(m, vec))
+
+    @settings(max_examples=80, deadline=None)
     @given(rational_matrices(min_rows=1), st.data())
     def test_solve_exact_matches_gauss_jordan(self, a, data):
         ncols = len(a[0])
@@ -192,10 +210,7 @@ class TestOneRref:
         assert echelon_rref([]) == ([], [])
         assert echelon_rref([[0, 0], [0, 0]]) == ([], [])
         assert rational_rank([[0, 0, 0]]) == 0
-        assert rational_nullspace([[0, 0]]) == [
-            [Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(1)],
-        ]
+        assert rational_nullspace([[0, 0]]) == [[1, 0], [0, 1]]
         assert solve_exact([[0, 0]], [1]) is None
 
 
@@ -351,6 +366,9 @@ class TestInputContract:
             lambda: smith_normal_form([[1.5, 0], [0, 2]]),
             lambda: smith_normal_form([[1, 2], [3]]),
             lambda: transpose([[1, 2], [3]]),
+            # a bool is an Integral: smith_normal_form([[True]]) gave d = [[True]]
+            lambda: smith_normal_form([[True]]),
+            lambda: det([[True, 0], [0, 1]]),
         ],
         ids=[
             "det-fraction",
@@ -359,6 +377,8 @@ class TestInputContract:
             "smith-float",
             "smith-ragged",
             "transpose-ragged",
+            "smith-bool",
+            "det-bool",
         ],
     )
     def test_z_side_refuses_what_it_cannot_compute(self, call):
