@@ -33,6 +33,8 @@ import ast
 import heapq
 import itertools
 import random
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +52,8 @@ MAX_POWER_BITS = 10**5
 # seeded draws that _subspace_contains_invertible takes before the generic
 # determinant, which only a span without an invertible element needs
 _DRAWS_BEFORE_GENERIC_DET = 8
+# a pair-file entry given as a string: digits, an optional sign and /q
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,11 @@ class MatrixPair:
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, not {self.dim!r}")
         for name, m in (("mx", self.mx), ("my", self.my)):
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
+            try:
+                square = len(m) == self.dim and all(len(r) == self.dim for r in m)
+            except TypeError:  # m, or a row of it, has no length
+                square = False
+            if not square:
                 raise ValueError(f"{name} is not a {self.dim}x{self.dim} matrix")
             if not {int, Fraction}.issuperset(map(type, itertools.chain(*m))):
                 raise ValueError(f"{name} has an entry that is no int or Fraction")
@@ -125,12 +133,13 @@ def _product(a, b):
 
 
 def _as_number(f):
-    """A pair-file entry, an int or a "p/q" string, as an int or Fraction;
-    ValueError for anything else (a float, a bool), x/0 or inf."""
+    """A pair-file entry, an int or a "p/q" string of decimal digits, as an
+    int or Fraction; ValueError for anything else (a float, a bool, "0.5",
+    "1e9", "1_000"), x/0 or inf."""
     if type(f) is int:
         return f
     try:
-        if type(f) is not str:
+        if type(f) is not str or not _ENTRY.fullmatch(f):
             raise ValueError('write an int, or a fraction as a "p/q" string')
         f = Fraction(f)
     except (ValueError, ZeroDivisionError) as exc:
@@ -297,7 +306,7 @@ def pair_from_ideal(generators, truncation):
     """
     if type(truncation) is not int or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, not {truncation!r}")
-    if isinstance(generators, str):
+    if isinstance(generators, str) or not isinstance(generators, Iterable):
         raise ValueError(f"generators must be strings in a list, not {generators!r}")
     generators = list(generators)
     for g in generators:

@@ -55,6 +55,9 @@ EXCEPTIONAL_ORDERS = {
 
 
 def expected_weyl_order(letter, rank):
+    """|W| of the simple type letter_rank; ValueError for any other input."""
+    require_int("rank", rank)
+    _validate_type(letter, rank)
     if letter == "A":
         return factorial(rank + 1)
     if letter in ("B", "C"):
@@ -190,9 +193,13 @@ def highest_coroot_coefficients(datum):
 
     This is the coroot theta^vee of the highest root theta, the last row of
     the root table, whose coroots are in simple-coroot coordinates already.
-    Returned sorted ascending.
+    Returned sorted ascending; ValueError unless datum is a RootDatum whose
+    generators give a root table.
     """
-    return tuple(sorted(datum.roots.coroots[-1].tolist()))
+    table = datum.roots if isinstance(datum, RootDatum) else None
+    if table is None:
+        raise ValueError(f"datum must be a RootDatum with a root table, not {datum!r}")
+    return tuple(sorted(table.coroots[-1].tolist()))
 
 
 def weyl_order_from_heights(heights):

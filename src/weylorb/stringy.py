@@ -52,7 +52,6 @@ from .intlinalg import (
     det_i_plus_t_stack,
     echelon_pivots_stack,
     freeze,
-    identity,
     max_abs,
     require_int,
     smith_normal_form,
@@ -81,7 +80,7 @@ class LatticeAction:
 
     def __init__(self, group):
         if not isinstance(group, WeylGroup):
-            raise TypeError("group must be a WeylGroup (use from_* builders)")
+            raise ValueError("group must be a WeylGroup (use from_* builders)")
         self.group = group
         self.rank = group.stack.shape[1]
 
@@ -94,33 +93,14 @@ class LatticeAction:
         return cls(enumerate_group(datum, order_cap=order_cap))
 
 
-def _transpositions(n):
-    """The adjacent transpositions of the coordinates of Z^n; ValueError
-    unless n is an int >= 1."""
+def wreath_bn_action(n, order_cap=DEFAULT_ENGINE_CAP):
+    """W(C_n) on the C_n coroot lattice Z^n: the hyperoctahedral group in
+    the basis of simple coroots, or W(A_1) for n = 1 (Sp(1) = SU(2))."""
     require_int("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    gens = []
-    for i in range(n - 1):
-        g = identity(n)
-        g[i][i] = g[i + 1][i + 1] = 0
-        g[i][i + 1] = g[i + 1][i] = 1
-        gens.append(g)
-    return gens
-
-
-def symmetric_action(n, order_cap=DEFAULT_ENGINE_CAP):
-    """S_n permuting the coordinates of Z^n."""
-    gens = _transpositions(n) or [identity(1)]
-    return LatticeAction.from_generators(gens, order_cap)
-
-
-def wreath_bn_action(n, order_cap=DEFAULT_ENGINE_CAP):
-    """The hyperoctahedral group of signed permutations of Z^n."""
-    gens = _transpositions(n)
-    s = identity(n)
-    s[n - 1][n - 1] = -1
-    return LatticeAction.from_generators(gens + [s], order_cap)
+    datum = build_root_datum("C" if n > 1 else "A", n)
+    return LatticeAction.from_root_datum(datum, order_cap)
 
 
 def su_action(n, order_cap=DEFAULT_ENGINE_CAP):
@@ -431,9 +411,9 @@ def verify_sp_theorem(n, engine=None, order_cap=DEFAULT_ENGINE_CAP):
 
     Compares the wreath closed form against goettsche(h(X), n), and, when
     engine is not disabled (default: run it for n <= 5), against the full
-    twisted-sector engine on (Z^n, hyperoctahedral W).  n above
-    MAX_VERIFY_SP_N, or n that is not an int or is a bool, raises
-    ValueError before any work.
+    twisted-sector engine on W(C_n), built from its Dynkin diagram, on its
+    coroot lattice Z^n (wreath_bn_action).  n above MAX_VERIFY_SP_N, or n
+    that is not an int or is a bool, raises ValueError before any work.
     """
     require_int("n", n)
     if n > MAX_VERIFY_SP_N:

@@ -30,6 +30,7 @@ from weylorb.intlinalg import (
     max_abs,
     rational_nullspace,
     rational_rank,
+    require_int,
     smith_normal_form,
     transpose,
 )
@@ -42,6 +43,7 @@ from weylorb.rootdata import (
     parse_type,
 )
 from weylorb.stringy import (
+    LatticeAction,
     _det_squares,
     _label_images,
     _labels,
@@ -225,6 +227,38 @@ def stringy_hodge_by_orbits(action):
     if any(Fraction(c).denominator != 1 for c in total.coeffs.values()):
         raise ValueError(f"non-integer coefficient in {total}")
     return BigradedPoly({k: int(c) for k, c in total.coeffs.items()})
+
+
+def _transpositions(n):
+    """The adjacent transpositions of the coordinates of Z^n; ValueError
+    unless n is an int >= 1."""
+    require_int("n", n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    gens = []
+    for i in range(n - 1):
+        g = identity(n)
+        g[i][i] = g[i + 1][i + 1] = 0
+        g[i][i + 1] = g[i + 1][i] = 1
+        gens.append(g)
+    return gens
+
+
+def symmetric_action(n):
+    """S_n permuting the coordinates of Z^n: (A^n)/S_n, whose stringy Hodge
+    polynomial is that of Hilb^n(A)."""
+    gens = _transpositions(n) or [identity(1)]
+    return LatticeAction.from_generators(gens)
+
+
+def signed_permutation_action(n):
+    """The hyperoctahedral group of signed permutations of Z^n, from the
+    adjacent transpositions and one sign flip: W(C_n) in the coordinate
+    basis, with no Dynkin diagram."""
+    gens = _transpositions(n)
+    s = identity(n)
+    s[n - 1][n - 1] = -1
+    return LatticeAction.from_generators(gens + [s])
 
 
 def sectors_by_full_centralizers(action):

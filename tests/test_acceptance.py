@@ -29,7 +29,6 @@ from weylorb.stringy import (
     stringy_hodge,
     stringy_hodge_wreath_closed_form,
     su_action,
-    symmetric_action,
     verify_sp_theorem,
     verify_su_case,
     wreath_bn_action,
@@ -42,6 +41,8 @@ from weylorb.hilbmatrix import (
     make_pair,
     symplectic_exists,
 )
+
+from references import symmetric_action
 
 
 class Timer:

@@ -309,8 +309,23 @@ class TestMatrixPair:
             (lambda: module_isomorphic(make_pair([[0]], [[0]]), 5), "b"),
             (lambda: module_isomorphic("a", make_pair([[0]], [[0]])), "a"),
             (lambda: symplectic_exists("x"), "pair"),
+            # each raised TypeError, from len() or iter()
+            (lambda: MatrixPair(1, 5, 5), "mx"),
+            (lambda: pair_from_ideal(5, 2), "generators"),
+            (lambda: pair_from_ideal(None, 2), "generators"),
         ],
-        ids=["make-mx", "make-my", "cyclic", "dual", "iso-b", "iso-a", "symplectic"],
+        ids=[
+            "make-mx",
+            "make-my",
+            "cyclic",
+            "dual",
+            "iso-b",
+            "iso-a",
+            "symplectic",
+            "pair-mx",
+            "ideal-int",
+            "ideal-none",
+        ],
     )
     def test_arguments_that_are_no_pair_are_refused(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} "):

@@ -11,6 +11,7 @@ from weylorb.intlinalg import EntryBoundError, freeze, identity, mat_mul, transp
 from weylorb.rootdata import (
     DiagramEmbedding,
     GroupOrderCapError,
+    RootDatum,
     _reflection_pair,
     build_root_datum,
     crepant_classification,
@@ -91,6 +92,38 @@ class TestParseType:
         # int() with base 10", naming no type
         with pytest.raises(ValueError, match=re.escape(f"invalid Dynkin type {bad!r}")):
             parse_type(bad)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # D_2, A_-1 and B_True once answered 4, 1 and 2; E_9 and b_3
+            # raised KeyError, B_1.5 TypeError, and the last two
+            # AttributeError
+            lambda: expected_weyl_order("D", 2),
+            lambda: expected_weyl_order("A", -1),
+            lambda: expected_weyl_order("B", True),
+            lambda: expected_weyl_order("E", 9),
+            lambda: expected_weyl_order("b", 3),
+            lambda: expected_weyl_order("B", 1.5),
+            lambda: highest_coroot_coefficients("E_6"),
+            lambda: highest_coroot_coefficients(
+                RootDatum("A_1", 1, ((2,),), (((1,),),))
+            ),
+        ],
+        ids=[
+            "D2",
+            "A-1",
+            "B-True",
+            "E9",
+            "b3",
+            "B1.5",
+            "highest-of-a-label",
+            "highest-without-roots",
+        ],
+    )
+    def test_type_questions_refuse_what_is_no_type(self, call):
+        with pytest.raises(ValueError, match="invalid Dynkin type|must be"):
+            call()
 
 
 class TestRootDatum:

@@ -27,13 +27,17 @@ from weylorb.stringy import (
     stringy_hodge,
     stringy_hodge_wreath_closed_form,
     su_action,
-    symmetric_action,
     verify_sp_theorem,
     verify_su_case,
     wreath_bn_action,
 )
 
-from references import _add_outer, stringy_hodge_by_orbits
+from references import (
+    _add_outer,
+    signed_permutation_action,
+    stringy_hodge_by_orbits,
+    symmetric_action,
+)
 
 
 class TestLatticeAction:
@@ -48,17 +52,29 @@ class TestLatticeAction:
         with pytest.raises(GroupOrderCapError):
             wreath_bn_action(3, order_cap=10)
 
-    @pytest.mark.parametrize("build", [symmetric_action, wreath_bn_action])
+    @pytest.mark.parametrize("build", [wreath_bn_action])
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_coordinates_is_refused(self, build, n):
-        # wreath_bn_action(0) once raised IndexError, and symmetric_action(0)
-        # gave the trivial group on Z^1
+        # wreath_bn_action(0) once raised IndexError
         with pytest.raises(ValueError, match="n must be at least 1"):
             build(n)
 
     def test_rejects_non_group(self):
-        with pytest.raises(TypeError):
+        # was TypeError, though every other refused input is a ValueError
+        with pytest.raises(ValueError, match="group must be a WeylGroup"):
             LatticeAction([[1]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sp_action_matches_the_signed_permutations(self, n):
+        # W(C_n) from its diagram, in the simple-coroot basis, is the
+        # hyperoctahedral group of Z^n in another basis: same order, same
+        # stringy Hodge polynomial, same commuting-pairs Euler number
+        diagram, signed = wreath_bn_action(n), signed_permutation_action(n)
+        assert diagram.group.order == signed.group.order == 2**n * prod(range(1, n + 1))
+        assert stringy_hodge(diagram) == stringy_hodge(signed)
+        assert stringy_euler_commuting_pairs(diagram) == stringy_euler_commuting_pairs(
+            signed
+        )
 
     def test_rejects_non_unimodular_generator(self):
         # int64 products of diag(2, 1) once wrapped to 0 and closed up into
