@@ -67,8 +67,10 @@ class MatrixPair:
             raise ValueError(f"dim must be a positive integer, not {self.dim!r}")
         for name, m in (("mx", self.mx), ("my", self.my)):
             try:
-                square = len(m) == self.dim and all(len(r) == self.dim for r in m)
-            except TypeError:  # m, or a row of it, has no length
+                square = len(m) == self.dim and all(
+                    isinstance(r, (list, tuple)) and len(r) == self.dim for r in m
+                )
+            except TypeError:  # m has no length
                 square = False
             if not square:
                 raise ValueError(f"{name} is not a {self.dim}x{self.dim} matrix")
@@ -143,7 +145,11 @@ def _as_number(f):
             raise ValueError('write an int, or a fraction as a "p/q" string')
         f = Fraction(f)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed entry {f!r}: {exc}") from None
+        # echoed in part, and Python's digit-limit message to its first clause
+        text = repr(f)
+        if len(text) > 40:
+            text = f"{text[:40]}... ({len(text)} characters)"
+        raise ValueError(f"malformed entry {text}: {str(exc).split(':')[0]}") from None
     return int(f) if f.denominator == 1 else f
 
 

@@ -74,10 +74,14 @@ def max_abs(a):
 def int64_generators(generators):
     """Square integer matrices of one size, as a list of (r, r) int64 arrays.
 
-    Nothing is rounded or wrapped: ValueError for no generators, for one
-    that is not a square matrix of integers of the first one's size, and
-    EntryBoundError for an entry beyond int64.
+    Nothing is rounded or wrapped: ValueError for no iterable or no
+    generators, for one that is not a square matrix of integers of the first
+    one's size, and EntryBoundError for an entry beyond int64.
     """
+    try:
+        generators = list(generators)
+    except TypeError:  # its message would not name the input
+        raise ValueError(f"generators {generators!r} are not an iterable") from None
     gens = [np.array(g) for g in generators]
     if not gens:
         raise ValueError("no generators")

@@ -287,25 +287,28 @@ class RootTable:
         return simple, weyl_order_from_heights(height.values())
 
 
-def _reflection_pair(s):
-    """(c, f) with s = I - c f^T and f.c = 2, or None if s is no reflection.
-
-    c is the primitive lattice vector spanning the image of I - s, with its
-    first nonzero entry positive, which makes f integral: a reflection fixes
-    x modulo the lattice exactly when f(x) is an integer.  c, f and I - s
-    are bounded by |s| + 1, checked as enumerate_group checks a level.
+def _reflection_pairs(gens):
+    """(coroots, forms), rows c_k, f_k with gens[k] = I - c_k f_k^T and
+    f_k.c_k = 2, read off all generators at once; None unless each is a
+    reflection.  c_k is the first nonzero column of I - s_k made primitive,
+    its first nonzero entry positive, which makes f_k integral: a reflection
+    fixes x modulo the lattice exactly when f_k(x) is an integer.  Entries
+    are bounded by max |s| + 1, checked before any product.
     """
-    top = max_abs(s) + 1
-    check_product(len(s), top, top)
-    m = np.eye(len(s), dtype=np.int64) - s
-    cols = np.flatnonzero(m.any(axis=0))
-    if not len(cols):
+    stack = np.array(gens)
+    r = len(stack[0])
+    top = max_abs(stack) + 1
+    check_product(r, top, top)
+    m = np.eye(r, dtype=np.int64) - stack
+    nonzero = m.any(axis=1)
+    if not nonzero.any(axis=1).all():
         return None
-    col = m[:, cols[0]]
-    c = col // (np.gcd.reduce(col) * np.sign(col[np.flatnonzero(col)[0]]))
-    i = np.flatnonzero(c)[0]
-    f = m[i] // c[i]
-    if not np.array_equal(np.outer(c, f), m) or f @ c != 2:
+    k = np.arange(len(m))
+    col = m[k, :, nonzero.argmax(axis=1)]
+    i = (col != 0).argmax(axis=1)
+    c = col // (np.gcd.reduce(col, axis=1) * np.sign(col[k, i]))[:, None]
+    f = m[k, i] // c[k, i, None]
+    if (c[:, :, None] * f[:, None] != m).any() or ((f * c).sum(axis=1) != 2).any():
         return None
     return c, f
 
@@ -316,71 +319,68 @@ def root_table(generators):
     None unless every generator is a reflection, the roots f_i, with signs
     flipped along the diagram so that f_i(c_j) <= 0 for i != j where the
     diagram allows it, form a simple system of the roots they generate, and
-    det[c_1 ... c_r] = +-1, so that the coroots span the lattice.  The roots
-    and coroots come from one closure of their coefficient pairs, on the
-    simple roots and the simple coroots, under the simple reflections:
-    s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee) = alpha^vee -
-    alpha_j(alpha^vee) c_j, each step within int64.  The simple system
-    is checked directly: every root's coefficients must be all >= 0 or all
-    <= 0, which fails too when no signs make every f_i(c_j) <= 0.  The
-    generators are read by intlinalg.int64_generators, as in enumerate_group.
+    det[c_1 ... c_r] = +-1, so that the coroots span the lattice.  Rows
+    [alpha | alpha^vee] of coefficients on the simple roots and coroots are
+    closed under s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee)
+    = alpha^vee - alpha_j(alpha^vee) c_j, one int64 product with
+    blockdiag(cartan, cartan^T) per level; a root is keyed by the int8
+    bytes of its coefficients, exact once they are at most 6.  Every root's
+    coefficients must be all >= 0 or all <= 0, which fails too when no signs
+    make every f_i(c_j) <= 0.  The generators are read by
+    intlinalg.int64_generators, as in enumerate_group.
     """
     gens = int64_generators(generators)
     r = len(gens[0])
-    pairs = [_reflection_pair(s) for s in gens]
-    if len(pairs) != r or any(p is None for p in pairs):
+    pairs = _reflection_pairs(gens)
+    if pairs is None or len(gens) != r:
         return None
-    coroots = np.array([c for c, _ in pairs])
-    forms = np.array([f for _, f in pairs])
+    coroots, forms = pairs
     check_product(r, max_abs(forms), max_abs(coroots))
     pairing = (forms @ coroots.T).tolist()
     sign = [0] * r
     for first in range(r):
-        if sign[first]:
-            continue
-        sign[first], todo = 1, [first]
-        while todo:
-            i = todo.pop()
-            for j in range(r):
-                if j != i and pairing[i][j] and not sign[j]:
-                    sign[j] = sign[i] if pairing[i][j] < 0 else -sign[i]
-                    todo.append(j)
+        if not sign[first]:
+            sign[first], todo = 1, [first]
+            while todo:
+                i = todo.pop()
+                for j in range(r):
+                    if j != i and pairing[i][j] and not sign[j]:
+                        sign[j] = sign[i] if pairing[i][j] < 0 else -sign[i]
+                        todo.append(j)
     sign = np.array(sign, dtype=np.int64)[:, None]
     coroots, forms = sign * coroots, sign * forms
-    cartan = forms @ coroots.T
     if abs(det(coroots.tolist())) != 1:
         return None
-    # a finite root system of rank r has at most 2 r^2 + 240 roots, each
-    # with simple-root and simple-coroot coefficients of at most 6 (E_8's
-    # highest root); more means the generators do not generate a finite
-    # reflection group, and stopping there keeps every product small: the
-    # first level's are single Cartan entries, each later one of entries <= 6
+    both = np.zeros((2 * r, 2 * r), dtype=np.int64)
+    both[:r, :r] = forms @ coroots.T
+    both[r:, r:] = both[:r, :r].T
+    # a finite root system of rank r has at most 2 r^2 + 240 roots, with
+    # simple-root and simple-coroot coefficients at most 6 (E_8's highest
+    # root); more means no finite reflection group, and stopping there keeps
+    # every product small: single Cartan entries first, then entries <= 6
     cap = 2 * r * r + 240
-    eye = np.eye(r, dtype=np.int64)
-    a = d = eye
-    seen = dict.fromkeys(_keys(a))
-    a_levels, d_levels = [a], [d]
-    while len(a):
-        # every s_j on every root of the level, in (generator, root) order
-        a = (a[None] - (a @ cartan).T[:, :, None] * eye[:, None]).reshape(-1, r)
-        d = (d[None] - (d @ cartan.T).T[:, :, None] * eye[:, None]).reshape(-1, r)
-        if max(max_abs(a), max_abs(d)) > 6:
+    x = mask = np.hstack([np.eye(r, dtype=np.int64)] * 2)
+    seen = dict.fromkeys(_keys(x[:, :r].astype(np.int8)))
+    levels = [x]
+    while len(x):
+        # every s_j on every root of the level, in (generator, root) order;
+        # row j of mask, the simple root and coroot j, marks what s_j changes
+        x = (x[None] - (x @ both)[None] * mask[:, None]).reshape(-1, 2 * r)
+        if max_abs(x) > 6:
             return None
-        new = _number_new(seen, a)
+        new = _number_new(seen, x[:, :r].astype(np.int8))
         if len(seen) > cap:
             return None
-        a, d = a[new], d[new]
-        a_levels.append(a)
-        d_levels.append(d)
-    a, d = np.concatenate(a_levels), np.concatenate(d_levels)
-    low, high = a.min(axis=1), a.max(axis=1)
+        levels.append(x := x[new])
+    x = np.concatenate(levels)
+    low, high = x[:, :r].min(axis=1), x[:, :r].max(axis=1)
     if np.any((low < 0) & (high > 0)):
         return None
     # positive roots by height; the stable sort keeps the simple roots first
     positive = np.flatnonzero(high > 0)
-    positive = positive[np.argsort(a[positive].sum(axis=1), kind="stable")]
+    x = x[positive[np.argsort(x[positive, :r].sum(axis=1), kind="stable")]]
     check_product(r, 6, max(max_abs(forms), max_abs(coroots)))
-    return RootTable(a[positive], a[positive] @ forms, d[positive] @ coroots)
+    return RootTable(x[:, :r], x[:, :r] @ forms, x[:, r:] @ coroots)
 
 
 class WeylGroup:
@@ -496,10 +496,10 @@ class WeylGroup:
 
 
 def _keys(stack):
-    """m.tobytes() of each matrix m of an (n, r, r) int64 stack, as a list."""
+    """m.tobytes() of each row m of a stack of integer arrays, as a list."""
     n = len(stack)
     flat = np.ascontiguousarray(stack).reshape(n, -1)
-    return flat.view(f"V{8 * flat.shape[1]}").ravel().tolist()
+    return flat.view(f"V{flat.itemsize * flat.shape[1]}").ravel().tolist()
 
 
 def _number_new(index, stack):

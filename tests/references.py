@@ -26,6 +26,7 @@ from weylorb.intlinalg import (
     det,
     freeze,
     identity,
+    int64_generators,
     mat_mul,
     max_abs,
     rational_nullspace,
@@ -37,7 +38,9 @@ from weylorb.intlinalg import (
 from weylorb.rootdata import (
     GroupOrderCapError,
     RootDatum,
+    RootTable,
     _keys,
+    _number_new,
     enumerate_group,
     least_orbit_labels,
     parse_type,
@@ -330,6 +333,19 @@ def goettsche_partition_sum(h, n):
     return total
 
 
+def unimodular_pair(rng, rank):
+    """A seeded product U of 2 * rank transvections I +- e_ij, and U^-1."""
+    u, u_inv = identity(rank), identity(rank)
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-1, 1))
+        # U <- (I + c e_ij) U  and  U^-1 <- U^-1 (I - c e_ij)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    return u, u_inv
+
+
 def unimodular_inverse(m):
     """Inverse of a square integer matrix with det +-1, returned over Z.
 
@@ -588,6 +604,106 @@ def positive_roots(cartan):
                     nxt.append(w)
         frontier = nxt
     return [v for v in seen if all(x >= 0 for x in v)]
+
+
+def _reflection_pair(s):
+    """(c, f) with s = I - c f^T and f.c = 2, or None if s is no reflection.
+
+    c is the primitive lattice vector spanning the image of I - s, with its
+    first nonzero entry positive, which makes f integral: a reflection fixes
+    x modulo the lattice exactly when f(x) is an integer.  c, f and I - s
+    are bounded by |s| + 1, checked as enumerate_group checks a level.
+    """
+    top = max_abs(s) + 1
+    check_product(len(s), top, top)
+    m = np.eye(len(s), dtype=np.int64) - s
+    cols = np.flatnonzero(m.any(axis=0))
+    if not len(cols):
+        return None
+    col = m[:, cols[0]]
+    c = col // (np.gcd.reduce(col) * np.sign(col[np.flatnonzero(col)[0]]))
+    i = np.flatnonzero(c)[0]
+    f = m[i] // c[i]
+    if not np.array_equal(np.outer(c, f), m) or f @ c != 2:
+        return None
+    return c, f
+
+
+def root_table_by_levels(generators):
+    """rootdata.root_table as it was before one pass read all generators
+    and one array held roots and coroots: one reflection pair per
+    generator, and roots and coroots closed as two arrays per level.
+
+    The RootTable of the group the generators generate, or None.
+
+    None unless every generator is a reflection, the roots f_i, with signs
+    flipped along the diagram so that f_i(c_j) <= 0 for i != j where the
+    diagram allows it, form a simple system of the roots they generate, and
+    det[c_1 ... c_r] = +-1, so that the coroots span the lattice.  The roots
+    and coroots come from one closure of their coefficient pairs, on the
+    simple roots and the simple coroots, under the simple reflections:
+    s_j(alpha) = alpha - alpha(c_j) alpha_j and s_j(alpha^vee) = alpha^vee -
+    alpha_j(alpha^vee) c_j, each step within int64.  The simple system
+    is checked directly: every root's coefficients must be all >= 0 or all
+    <= 0, which fails too when no signs make every f_i(c_j) <= 0.  The
+    generators are read by intlinalg.int64_generators, as in enumerate_group.
+    """
+    gens = int64_generators(generators)
+    r = len(gens[0])
+    pairs = [_reflection_pair(s) for s in gens]
+    if len(pairs) != r or any(p is None for p in pairs):
+        return None
+    coroots = np.array([c for c, _ in pairs])
+    forms = np.array([f for _, f in pairs])
+    check_product(r, max_abs(forms), max_abs(coroots))
+    pairing = (forms @ coroots.T).tolist()
+    sign = [0] * r
+    for first in range(r):
+        if sign[first]:
+            continue
+        sign[first], todo = 1, [first]
+        while todo:
+            i = todo.pop()
+            for j in range(r):
+                if j != i and pairing[i][j] and not sign[j]:
+                    sign[j] = sign[i] if pairing[i][j] < 0 else -sign[i]
+                    todo.append(j)
+    sign = np.array(sign, dtype=np.int64)[:, None]
+    coroots, forms = sign * coroots, sign * forms
+    cartan = forms @ coroots.T
+    if abs(det(coroots.tolist())) != 1:
+        return None
+    # a finite root system of rank r has at most 2 r^2 + 240 roots, each
+    # with simple-root and simple-coroot coefficients of at most 6 (E_8's
+    # highest root); more means the generators do not generate a finite
+    # reflection group, and stopping there keeps every product small: the
+    # first level's are single Cartan entries, each later one of entries <= 6
+    cap = 2 * r * r + 240
+    eye = np.eye(r, dtype=np.int64)
+    a = d = eye
+    seen = dict.fromkeys(_keys(a))
+    a_levels, d_levels = [a], [d]
+    while len(a):
+        # every s_j on every root of the level, in (generator, root) order
+        a = (a[None] - (a @ cartan).T[:, :, None] * eye[:, None]).reshape(-1, r)
+        d = (d[None] - (d @ cartan.T).T[:, :, None] * eye[:, None]).reshape(-1, r)
+        if max(max_abs(a), max_abs(d)) > 6:
+            return None
+        new = _number_new(seen, a)
+        if len(seen) > cap:
+            return None
+        a, d = a[new], d[new]
+        a_levels.append(a)
+        d_levels.append(d)
+    a, d = np.concatenate(a_levels), np.concatenate(d_levels)
+    low, high = a.min(axis=1), a.max(axis=1)
+    if np.any((low < 0) & (high > 0)):
+        return None
+    # positive roots by height; the stable sort keeps the simple roots first
+    positive = np.flatnonzero(high > 0)
+    positive = positive[np.argsort(a[positive].sum(axis=1), kind="stable")]
+    check_product(r, 6, max(max_abs(forms), max_abs(coroots)))
+    return RootTable(a[positive], a[positive] @ forms, d[positive] @ coroots)
 
 
 def perturbed_candidates(embedding, p, fine_denominator, seed, count):

@@ -431,6 +431,8 @@ class TestMatrixLab:
             # Fraction("1e3000000") expanded the exponent, for about 1 s
             {"dim": 1, "mx": [["1e3000000"]], "my": [[0]]},
             {"dim": 1, "mx": [["0.5"]], "my": [[0]]},
+            # beyond Python's int digit limit; the entry was echoed whole
+            {"dim": 1, "mx": [["1" * 5000]], "my": [[0]]},
         ],
         ids=[
             "missing-my",
@@ -444,6 +446,7 @@ class TestMatrixLab:
             "integral-float-entry",
             "exponent-entry",
             "decimal-entry",
+            "5000-digit-entry",
         ],
     )
     def test_malformed_pair_file_is_usage_error(self, capsys, tmp_path, content):
@@ -455,6 +458,7 @@ class TestMatrixLab:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize(
         "generator",

@@ -28,7 +28,6 @@ import weylorb.stringy
 from weylorb.intlinalg import (
     EntryBoundError,
     freeze,
-    identity,
     mat_mul,
     smith_normal_form,
 )
@@ -45,6 +44,7 @@ from references import (
     sectors_by_full_centralizers,
     stringy_hodge_by_orbits,
     unimodular_inverse,
+    unimodular_pair,
 )
 
 WEYL_TYPES = (("G", 2), ("A", 3), ("B", 3), ("C", 3))
@@ -63,19 +63,6 @@ def _weyl(letter, rank):
     return _WEYL[letter, rank]
 
 
-def _unimodular_pair(rng, rank):
-    """A seeded product U of 2 * rank transvections I +- e_ij, and U^-1."""
-    u, u_inv = identity(rank), identity(rank)
-    for _ in range(2 * rank):
-        i, j = rng.sample(range(rank), 2)
-        c = rng.choice((-1, 1))
-        # U <- (I + c e_ij) U  and  U^-1 <- U^-1 (I - c e_ij)
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:
-            row[j] -= c * row[i]
-    return u, u_inv
-
-
 @st.composite
 def subgroup_actions(draw, types=WEYL_TYPES, max_gens=3):
     letter, rank = draw(st.sampled_from(types))
@@ -83,7 +70,7 @@ def subgroup_actions(draw, types=WEYL_TYPES, max_gens=3):
     picks = draw(
         st.lists(st.integers(0, group.order - 1), min_size=1, max_size=max_gens)
     )
-    u, u_inv = _unimodular_pair(random.Random(draw(st.integers(0, 2**32))), rank)
+    u, u_inv = unimodular_pair(random.Random(draw(st.integers(0, 2**32))), rank)
     gens = [mat_mul(mat_mul(u, group.stack[i].tolist()), u_inv) for i in picks]
     return LatticeAction.from_generators(gens)
 
@@ -148,7 +135,7 @@ def test_classes_match_the_product_route_on_every_weyl_type(letter, rank):
     group = _weyl(letter, rank)
     _assert_same_classes(enumerate_group(group.generators))
     if rank > 1:
-        u, u_inv = _unimodular_pair(random.Random(rank), rank)
+        u, u_inv = unimodular_pair(random.Random(rank), rank)
         gens = [mat_mul(mat_mul(u, s), u_inv) for s in group.generators]
         _assert_same_classes(enumerate_group(gens))
 
@@ -195,7 +182,7 @@ def test_sectors_match_the_full_centralizer_loop_on_every_weyl_type(letter, rank
     group = _weyl(letter, rank)
     _assert_same_sectors(LatticeAction(group))
     if rank > 1:
-        u, u_inv = _unimodular_pair(random.Random(rank), rank)
+        u, u_inv = unimodular_pair(random.Random(rank), rank)
         gens = [mat_mul(mat_mul(u, s), u_inv) for s in group.generators]
         _assert_same_sectors(LatticeAction.from_generators(gens))
 
@@ -225,7 +212,7 @@ def test_sectors_do_not_depend_on_the_batch(monkeypatch, rows):
     monkeypatch.setattr(weylorb.stringy, "_SECTOR_ROWS", rows)
     rng = random.Random(25)
     for letter, rank in (("B", 4), ("A", 5)):
-        u, u_inv = _unimodular_pair(rng, rank)
+        u, u_inv = unimodular_pair(rng, rank)
         gens = [mat_mul(mat_mul(u, s), u_inv) for s in _weyl(letter, rank).generators]
         _assert_same_sectors(LatticeAction.from_generators(gens))
     _assert_same_sectors(wreath_bn_action(4))
@@ -317,7 +304,7 @@ def test_commuting_pairs_match_on_whole_rank4_groups(monkeypatch):
     # inside classes, and of every pair of the action at once
     rng = random.Random(4)
     for letter, rank in RANK4_TYPES:
-        u, u_inv = _unimodular_pair(rng, rank)
+        u, u_inv = unimodular_pair(rng, rank)
         gens = [mat_mul(mat_mul(u, s), u_inv) for s in _weyl(letter, rank).generators]
         action = LatticeAction.from_generators(gens)
         expected = _euler_commuting_pairs_reference(action)

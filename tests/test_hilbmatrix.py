@@ -311,6 +311,9 @@ class TestMatrixPair:
             (lambda: symplectic_exists("x"), "pair"),
             # each raised TypeError, from len() or iter()
             (lambda: MatrixPair(1, 5, 5), "mx"),
+            # a dict row was read by its keys, and built a pair
+            (lambda: MatrixPair(1, ({0: 1},), ((0,),)), "mx"),
+            (lambda: MatrixPair(1, ((0,),), ({0: 1},)), "my"),
             (lambda: pair_from_ideal(5, 2), "generators"),
             (lambda: pair_from_ideal(None, 2), "generators"),
         ],
@@ -323,6 +326,8 @@ class TestMatrixPair:
             "iso-a",
             "symplectic",
             "pair-mx",
+            "pair-dict-row-mx",
+            "pair-dict-row-my",
             "ideal-int",
             "ideal-none",
         ],

@@ -12,7 +12,7 @@ from weylorb.rootdata import (
     DiagramEmbedding,
     GroupOrderCapError,
     RootDatum,
-    _reflection_pair,
+    _reflection_pairs,
     build_root_datum,
     crepant_classification,
     embed_diagram,
@@ -24,6 +24,7 @@ from weylorb.rootdata import (
     weyl_order_from_heights,
 )
 
+from weylorb.stringy import LatticeAction
 from weylorb.torsion import TorsionPoint, stabilizer
 
 from references import (
@@ -31,6 +32,8 @@ from references import (
     conjugacy_classes_by_products,
     generated_elements,
     positive_roots,
+    root_table_by_levels,
+    unimodular_pair,
 )
 
 ALL_SMALL_TYPES = [
@@ -319,6 +322,7 @@ class TestRootTable:
             [((-1, 0), (1, 1)), ((1, 1), (0, -1))],
         ):
             assert root_table(gens) is None
+            assert root_table_by_levels(gens) is None
         # the full walk still gives the stabilizer a brute force gives
         group = enumerate_group(triangle)
         assert group.order == 24
@@ -333,9 +337,63 @@ class TestRootTable:
         s = [[int(i == j) - c[i] * f[j] for j in range(4)] for i in range(4)]
         assert mat_mul(s, s) != identity(4)
         with pytest.raises(EntryBoundError, match="could overflow"):
-            _reflection_pair(np.array(s, dtype=np.int64))
+            _reflection_pairs([np.array(s, dtype=np.int64)])
         with pytest.raises(EntryBoundError, match="could overflow"):
             root_table([s])
+
+    ORACLE_TYPES = (
+        [("A", r) for r in range(1, 13)]
+        + [(x, r) for x in "BC" for r in range(2, 13)]
+        + [("D", r) for r in range(4, 13)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        # past rank 17 a base-13 int64 code of a root would wrap
+        + [("A", 20), ("D", 20)]
+    )
+
+    @staticmethod
+    def same_table(gens):
+        """root_table(gens), once it is root_table_by_levels(gens) row for row."""
+        new, old = root_table(gens), root_table_by_levels(gens)
+        if old is None:
+            assert new is None
+            return None
+        for name in ("coeffs", "forms", "coroots"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert new.order == old.order
+        return new
+
+    @pytest.mark.parametrize(
+        "letter,rank", ORACLE_TYPES, ids=[f"{x}_{r}" for x, r in ORACLE_TYPES]
+    )
+    def test_one_pass_matches_the_level_walk(self, letter, rank):
+        # row for row, in the simple-coroot basis and in two seeded bases
+        # (a rank-1 basis change is +-1 and leaves the generator as it is)
+        datum = build_root_datum(letter, rank)
+        gens = [list(map(list, g)) for g in datum.weyl_generators]
+        bases = [gens]
+        for seed in range(2 if rank > 1 else 0):
+            u, u_inv = unimodular_pair(random.Random(seed), rank)
+            bases.append([mat_mul(mat_mul(u, g), u_inv) for g in gens])
+        for gens in bases:
+            assert self.same_table(gens).order == datum.expected_order()
+
+    def test_one_pass_matches_the_level_walk_on_random_reflections(self):
+        # sets of reflections I - c f^T with f.c = 2 and small entries,
+        # sometimes one too many or too few, or one that is no reflection:
+        # finite, infinite, not unimodular and mixed-sign cases alike
+        rng = random.Random(35)
+        tables = 0
+        for _ in range(1500):
+            r = rng.randint(1, 4)
+            count, gens = r + rng.choice((0, 0, 0, 1, -1)), []
+            while len(gens) < count:
+                c = [rng.randint(-2, 2) for _ in range(r)]
+                f = [rng.randint(-3, 3) for _ in range(r)]
+                if np.dot(c, f) == 2 or rng.random() < 0.05:
+                    gens.append(np.eye(r, dtype=np.int64) - np.outer(c, f))
+            if gens:
+                tables += self.same_table(gens) is not None
+        assert tables >= 50
 
     def test_order_from_heights(self):
         assert weyl_order_from_heights([]) == 1
@@ -416,6 +474,21 @@ class TestEnumeration:
         for read in (enumerate_group, root_table):
             with pytest.raises(error, match=match):
                 read(gens)
+
+    @pytest.mark.parametrize(
+        "read,source",
+        [
+            (enumerate_group, None),
+            (enumerate_group, 5),
+            (LatticeAction.from_generators, None),
+            (root_table, None),
+        ],
+        ids=["enumerate-none", "enumerate-int", "action-none", "table-none"],
+    )
+    def test_generators_that_are_no_iterable_are_refused(self, read, source):
+        # each raised TypeError ("'NoneType' object is not iterable")
+        with pytest.raises(ValueError, match=f"^generators {source} are not"):
+            read(source)
 
     def test_cap_refusal_on_raw_generators(self):
         d = build_root_datum("B", 3)
